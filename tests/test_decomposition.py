@@ -9,7 +9,7 @@ from kplab.data import (gaussian_datum, random_band_field,
                         sector_indicator_datum)
 from kplab.decomposition import (NormParams, SectorIndex, SpaceTimeTrace,
                                  dyadic_projection, lqlp_norm,
-                                 modulation_projection,
+                                 lqlp_norm_from_masses, modulation_projection,
                                  modulation_weighted_norm, sector_masses,
                                  sector_projection, shell_scale,
                                  u1_variation_norm, v2_variation_bruteforce,
@@ -109,6 +109,26 @@ def test_lqlp_nesting_property(seed, p, q):
     a = lqlp_norm(u, NormParams(q=q, p=p))
     b = lqlp_norm(u, NormParams(q=2 * q, p=2 * p))
     assert b <= a * (1 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+       st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]))
+def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
+    # sector_masses must equal the explicit sector projections key for key,
+    # sum to the squared L^2 norm, and feed lqlp_norm's one reduction
+    grid = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                    2 * np.pi * l2)
+    u = random_band_field(grid, np.random.default_rng(seed), 0.0, grid.xi_max())
+    masses = sector_masses(u)
+    for (j, k1, k2), m in masses.items():
+        proj = sector_projection(u, SectorIndex(2.0 ** j, (k1, k2)))
+        assert proj.l2_norm() ** 2 == pytest.approx(m, rel=1e-12)
+    assert sum(masses.values()) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+    assert lqlp_norm(u, NormParams(q=q, p=p)) == lqlp_norm_from_masses(masses, q, p)
 
 
 def test_norm_params_validation():
