@@ -7,9 +7,8 @@ from .spectral import (GridSpec, SpectralField, PhysicalField,
                        dispersion_symbol, apply_linear_propagator,
                        galilean_shift, galilean_boost, scaling_transform,
                        make_field, zero_field, write_snapshot, read_snapshot)
-from .decomposition import (SectorIndex, RefinedSectorIndex, NormParams,
-                            SpaceTimeTrace, dyadic_projection,
-                            sector_projection, refined_sector_projection,
+from .decomposition import (SectorIndex, NormParams, SpaceTimeTrace,
+                            dyadic_projection, sector_projection,
                             sector_masses, lqlp_norm, modulation_projection,
                             modulation_weighted_norm, v2_variation_norm,
                             u1_variation_norm)

@@ -22,7 +22,7 @@ from .data import (gaussian_datum, member_rng, random_band_field,
                    scattering_datum, sector_indicator_datum,
                    two_bump_lattice_datum)
 from .decomposition import NormParams, lqlp_norm, sector_masses
-from .errors import KplabError
+from .errors import ConfigurationError, KplabError
 from .estimates import (bilinear_mu_sweep, circle_measure_closed_form,
                         circle_measure_integral, phase_difference_roots,
                         random_measure_config, random_resonance_point,
@@ -34,12 +34,8 @@ from .scattering import asymptotic_state
 from .solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
                      picard_iterate, slope_filtered_product, spectral_product,
                      slope_band_extent)
-from .spectral import (GridSpec, read_snapshot, trilinear_pairing,
-                       write_snapshot)
-
-_VERIFY_CHECKS = ("resonance", "circle-measure", "g-rho", "strichartz",
-                  "bilinear", "sector-bilinear", "tl-symmetry",
-                  "partition-of-unity")
+from .spectral import (GridSpec, SpectralField, read_snapshot,
+                       scaling_transform, trilinear_pairing, write_snapshot)
 
 
 def _threads(args) -> int:
@@ -58,6 +54,15 @@ def _grid_from(cfgdict) -> GridSpec:
                     gd.get("dealias", True))
 
 
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _int_pair(text):
+    a, b = (int(v) for v in text.split(","))
+    return a, b
+
+
 def _emit(args, name, payload):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -73,13 +78,12 @@ def _emit(args, name, payload):
 # ----------------------------------------------------------------------
 
 def cmd_make_data(args) -> int:
-    grid = _grid_from(json.load(open(args.config)) if args.config else {})
+    grid = _grid_from(_load_config(args))
     if args.kind == "gaussian":
         field = gaussian_datum(grid, amplitude=args.amplitude,
                                scale=args.width, center_xi=args.center_xi)
     elif args.kind == "sector":
-        k = tuple(int(v) for v in args.k.split(","))
-        field = sector_indicator_datum(grid, args.lam, k, args.amplitude)
+        field = sector_indicator_datum(grid, args.lam, args.k, args.amplitude)
     elif args.kind == "illposed":
         mu = args.mu
         lam = args.lam
@@ -94,13 +98,10 @@ def cmd_make_data(args) -> int:
                   file=sys.stderr)
             return 2
         field = two_bump_lattice_datum(grid, mu, lam, args.p)
-    elif args.kind == "random-band":
+    else:  # random-band
         rng = member_rng(args.seed, 0)
         field = random_band_field(grid, rng, args.band_lo, args.band_hi,
                                   eta_max=args.eta_max)
-    else:
-        print(f"error: unknown datum kind {args.kind!r}", file=sys.stderr)
-        return 2
     write_snapshot(field, args.file)
     norms = {}
     for q, p in ((math.inf, args.p), (math.inf, 2.0), (2.0, 2.0)):
@@ -159,7 +160,6 @@ def _verify_grho(args):
 def _verify_strichartz(args):
     grid = GridSpec(64, 32, 32, 8 * math.pi, 8 * math.pi, 8 * math.pi)
     u0 = gaussian_datum(grid, center_xi=1.5, width_xi=0.5, width_eta=0.5)
-    from .spectral import scaling_transform
     base = strichartz_ratio(u0, 4, 4, T=4.0)
     rels = []
     for h in (0.5, 2.0):
@@ -226,17 +226,16 @@ def _verify_partition(args):
                 "tols": [1e-12, 1e-10]}
 
 
+_VERIFY_CHECKS = {
+    "resonance": _verify_resonance, "circle-measure": _verify_circle,
+    "g-rho": _verify_grho, "strichartz": _verify_strichartz,
+    "bilinear": _verify_bilinear, "sector-bilinear": _verify_sector_bilinear,
+    "tl-symmetry": _verify_tl_symmetry, "partition-of-unity": _verify_partition}
+
+
 def cmd_verify(args) -> int:
-    table = {"resonance": _verify_resonance, "circle-measure": _verify_circle,
-             "g-rho": _verify_grho, "strichartz": _verify_strichartz,
-             "bilinear": _verify_bilinear, "sector-bilinear": _verify_sector_bilinear,
-             "tl-symmetry": _verify_tl_symmetry, "partition-of-unity": _verify_partition}
-    if args.check not in table:
-        print(f"error: unknown check {args.check!r}; choose from {_VERIFY_CHECKS}",
-              file=sys.stderr)
-        return 2
     t0 = time.time()
-    ok, detail = table[args.check](args)
+    ok, detail = _VERIFY_CHECKS[args.check](args)
     payload = {"check": args.check, "passed": bool(ok), "seed": args.seed,
                "wall_clock_s": round(time.time() - t0, 3), **detail}
     _emit(args, f"verify-{args.check}", payload)
@@ -251,7 +250,13 @@ def _load_config(args) -> dict:
     if not args.config:
         return {}
     with open(args.config) as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as ex:   # malformed JSON or not text
+            raise ConfigurationError(f"config {args.config} is not valid JSON: {ex}") from ex
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config {args.config} must hold a JSON object")
+    return cfg
 
 
 def _manifest(cfg, seed, t0, extra):
@@ -260,16 +265,34 @@ def _manifest(cfg, seed, t0, extra):
             "wall_clock_s": round(time.time() - t0, 3), **extra}
 
 
+def _run_setup(experiment, cfg):
+    """Grid and SimConfig of a solver experiment; (None, None) otherwise."""
+    if experiment == "sim":
+        grid = _grid_from(cfg)
+        return grid, SimConfig(grid, cfg.get("dt", 0.01), cfg.get("T", 1.0),
+                               cfg.get("samples_per_unit", 8))
+    if experiment == "picard":
+        grid = _grid_from(cfg) if "grid" in cfg else GridSpec(
+            24, 12, 12, 4 * math.pi, 4 * math.pi, 4 * math.pi)
+        return grid, SimConfig(grid, cfg.get("dt", 1 / 64), cfg.get("T", 1.0),
+                               cfg.get("samples_per_unit", 64))
+    if experiment == "scatter":
+        grid = _grid_from(cfg) if "grid" in cfg else GridSpec(
+            192, 24, 24, 32 * math.pi, 8 * math.pi, 8 * math.pi)
+        return grid, SimConfig(grid, cfg.get("dt", 1 / 16), cfg.get("T", 8.0), 1)
+    return None, None
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    # an unusable configuration raises here and exits 2; failures of the
+    # experiment itself are reported below as diagnostics with exit 1
+    grid, sim = _run_setup(args.experiment, cfg)
     t0 = time.time()
     try:
         if args.experiment == "sim":
-            grid = _grid_from(cfg)
             u0 = gaussian_datum(grid, amplitude=cfg.get("amplitude", 1e-3),
                                 center_xi=cfg.get("center_xi", 1.5))
-            sim = SimConfig(grid, cfg.get("dt", 0.01), cfg.get("T", 1.0),
-                            cfg.get("samples_per_unit", 8))
             tr = evolve(u0, sim)
             ms = mass_series(tr)
             drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
@@ -284,16 +307,11 @@ def cmd_run(args) -> int:
             return 0 if drift <= 1e-6 else 1
 
         if args.experiment == "picard":
-            grid = _grid_from(cfg) if "grid" in cfg else GridSpec(
-                24, 12, 12, 4 * math.pi, 4 * math.pi, 4 * math.pi)
             npar = NormParams()
             u0 = gaussian_datum(grid, amplitude=1.0, center_xi=1.0,
                                 width_xi=0.4, width_eta=0.4)
-            from .spectral import SpectralField
             u0 = SpectralField(grid, u0.coeff * (cfg.get("datum_norm", 1e-3)
                                                  / lqlp_norm(u0, npar)), True)
-            sim = SimConfig(grid, cfg.get("dt", 1 / 64), cfg.get("T", 1.0),
-                            cfg.get("samples_per_unit", 64))
             tr, rep = picard_iterate(u0, sim)
             ok = rep.converged and all(r <= 0.5 for r in rep.ratios)
             payload = _manifest(cfg, args.seed, t0, {
@@ -303,12 +321,9 @@ def cmd_run(args) -> int:
             return 0 if ok else 1
 
         if args.experiment == "scatter":
-            grid = _grid_from(cfg) if "grid" in cfg else GridSpec(
-                192, 24, 24, 32 * math.pi, 8 * math.pi, 8 * math.pi)
             npar = NormParams()
             rng = member_rng(args.seed, cfg.get("member", 0))
             u0 = scattering_datum(grid, rng, cfg.get("datum_norm", 1e-3), npar)
-            sim = SimConfig(grid, cfg.get("dt", 1 / 16), cfg.get("T", 8.0), 1)
             tr = evolve(u0, sim)
             rep = asymptotic_state(tr, npar, strict=False)
             ok = rep.detected
@@ -325,8 +340,7 @@ def cmd_run(args) -> int:
             return 0 if ok else 1
 
         if args.experiment == "illposed-sweep":
-            lams = [float(v) for v in (args.lams or "8,16,32,64").split(",")]
-            rep = growth_sweep(lams, args.p)
+            rep = growth_sweep(args.lams, args.p)
             ok = abs(rep.slope - rep.predicted) <= 0.3 if args.p != 2.0 \
                 else rep.slope <= 0.3
             payload = _manifest(cfg, args.seed, t0, {
@@ -343,30 +357,24 @@ def cmd_run(args) -> int:
             _emit(args, "run-illposed-sweep", payload)
             return 0 if ok else 1
 
-        if args.experiment == "norms":
-            return cmd_norms(args)
-
-        if args.experiment == "spaces-lab":
-            from .function_spaces import (AnalyticDatum, divergent_sequence_check,
-                                          sector_sum_decay, zero_mean_blowup)
-            d = AnalyticDatum(kind="gaussian")
-            tab = sector_sum_decay(d, cfg.get("p", 2.0))
-            dich = zero_mean_blowup(d, cfg.get("p", 2.0))
-            comb = divergent_sequence_check(
-                [2.0 ** -a for a in (2, 4, 8, 16, 32, 40)], cfg.get("comb_p", 3.0))
-            payload = _manifest(cfg, args.seed, t0, {
-                "decay_lams": list(tab.lams), "decay_values": list(tab.values),
-                "low_slope": tab.low_slope,
-                "partial_slope": dich.partial_slope, "divergent": dich.divergent,
-                "comb_norms": list(comb.norms),
-                "comb_pairings": list(comb.pairings),
-                "comb_growth_exponent": comb.growth_exponent,
-                "passed": True})
-            _emit(args, "run-spaces-lab", payload)
-            return 0
-
-        print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
-        return 2
+        # spaces-lab
+        from .function_spaces import (AnalyticDatum, divergent_sequence_check,
+                                      sector_sum_decay, zero_mean_blowup)
+        d = AnalyticDatum(kind="gaussian")
+        tab = sector_sum_decay(d, cfg.get("p", 2.0))
+        dich = zero_mean_blowup(d, cfg.get("p", 2.0))
+        comb = divergent_sequence_check(
+            [2.0 ** -a for a in (2, 4, 8, 16, 32, 40)], cfg.get("comb_p", 3.0))
+        payload = _manifest(cfg, args.seed, t0, {
+            "decay_lams": list(tab.lams), "decay_values": list(tab.values),
+            "low_slope": tab.low_slope,
+            "partial_slope": dich.partial_slope, "divergent": dich.divergent,
+            "comb_norms": list(comb.norms),
+            "comb_pairings": list(comb.pairings),
+            "comb_growth_exponent": comb.growth_exponent,
+            "passed": True})
+        _emit(args, "run-spaces-lab", payload)
+        return 0
     except KplabError as ex:
         payload = _manifest(cfg, args.seed, t0,
                             {"passed": False, "diagnostic": str(ex),
@@ -419,7 +427,7 @@ def main(argv=None) -> int:
     mk.add_argument("--width", type=float, default=1.0)
     mk.add_argument("--center-xi", dest="center_xi", type=float, default=2.0)
     mk.add_argument("--lam", type=float, default=2.0)
-    mk.add_argument("--k", default="0,0")
+    mk.add_argument("--k", type=_int_pair, default="0,0")
     mk.add_argument("--mu", type=float, default=1 / 64)
     mk.add_argument("--p", type=float, default=3.0)
     mk.add_argument("--band-lo", dest="band_lo", type=float, default=0.0)
@@ -440,11 +448,9 @@ def main(argv=None) -> int:
 
     rn = sub.add_parser("run", help="run an experiment")
     rn.add_argument("experiment", choices=("sim", "picard", "scatter",
-                                           "illposed-sweep", "norms", "spaces-lab"))
+                                           "illposed-sweep", "spaces-lab"))
     rn.add_argument("--p", type=float, default=3.0)
-    rn.add_argument("--lams", default=None)
-    rn.add_argument("--file", default="datum.kp3f")
-    rn.add_argument("--q", type=float, default=math.inf)
+    rn.add_argument("--lams", type=_floats, default="8,16,32,64")
     rn.set_defaults(func=cmd_run)
 
     nm = sub.add_parser("norms", help="norm report for a snapshot")
@@ -456,10 +462,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except KplabError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as ex:
+    except (KplabError, OSError) as ex:   # OSError: a path that cannot be read or written
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

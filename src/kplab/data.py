@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decomposition import SectorIndex, sector_projection
 from .errors import ConfigurationError
-from .spectral import GridSpec, SpectralField, make_field
+from .spectral import GridSpec, SpectralField, grid_geometry, make_field
 
 # counter-based generator so ensembles are order-independent
 def member_rng(run_seed: int, member: int) -> np.random.Generator:
@@ -43,16 +44,8 @@ def gaussian_datum(grid: GridSpec, amplitude: float = 1.0, scale: float = 1.0,
 def sector_indicator_datum(grid: GridSpec, lam: float, k=(0, 0),
                            amplitude: float = 1.0) -> SpectralField:
     """Indicator of one slope sector (both signs of xi, Hermitian)."""
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.where(xi != 0, e1 / np.where(xi == 0, 1.0, xi), np.inf)
-        s2 = np.where(xi != 0, e2 / np.where(xi == 0, 1.0, xi), np.inf)
-    shell = (np.abs(xi) >= lam) & (np.abs(xi) < 2 * lam)
-    box = ((s1 - lam * k[0] >= -lam / 2) & (s1 - lam * k[0] < lam / 2)
-           & (s2 - lam * k[1] >= -lam / 2) & (s2 - lam * k[1] < lam / 2))
-    coeff = np.where(shell & box, amplitude + 0.0j, 0.0)
+    ones = SpectralField(grid, np.full(grid.shape, amplitude + 0.0j))
+    coeff = sector_projection(ones, SectorIndex(lam, tuple(k))).coeff
     if not coeff.any():
         raise ConfigurationError(f"sector (lam={lam}, k={k}) does not meet the grid")
     return make_field(grid, coeff, real_flag=True, hermitize=True)
@@ -68,19 +61,15 @@ def random_band_field(grid: GridSpec, rng: np.random.Generator,
     restricts eta/xi componentwise.  Coefficients are complex Gaussian,
     normalized to the requested L^2 norm.
     """
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
+    geo = grid_geometry(grid)
+    xi = geo.xi
     sup = ((np.abs(xi) > xi_lo) & (np.abs(xi) <= xi_hi)
            & np.ones(grid.shape, dtype=bool))
     if eta_max is not None:
-        sup &= (np.abs(e1) <= eta_max) & (np.abs(e2) <= eta_max)
+        sup &= (np.abs(geo.eta1) <= eta_max) & (np.abs(geo.eta2) <= eta_max)
     if slope_box is not None:
         lo1, hi1, lo2, hi2 = slope_box
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = np.where(xi != 0, e1 / np.where(xi == 0, 1.0, xi), np.inf)
-            s2 = np.where(xi != 0, e2 / np.where(xi == 0, 1.0, xi), np.inf)
-        sup &= (s1 >= lo1) & (s1 <= hi1) & (s2 >= lo2) & (s2 <= hi2)
+        sup &= (geo.s1 >= lo1) & (geo.s1 <= hi1) & (geo.s2 >= lo2) & (geo.s2 <= hi2)
     sup &= xi != 0
     if not sup.any():
         raise ConfigurationError("random band support is empty on this grid")
@@ -103,12 +92,8 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
     """
     from .decomposition import NormParams, lqlp_norm
     npar = norm_params or NormParams()
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.where(xi != 0, e1 / np.where(xi == 0, 1.0, xi), 0.0)
-        s2 = np.where(xi != 0, e2 / np.where(xi == 0, 1.0, xi), 0.0)
+    geo = grid_geometry(grid)
+    xi, s1, s2 = geo.xi, geo.s1, geo.s2
     cs = rng.uniform(-0.2, 0.2, 2)
     jitter = 1.0 + 0.2 * rng.standard_normal(grid.shape)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, DomainError, PreconditionError
 from .spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                       omega_mesh)
+                       dyadic_exponent, grid_geometry)
 
 
 @dataclass(frozen=True)
@@ -43,23 +43,6 @@ class SectorIndex:
     @property
     def center(self):
         return (self.lam * self.k[0], self.lam * self.k[1])
-
-
-@dataclass(frozen=True)
-class RefinedSectorIndex:
-    """Widened sector: slope-box center lam*k*L, half-width L*lam/2."""
-
-    lam: float
-    k: tuple[int, int]
-    L: float
-
-    def __post_init__(self):
-        for v, name in ((self.lam, "lam"), (self.L, "L")):
-            j = int(np.rint(np.log2(v)))
-            if abs(v - 2.0 ** j) > 1e-12 * v:
-                raise ConfigurationError(f"{name}={v} must be a power of 2")
-        if self.L < 1:
-            raise ConfigurationError("sector width multiplier L must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,17 +104,9 @@ class SpaceTimeTrace:
 # Shell / sector addressing
 # ----------------------------------------------------------------------
 
-def _shell_exponents(absxi: np.ndarray) -> np.ndarray:
-    """Vectorized largest j with 2^j <= |xi|, exact on lattice boundaries."""
-    j = np.floor(np.log2(absxi)).astype(np.int64)
-    j = np.where(np.exp2(j.astype(float)) > absxi, j - 1, j)
-    j = np.where(np.exp2((j + 1).astype(float)) <= absxi, j + 1, j)
-    return j
-
-
 def shell_scale(xi: float) -> float:
     """The dyadic lam with lam <= |xi| < 2 lam."""
-    return 2.0 ** _shell_exponents(np.array([abs(xi)]))[0]
+    return 2.0 ** dyadic_exponent(abs(xi))
 
 
 def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
@@ -146,62 +121,42 @@ def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
 
 def sector_projection(u: SpectralField, s: SectorIndex) -> SpectralField:
     """Keep coefficients in the sector: shell lam, slope box lam*(k+[-1/2,1/2)^2)."""
-    g = u.grid
-    xi = g.xi_axis()[:, None, None]
-    e1 = g.eta1_axis()[None, :, None]
-    e2 = g.eta2_axis()[None, None, :]
+    geo = grid_geometry(u.grid)
     lam, (k1, k2) = s.lam, s.k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.where(xi != 0, e1 / np.where(xi == 0, 1.0, xi), np.inf)
-        s2 = np.where(xi != 0, e2 / np.where(xi == 0, 1.0, xi), np.inf)
-    shell = (np.abs(xi) >= lam) & (np.abs(xi) < 2 * lam)
-    box = ((s1 - lam * k1 >= -lam / 2) & (s1 - lam * k1 < lam / 2)
-           & (s2 - lam * k2 >= -lam / 2) & (s2 - lam * k2 < lam / 2))
+    shell = (np.abs(geo.xi) >= lam) & (np.abs(geo.xi) < 2 * lam)
+    box = ((geo.s1 - lam * k1 >= -lam / 2) & (geo.s1 - lam * k1 < lam / 2)
+           & (geo.s2 - lam * k2 >= -lam / 2) & (geo.s2 - lam * k2 < lam / 2))
     out = np.where(shell & box, u.coeff, 0.0)
-    return SpectralField(g, out, u.real_flag)
+    return SpectralField(u.grid, out, u.real_flag)
 
 
-def refined_sector_projection(u: SpectralField, rs: RefinedSectorIndex) -> SpectralField:
-    g = u.grid
-    xi = g.xi_axis()[:, None, None]
-    e1 = g.eta1_axis()[None, :, None]
-    e2 = g.eta2_axis()[None, None, :]
-    lam, (k1, k2), L = rs.lam, rs.k, rs.L
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.where(xi != 0, e1 / np.where(xi == 0, 1.0, xi), np.inf)
-        s2 = np.where(xi != 0, e2 / np.where(xi == 0, 1.0, xi), np.inf)
-    shell = (np.abs(xi) >= lam) & (np.abs(xi) < 2 * lam)
-    half = L * lam / 2
-    box = ((s1 - lam * k1 * L >= -half) & (s1 - lam * k1 * L < half)
-           & (s2 - lam * k2 * L >= -half) & (s2 - lam * k2 * L < half))
-    out = np.where(shell & box, u.coeff, 0.0)
-    return SpectralField(g, out, u.real_flag)
+def sector_sums(j, m1, m2, mass) -> dict:
+    """Total of `mass` per sector key (j, m1, m2) (arrays broadcast together),
+    in order of first occurrence; each total is summed in input order."""
+    cols = [c.ravel() for c in np.broadcast_arrays(j, m1, m2)]
+    code = np.ravel_multi_index([c - c.min() for c in cols],
+                                [int(np.ptp(c)) + 1 for c in cols])
+    _, first, label = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    sums = np.bincount(label.reshape(-1), weights=np.ravel(mass))[order]
+    keys = zip(*(c[first[order]].tolist() for c in cols))
+    return dict(zip(keys, sums.tolist()))
 
 
 def sector_masses(u: SpectralField) -> dict:
     """Squared L^2 mass per occupied sector, keyed by (shell_exp, k1, k2).
 
-    One pass over the nonzero modes; exact partition, so the values sum to
-    the squared L^2 norm of the field.
+    Exact partition, so the values sum to the squared L^2 norm of the field.
     """
-    g = u.grid
-    idx = np.nonzero(u.coeff)
-    if idx[0].size == 0:
+    flat = np.flatnonzero(u.coeff)
+    if flat.size == 0:
         return {}
-    kx = g.mode_numbers(0)[idx[0]]
-    xi = kx * g.dxi
-    e1 = g.mode_numbers(1)[idx[1]] * g.deta1
-    e2 = g.mode_numbers(2)[idx[2]] * g.deta2
-    mass = g.volume * np.abs(u.coeff[idx]) ** 2
-    j = _shell_exponents(np.abs(xi))
-    lam = np.exp2(j.astype(float))
-    m1 = np.floor(e1 / xi / lam + 0.5).astype(np.int64)
-    m2 = np.floor(e2 / xi / lam + 0.5).astype(np.int64)
-    out: dict = {}
-    for jj, a, b, mss in zip(j, m1, m2, mass):
-        key = (int(jj), int(a), int(b))
-        out[key] = out.get(key, 0.0) + float(mss)
-    return out
+    if flat[0] < u.coeff[0].size:   # the xi = 0 plane comes first in C order
+        raise DomainError("field has content on the xi = 0 plane, which lies in no sector")
+    i, a, b = np.unravel_index(flat, u.coeff.shape)
+    j, m1, m2 = grid_geometry(u.grid).sector
+    return sector_sums(j[i, 0, 0], m1[i, a, 0], m2[i, 0, b],
+                       u.grid.volume * np.abs(u.coeff.take(flat)) ** 2)
 
 
 def _lp_reduce(values: np.ndarray, p: float) -> float:
@@ -210,33 +165,27 @@ def _lp_reduce(values: np.ndarray, p: float) -> float:
     return float(np.sum(values ** p) ** (1.0 / p))
 
 
-def lqlp_norm(u: SpectralField, np_: NormParams) -> float:
-    """The anisotropic norm (sum_lam lam^{q/2} (sum_k ||u_sector||^p)^{q/p})^{1/q},
-    with max-reductions at p or q = infinity."""
-    masses = sector_masses(u)
-    if not masses:
-        return 0.0
-    per_shell: dict = {}
-    for (j, _, _), m2 in masses.items():
-        per_shell.setdefault(j, []).append(math.sqrt(m2))
-    shell_vals = []
-    for j, vals in sorted(per_shell.items()):
-        lam = 2.0 ** j
-        shell_vals.append(math.sqrt(lam) * _lp_reduce(np.asarray(vals), np_.p))
-    return _lp_reduce(np.asarray(shell_vals), np_.q)
+def lqlp_from_shells(shells: dict, q: float, p: float) -> float:
+    """(sum_j (2^{j/2} ||a_j||_p)^q)^{1/q} over shells {j: a_j}, with
+    max-reductions at p or q = infinity.  The entries of a_j are sector
+    norms, or l^p norms of disjoint groups of sectors."""
+    vals = [math.sqrt(2.0 ** j) * _lp_reduce(np.asarray(a), p)
+            for j, a in sorted(shells.items())]
+    return _lp_reduce(np.asarray(vals), q) if vals else 0.0
 
 
 def lqlp_norm_from_masses(masses: dict, q: float, p: float) -> float:
-    """Same reduction as lqlp_norm, for externally computed sector masses."""
-    per_shell: dict = {}
+    """The l^q l^p reduction of squared sector masses {(j, k1, k2): mass}."""
+    shells: dict = {}
     for (j, _, _), m2 in masses.items():
-        per_shell.setdefault(j, []).append(math.sqrt(max(m2, 0.0)))
-    shell_vals = []
-    for j, vals in sorted(per_shell.items()):
-        shell_vals.append(math.sqrt(2.0 ** j) * _lp_reduce(np.asarray(vals), p))
-    if not shell_vals:
-        return 0.0
-    return _lp_reduce(np.asarray(shell_vals), q)
+        shells.setdefault(j, []).append(math.sqrt(max(m2, 0.0)))
+    return lqlp_from_shells(shells, q, p)
+
+
+def lqlp_norm(u: SpectralField, np_: NormParams) -> float:
+    """The anisotropic norm (sum_lam lam^{q/2} (sum_k ||u_sector||^p)^{q/p})^{1/q},
+    with max-reductions at p or q = infinity."""
+    return lqlp_norm_from_masses(sector_masses(u), np_.q, np_.p)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +238,7 @@ def modulation_projection(tr: SpaceTimeTrace, Lam: float, side: str) -> SpaceTim
     if side not in ("above", "below"):
         raise ConfigurationError("side must be 'above' or 'below'")
     chat, tau, w, dt = _windowed_dft(tr)
-    dist = _circular_distance(tau, omega_mesh(tr.grid), dt)
+    dist = _circular_distance(tau, grid_geometry(tr.grid).omega, dt)
     mask = dist > Lam if side == "above" else dist <= Lam
     filt = np.fft.ifft(chat * mask, axis=0) * math.sqrt(tr.times.size)
     states = [SpectralField(tr.grid, filt[i], real_flag=False)
@@ -312,14 +261,10 @@ def modulation_weighted_norm(tr: SpaceTimeTrace, b: float) -> float:
     b = 0 reduces to the space-time L^2 norm of the windowed trace.
     """
     chat, tau, w, dt = _windowed_dft(tr)
-    dist = _circular_distance(tau, omega_mesh(tr.grid), dt)
+    dist = _circular_distance(tau, grid_geometry(tr.grid).omega, dt)
     weight = dist ** (2 * b) if b != 0 else 1.0
     total = np.sum(weight * np.abs(chat) ** 2)
     return float(np.sqrt(dt * tr.grid.volume * total))
-
-
-# Backwards-friendly alias used by report emitters.
-xdot_norm = modulation_weighted_norm
 
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,8 @@ import numpy as np
 from .data import member_rng
 from .errors import (ConfigurationError, DomainError, KplabError,
                      PreconditionError)
-from .spectral import (SpectralField, apply_linear_propagator,
-                       inverse_transform)
+from .spectral import (SpectralField, apply_linear_propagator, grid_geometry,
+                       inverse_transform, make_field)
 from .reporting import fit_loglog_slope
 
 
@@ -480,17 +480,12 @@ def coherent_low_cap(grid, mu: float, slope_center, slope_width: float = 0.75,
     """Smooth constant-phase cap supported in 0 < xi <= mu with slopes in a
     fixed box: the sector-respecting family that saturates the low-frequency
     gain (transverse extent scales with mu automatically)."""
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.where(xi != 0, e1 / np.where(xi == 0, 1.0, xi), 0.0)
-        s2 = np.where(xi != 0, e2 / np.where(xi == 0, 1.0, xi), 0.0)
+    geo = grid_geometry(grid)
+    xi = geo.xi
     prof = (np.exp(-((xi - 0.6 * mu) ** 2) / (2 * (0.22 * mu) ** 2))
-            * np.exp(-((s1 - slope_center[0]) ** 2 + (s2 - slope_center[1]) ** 2)
+            * np.exp(-((geo.s1 - slope_center[0]) ** 2 + (geo.s2 - slope_center[1]) ** 2)
                      / (2 * (slope_width / 2) ** 2)))
     prof = np.where((xi > 0) & (xi <= mu), prof, 0.0)
-    from .spectral import make_field
     return make_field(grid, prof * phase, real_flag=True, hermitize=True)
 
 
@@ -498,15 +493,13 @@ def coherent_high_cap(grid, lam: float, width: float, eta_center,
                       eta_halfwidth: float = 1.0,
                       phase: complex = 1.0) -> SpectralField:
     """Smooth constant-phase cap supported in lam < xi <= lam + width."""
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
+    geo = grid_geometry(grid)
+    xi = geo.xi
     prof = (np.exp(-((xi - (lam + width / 2)) ** 2) / (2 * (0.3 * width) ** 2))
-            * np.exp(-((e1 - eta_center[0]) ** 2 + (e2 - eta_center[1]) ** 2)
+            * np.exp(-((geo.eta1 - eta_center[0]) ** 2 + (geo.eta2 - eta_center[1]) ** 2)
                      / (2 * (eta_halfwidth / 2) ** 2)))
     prof = np.where((xi > lam) & (xi <= lam + width)
                     & np.ones(grid.shape, bool), prof, 0.0)
-    from .spectral import make_field
     return make_field(grid, prof * phase, real_flag=True, hermitize=True)
 
 

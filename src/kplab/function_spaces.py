@@ -21,7 +21,8 @@ derivative datum the partial value stays bounded as lam -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import erf
@@ -36,8 +37,6 @@ class AnalyticDatum:
 
     kind "gaussian": coeff(xi, eta) = (i xi)^deriv_x *
         exp(-(xi-cx)^2/(2 wx^2)) * exp(-|eta|^2/(2 we^2))
-    kind "sector_indicator": indicator of one sector (diagnostics only).
-    kind "besov_comb": the log-normalized comb sum_{mu^2<=lam<=mu} f_lam.
     """
 
     kind: str = "gaussian"
@@ -45,11 +44,9 @@ class AnalyticDatum:
     width_xi: float = 1.0
     width_eta: float = 1.0
     deriv_x: int = 0
-    p: float = 2.0
-    scale_list: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "sector_indicator", "besov_comb"):
+        if self.kind != "gaussian":
             raise ConfigurationError(f"unknown datum kind {self.kind!r}")
         if self.deriv_x not in (0, 1):
             raise ConfigurationError("deriv_x must be 0 or 1")
@@ -72,19 +69,6 @@ def _eta_window(we: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (math.sqrt(math.pi) * we / 2.0) * (erf(hi / we) - erf(lo / we))
 
 
-def gaussian_sector_mass(d: AnalyticDatum, lam: float, m, n_xi: int = 48) -> float:
-    """Squared L^2 mass of the (lam, m) sector of the Gaussian datum."""
-    xg, xw = np.polynomial.legendre.leggauss(n_xi)
-    xi = 1.5 * lam + 0.5 * lam * xg
-    wxi = 0.5 * lam * xw
-    acc = _xi_weight(d, xi) * np.ones_like(xi)
-    for mi in (m[0], m[1]):
-        lo = xi * lam * (mi - 0.5)
-        hi = xi * lam * (mi + 0.5)
-        acc = acc * _eta_window(d.width_eta, np.minimum(lo, hi), np.maximum(lo, hi))
-    return float(2.0 * np.sum(wxi * acc))   # both signs of xi
-
-
 def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
                         enumeration_limit: int = 300) -> float:
     """(sum over sectors of mass^{p/2})^{1/p} at shell lam.
@@ -93,8 +77,6 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
     ~6 width_eta / lam^2 per dim; beyond the enumeration limit the lattice
     sum is replaced by the slope integral (radial, one-dimensional).
     """
-    if d.kind != "gaussian":
-        raise ConfigurationError("sector sums are defined for gaussian data")
     m_max = int(math.ceil(6.0 * d.width_eta / lam ** 2)) + 1
     if m_max <= enumeration_limit:
         ms = np.arange(-m_max, m_max + 1)
@@ -173,8 +155,6 @@ def sector_sum_decay(d: AnalyticDatum, p: float, lam_lo: float = 2.0 ** -7,
     prediction 5/2 - 4/p (+1 per x-derivative); classical_exponent is the
     3/2 - 2/p shape, which agrees at p = 2.
     """
-    if p <= 4.0 / 3.0 and d.deriv_x == 0:
-        pass  # table is still well defined; divergence shows in the slope
     jlo = round(math.log2(lam_lo))
     jhi = round(math.log2(lam_hi))
     lams = np.array([2.0 ** j for j in range(jlo, jhi + 1)])
@@ -242,20 +222,14 @@ def comb_norm(mu: float, p: float, lam_floor: float = 2.0 ** -80) -> float:
     return weight * float(np.sum(vals ** p) ** (1.0 / p))
 
 
-_PAIR_CACHE: dict = {}
-
-
+@cache
 def _pair_constant() -> float:
     """integral over R^2 of g(eta) * b(eta1) b(eta2) for the comb profile."""
-    got = _PAIR_CACHE.get("c")
-    if got is None:
-        x = np.linspace(-2.0, 2.0, 4001)
-        # g = c0 * exp(-|eta|^2 / 2) with c0 chosen so ||g||^2 = 1/2
-        c0 = math.sqrt(0.5 / math.pi)
-        one_d = np.trapezoid(np.exp(-x ** 2 / 2.0) * _bump_1d(x), x)
-        got = c0 * one_d ** 2
-        _PAIR_CACHE["c"] = got
-    return got
+    x = np.linspace(-2.0, 2.0, 4001)
+    # g = c0 * exp(-|eta|^2 / 2) with c0 chosen so ||g||^2 = 1/2
+    c0 = math.sqrt(0.5 / math.pi)
+    one_d = np.trapezoid(np.exp(-x ** 2 / 2.0) * _bump_1d(x), x)
+    return c0 * one_d ** 2
 
 
 def comb_layer_pairing(lam: float) -> float:

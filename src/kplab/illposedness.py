@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import lqlp_norm_from_masses
+from .decomposition import (_lp_reduce, lqlp_from_shells, lqlp_norm_from_masses,
+                            sector_sums)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .reporting import fit_loglog_slope
+from .spectral import dyadic_exponent, sector_key
 
 
 @dataclass(frozen=True)
@@ -80,22 +82,19 @@ def two_bump_datum(ip: IllposedParams) -> tuple:
     return box1, box2
 
 
-# Operation alias.
-build_phi = two_bump_datum
-
-
 # ----------------------------------------------------------------------
 # Anisotropic norm of single-shell boxes
 # ----------------------------------------------------------------------
 
-def _shell_of_box(box: FrequencyBox) -> float:
+def _shell_of_box(box: FrequencyBox) -> int:
+    """Exponent j of the one dyadic shell 2^j <= xi < 2^(j+1) holding the box."""
     xlo, xhi = box.xi_range
     if xlo <= 0:
         raise ConfigurationError("expected a positive-xi box")
-    lam_shell = 2.0 ** math.floor(math.log2(xlo))
-    if xhi > 2 * lam_shell * (1 + 1e-12):
+    j = int(dyadic_exponent(xlo))
+    if xhi > 2.0 ** (j + 1) * (1 + 1e-12):
         raise ConfigurationError("box straddles a dyadic shell boundary")
-    return lam_shell
+    return j
 
 
 def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
@@ -111,7 +110,7 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
     lattice density 1/lam^2.  When the box meets only a few sectors the sum
     is enumerated exactly (per-dim overlap of windows with the eta box).
     """
-    lam = _shell_of_box(box)
+    lam = 2.0 ** _shell_of_box(box)
     xlo, xhi = box.xi_range
     elo, ehi = box.eta_range
     slo, shi = elo / xhi, ehi / xlo
@@ -127,9 +126,7 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
         hi = np.minimum(np.outer(xi, lam * (ms + 0.5)), ehi)
         ov = np.maximum(hi - lo, 0.0)                       # (n_xi, n_m)
         mass = box.amplitude ** 2 * np.einsum("x,xa,xb->ab", wxi, ov, ov)
-        if p == math.inf:
-            return float(np.sqrt(np.max(mass)))
-        return float(np.sum(mass ** (p / 2.0)) ** (1.0 / p))
+        return _lp_reduce(np.sqrt(mass), p)
     # many sectors: slope-integral route
     gl, gw = np.polynomial.legendre.leggauss(n_slope)
     s = 0.5 * (shi + slo) + 0.5 * (shi - slo) * gl
@@ -154,21 +151,8 @@ def box_lqlp_norm(boxes, q: float, p: float) -> float:
     """l^q l^p L^2 norm of a union of positive-xi single-shell boxes."""
     shells: dict = {}
     for box in boxes:
-        lam = _shell_of_box(box)
-        val = math.sqrt(lam) * _box_sector_lp(box, p)
-        shells.setdefault(lam, []).append(val)
-    per_shell = []
-    for lam, vals in sorted(shells.items()):
-        if len(vals) == 1:
-            per_shell.append(vals[0])
-        elif p == math.inf:
-            per_shell.append(max(vals))
-        else:
-            per_shell.append(float(np.sum(np.asarray(vals) ** p) ** (1 / p)))
-    arr = np.asarray(per_shell)
-    if q == math.inf:
-        return float(np.max(arr))
-    return float(np.sum(arr ** q) ** (1.0 / q))
+        shells.setdefault(_shell_of_box(box), []).append(_box_sector_lp(box, p))
+    return lqlp_from_shells(shells, q, p)
 
 
 # ----------------------------------------------------------------------
@@ -389,19 +373,12 @@ def cross_term_norm(ip: IllposedParams, result: CrossTermResult) -> float:
     lam^{1/2}-weighted L^2 mass, but mixed-sector supports are handled.
     """
     w_xi, w_eta = result.weights
-    masses: dict = {}
-    for ix, xo in enumerate(result.xi_nodes):
-        j = math.floor(math.log2(xo))
-        lam_shell = 2.0 ** j
-        for i1, eo1 in enumerate(result.eta_nodes):
-            m1 = math.floor(eo1 / xo / lam_shell + 0.5)
-            for i2, eo2 in enumerate(result.eta_nodes):
-                m2 = math.floor(eo2 / xo / lam_shell + 0.5)
-                key = (j, m1, m2)
-                contrib = (w_xi[ix] * w_eta[i1] * w_eta[i2]
-                           * abs(result.closed[ix, i1, i2]) ** 2)
-                masses[key] = masses.get(key, 0.0) + contrib
-    return lqlp_norm_from_masses(masses, math.inf, ip.p)
+    xo = result.xi_nodes[:, None, None]
+    key = sector_key(xo, result.eta_nodes[None, :, None] / xo,
+                     result.eta_nodes[None, None, :] / xo)
+    mass = (w_xi[:, None, None] * w_eta[None, :, None] * w_eta[None, None, :]
+            * np.abs(result.closed) ** 2)
+    return lqlp_norm_from_masses(sector_sums(*key, mass), math.inf, ip.p)
 
 
 @dataclass

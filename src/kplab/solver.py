@@ -25,28 +25,11 @@ from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm,
                             v2_variation_norm)
 from .errors import (AccuracyError, BlowupError, ConfigurationError,
                      DivergenceError, PreconditionError)
-from .spectral import (GridSpec, SpectralField, omega_mesh,
-                       structural_mask)
+from .spectral import GridSpec, SpectralField, grid_geometry
 
 # ----------------------------------------------------------------------
 # Dealiasing and the quadratic term
 # ----------------------------------------------------------------------
-
-_MASK_CACHE: dict = {}
-
-
-def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """2/3-rule mask intersected with the structural mask."""
-    got = _MASK_CACHE.get(grid)
-    if got is None:
-        kx = np.abs(grid.mode_numbers(0))[:, None, None]
-        k1 = np.abs(grid.mode_numbers(1))[None, :, None]
-        k2 = np.abs(grid.mode_numbers(2))[None, None, :]
-        got = ((kx <= grid.modes_x // 3) & (k1 <= grid.modes_y1 // 3)
-               & (k2 <= grid.modes_y2 // 3) & structural_mask(grid))
-        _MASK_CACHE[grid] = got
-    return got
-
 
 def _nonlinear_rhs(grid: GridSpec, coeff: np.ndarray, mask: np.ndarray,
                    xi: np.ndarray) -> np.ndarray:
@@ -64,10 +47,9 @@ def nonlinearity(u: SpectralField) -> SpectralField:
     """
     if not u.real_flag:
         raise PreconditionError("nonlinearity requires a real field")
-    g = u.grid
-    mask = dealias_mask(g) if g.dealias else structural_mask(g)
-    xi = g.xi_axis()[:, None, None]
-    return SpectralField(g, _nonlinear_rhs(g, u.coeff, mask, xi), real_flag=True)
+    geo = grid_geometry(u.grid)
+    return SpectralField(u.grid, _nonlinear_rhs(u.grid, u.coeff, geo.active, geo.xi),
+                         real_flag=True)
 
 
 def nonlinearity_direct(u: SpectralField) -> SpectralField:
@@ -78,8 +60,8 @@ def nonlinearity_direct(u: SpectralField) -> SpectralField:
     g = u.grid
     if np.prod(g.shape) > 40 ** 3:
         raise ConfigurationError("direct convolution oracle limited to small grids")
-    mask = dealias_mask(g) if g.dealias else structural_mask(g)
-    cin = np.where(mask, u.coeff, 0.0)
+    geo = grid_geometry(g)
+    cin = np.where(geo.active, u.coeff, 0.0)
     idx = np.nonzero(cin)
     kx = g.mode_numbers(0)[idx[0]]
     k1 = g.mode_numbers(1)[idx[1]]
@@ -91,8 +73,7 @@ def nonlinearity_direct(u: SpectralField) -> SpectralField:
         tx, t1, t2 = kx[a] + kx, k1[a] + k1, k2[a] + k2
         ok = ((np.abs(tx) < nx // 2) & (np.abs(t1) < n1 // 2) & (np.abs(t2) < n2 // 2))
         np.add.at(out, (tx[ok] % nx, t1[ok] % n1, t2[ok] % n2), vals[a] * vals[ok])
-    xi = g.xi_axis()[:, None, None]
-    out = -1j * xi * np.where(mask, out, 0.0)
+    out = -1j * geo.xi * np.where(geo.active, out, 0.0)
     return SpectralField(g, out, real_flag=True)
 
 
@@ -118,8 +99,7 @@ def spectral_product(u: SpectralField, v: SpectralField) -> SpectralField:
     prod = np.fft.fftn(np.fft.ifftn(pu) * np.fft.ifftn(pv)) * pu.size
     kx, k1, k2 = g.mode_numbers(0), g.mode_numbers(1), g.mode_numbers(2)
     out = prod[np.ix_(kx % big[0], k1 % big[1], k2 % big[2])]
-    out[0, :, :] = 0.0
-    out[~structural_mask(g)] = 0.0
+    out[~grid_geometry(g).structural] = 0.0
     return SpectralField(g, out, u.real_flag and v.real_flag)
 
 
@@ -133,7 +113,6 @@ class SimConfig:
     dt: float = 0.01
     T: float = 1.0
     samples_per_unit: int = 8
-    integrator: str = "ifrk4"
     nonlinear_scale: float = 1.0
 
     def __post_init__(self):
@@ -141,8 +120,6 @@ class SimConfig:
             raise ConfigurationError("dt must be positive")
         if self.T < self.dt:
             raise ConfigurationError("horizon T must be at least one step")
-        if self.integrator != "ifrk4":
-            raise ConfigurationError(f"unknown integrator {self.integrator!r}")
         if self.nonlinear_scale != 0.0 and not self.grid.dealias:
             raise ConfigurationError("nonlinear runs require dealiasing on")
 
@@ -156,9 +133,8 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     g = cfg.grid
     if u0.grid != g:
         raise ConfigurationError("datum grid differs from SimConfig grid")
-    mask = dealias_mask(g) if g.dealias else structural_mask(g)
-    xi = g.xi_axis()[:, None, None]
-    omega = omega_mesh(g)
+    geo = grid_geometry(g)
+    mask, xi, omega = geo.active, geo.xi, geo.omega
     alpha = cfg.nonlinear_scale
 
     sample_dt = 1.0 / cfg.samples_per_unit
@@ -244,7 +220,7 @@ def duhamel_integral(forcing: SpaceTimeTrace, t: float,
     n = i_end + 1
     dt = forcing.dt()
     g = forcing.grid
-    omega = omega_mesh(g)
+    omega = grid_geometry(g).omega
     arr = forcing.stack()[:n]
     pull = arr * np.exp(-1j * omega[None, ...] * times[:n, None, None, None])
 
@@ -310,9 +286,8 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
             f"datum norm {datum_norm:.3e} exceeds the small-data threshold "
             f"{smallness_threshold:.1e}")
     g = cfg.grid
-    mask = dealias_mask(g) if g.dealias else structural_mask(g)
-    xi = g.xi_axis()[:, None, None]
-    omega = omega_mesh(g)
+    geo = grid_geometry(g)
+    mask, xi, omega = geo.active, geo.xi, geo.omega
     alpha = cfg.nonlinear_scale
 
     n_t = int(round(cfg.T / cfg.dt)) + 1

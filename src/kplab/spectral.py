@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,8 +54,8 @@ class GridSpec:
                 raise ConfigurationError(f"{name}={n}: mode counts must be even and >= 8")
         for L, name in ((self.length_x, "length_x"), (self.length_y1, "length_y1"),
                         (self.length_y2, "length_y2")):
-            if not (L > 0):
-                raise ConfigurationError(f"{name}={L}: box lengths must be positive")
+            if not (0 < L < np.inf):
+                raise ConfigurationError(f"{name}={L}: box lengths must be positive and finite")
 
     @property
     def shape(self):
@@ -96,58 +97,97 @@ class GridSpec:
 
     def dyadic_range(self):
         """All dyadic scales lam = 2^j with a nonempty shell lam <= |xi| < 2lam."""
-        jlo = _dyadic_floor_exp(self.dxi)
-        jhi = _dyadic_floor_exp(self.xi_max())
+        jlo = int(dyadic_exponent(self.dxi))
+        jhi = int(dyadic_exponent(self.xi_max()))
         if jhi < jlo:
             raise ConfigurationError("grid has an empty dyadic range")
         return [2.0 ** j for j in range(jlo, jhi + 1)]
 
 
-def _dyadic_floor_exp(x: float) -> int:
-    """Largest integer j with 2**j <= x, robust at exact powers of two."""
-    if not (x > 0):
-        raise DomainError(f"dyadic exponent of non-positive value {x}")
-    j = int(np.floor(np.log2(x)))
-    while 2.0 ** j > x:
-        j -= 1
-    while 2.0 ** (j + 1) <= x:
-        j += 1
-    return j
+def dyadic_exponent(x):
+    """Largest integer j with 2**j <= x, elementwise for x > 0; exact at
+    powers of two."""
+    x = np.asarray(x, dtype=float)
+    j = np.floor(np.log2(x)).astype(np.int64)
+    j = np.where(np.exp2(j.astype(float)) > x, j - 1, j)
+    return np.where(np.exp2((j + 1).astype(float)) <= x, j + 1, j)
 
 
-# Per-grid caches of heavy meshes.  GridSpec is frozen/hashable.
-_MESH_CACHE: dict = {}
+def sector_key(xi, s1, s2):
+    """Sector (j, m1, m2) of x-frequency xi != 0 and slope (s1, s2), elementwise:
+    2^j <= |xi| < 2^(j+1) and s - 2^j m in 2^j [-1/2, 1/2)^2."""
+    j = dyadic_exponent(np.abs(xi))
+    lam = np.exp2(j.astype(float))
+    return (j, np.floor(s1 / lam + 0.5).astype(np.int64),
+            np.floor(s2 / lam + 0.5).astype(np.int64))
 
 
-def _grid_meshes(grid: GridSpec):
-    got = _MESH_CACHE.get(grid)
-    if got is not None:
-        return got
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class GridGeometry:
+    """Read-only per-grid meshes, masks and sector keys (see grid_geometry).
+
+    xi, eta1, eta2 broadcast as (nx,1,1), (1,n1,1), (1,1,n2); the slopes
+    s1 = eta1/xi and s2 = eta2/xi as (nx,n1,1) and (nx,1,n2).  On the
+    excluded xi = 0 plane the slopes and omega are 0.  `active` and
+    `sector` are built on first use: only the solver and the sector
+    decomposition need them.
+    """
+
+    grid: GridSpec
+    xi: np.ndarray
+    eta1: np.ndarray
+    eta2: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    omega: np.ndarray
+    structural: np.ndarray   # modes a field may occupy: xi != 0, no Nyquist planes
+    reverse: tuple           # open-mesh index of the mirror mode -k
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """Modes the solver evolves: structural, and the 2/3 rule when dealiased."""
+        g = self.grid
+        if not g.dealias:
+            return self.structural
+        kx, k1, k2 = (np.abs(g.mode_numbers(a)) for a in range(3))
+        return _read_only((kx[:, None, None] <= g.modes_x // 3)
+                          & (k1[None, :, None] <= g.modes_y1 // 3)
+                          & (k2[None, None, :] <= g.modes_y2 // 3) & self.structural)
+
+    @cached_property
+    def sector(self) -> tuple:
+        """sector_key (j, m1, m2) shaped like (xi, s1, s2); meaningless on the
+        xi = 0 plane, which lies in no sector."""
+        return tuple(_read_only(a) for a in
+                     sector_key(np.where(self.xi != 0, self.xi, 1.0), self.s1, self.s2))
+
+
+@lru_cache(maxsize=8)
+def grid_geometry(grid: GridSpec) -> GridGeometry:
+    """The geometry of `grid`, cached for the few most recent grids."""
     xi = grid.xi_axis()[:, None, None]
     e1 = grid.eta1_axis()[None, :, None]
     e2 = grid.eta2_axis()[None, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega = xi ** 3 - (e1 ** 2 + e2 ** 2) / xi
-    omega = np.where(xi == 0.0, 0.0, omega)
+        omega = (e1 ** 2 + e2 ** 2) / xi     # in place: one full-grid array, not three
+        np.subtract(xi ** 3, omega, out=omega)
+        s1 = np.where(xi != 0, e1 / xi, 0.0)
+        s2 = np.where(xi != 0, e2 / xi, 0.0)
+    omega[xi[:, 0, 0] == 0] = 0.0
 
-    nyq = np.ones(grid.shape, dtype=bool)
-    nyq[grid.modes_x // 2, :, :] = False
-    nyq[:, grid.modes_y1 // 2, :] = False
-    nyq[:, :, grid.modes_y2 // 2] = False
-    nyq[0, :, :] = False  # zero-x-mean plane
-    got = {"xi": xi, "eta1": e1, "eta2": e2, "omega": omega, "keep": nyq}
-    _MESH_CACHE[grid] = got
-    return got
-
-
-def omega_mesh(grid: GridSpec) -> np.ndarray:
-    """Dispersion symbol on the full grid (0 on the excluded xi=0 plane)."""
-    return _grid_meshes(grid)["omega"]
-
-
-def structural_mask(grid: GridSpec) -> np.ndarray:
-    """True on modes a field may occupy (xi != 0, no Nyquist planes)."""
-    return _grid_meshes(grid)["keep"]
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[grid.modes_x // 2, :, :] = False
+    keep[:, grid.modes_y1 // 2, :] = False
+    keep[:, :, grid.modes_y2 // 2] = False
+    keep[0, :, :] = False  # zero-x-mean plane
+    reverse = np.ix_(*((-np.arange(n)) % n for n in grid.shape))
+    return GridGeometry(grid, *map(_read_only, (xi, e1, e2, s1, s2, omega, keep)),
+                        tuple(map(_read_only, reverse)))
 
 
 @dataclass(frozen=True)
@@ -168,10 +208,11 @@ class SpectralField:
         c = self.coeff
         if np.any(c[0, :, :] != 0):
             raise ConfigurationError("zero-x-mean invariant violated")
-        if np.any(c[~structural_mask(self.grid)] != 0):
+        geo = grid_geometry(self.grid)
+        if np.any(c[~geo.structural] != 0):
             raise ConfigurationError("Nyquist-plane content present")
         if self.real_flag:
-            mirror = np.conj(c[_reverse_index(self.grid)])
+            mirror = np.conj(c[geo.reverse])
             scale = np.max(np.abs(c)) or 1.0
             if np.max(np.abs(c - mirror)) > hermitian_tol * scale:
                 raise ConfigurationError("Hermitian symmetry violated for real field")
@@ -214,20 +255,6 @@ def _snap(value: float, delta: float, n: int, name: str) -> int:
     return ki % n
 
 
-_REV_CACHE: dict = {}
-
-
-def _reverse_index(grid: GridSpec):
-    got = _REV_CACHE.get(grid)
-    if got is None:
-        ix = (-np.arange(grid.modes_x)) % grid.modes_x
-        i1 = (-np.arange(grid.modes_y1)) % grid.modes_y1
-        i2 = (-np.arange(grid.modes_y2)) % grid.modes_y2
-        got = np.ix_(ix, i1, i2)
-        _REV_CACHE[grid] = got
-    return got
-
-
 def make_field(grid: GridSpec, coeff: np.ndarray, real_flag: bool = True,
                hermitize: bool = False) -> SpectralField:
     """Construct a field, enforcing the structural invariants.
@@ -235,10 +262,11 @@ def make_field(grid: GridSpec, coeff: np.ndarray, real_flag: bool = True,
     With hermitize=True the conjugate-mirror average is taken first, which is
     the standard way to realize a real field from a one-sided bump formula.
     """
+    geo = grid_geometry(grid)
     c = np.array(coeff, dtype=np.complex128)
     if hermitize:
-        c = 0.5 * (c + np.conj(c[_reverse_index(grid)]))
-    c[~structural_mask(grid)] = 0.0
+        c = 0.5 * (c + np.conj(c[geo.reverse]))
+    c[~geo.structural] = 0.0
     return SpectralField(grid, c, real_flag)
 
 
@@ -283,7 +311,7 @@ def dispersion_symbol(xi: float, eta) -> float:
 
 def apply_linear_propagator(u: SpectralField, t: float) -> SpectralField:
     """Exact linear flow: multiply each coefficient by exp(i t w(xi, eta))."""
-    phase = np.exp(1j * t * omega_mesh(u.grid))
+    phase = np.exp(1j * t * grid_geometry(u.grid).omega)
     return SpectralField(u.grid, u.coeff * phase, u.real_flag)
 
 
@@ -354,10 +382,10 @@ def galilean_boost(u: SpectralField, c, t: float) -> SpectralField:
     datum u0 then the boost of w(t) equals the evolution of the shifted datum.
     """
     shifted = galilean_shift(u, c)
-    m = _grid_meshes(u.grid)
+    m = grid_geometry(u.grid)
     c1, c2 = c
-    phase = np.exp(1j * t * ((c1 * c1 + c2 * c2) * m["xi"]
-                             + 2.0 * (c1 * m["eta1"] + c2 * m["eta2"])))
+    phase = np.exp(1j * t * ((c1 * c1 + c2 * c2) * m.xi
+                             + 2.0 * (c1 * m.eta1 + c2 * m.eta2)))
     return SpectralField(u.grid, shifted.coeff * phase, u.real_flag)
 
 
@@ -421,7 +449,7 @@ def trilinear_pairing(u: SpectralField, w: SpectralField) -> float:
     """Real pairing integral u * w dx dy for real fields (no conjugation)."""
     if u.grid != w.grid:
         raise ConfigurationError("pairing requires a shared grid")
-    val = u.grid.volume * np.sum(u.coeff * w.coeff[_reverse_index(u.grid)])
+    val = u.grid.volume * np.sum(u.coeff * w.coeff[grid_geometry(u.grid).reverse])
     return float(np.real(val))
 
 
@@ -451,16 +479,19 @@ def write_snapshot(u: SpectralField, path) -> None:
 def read_snapshot(path) -> SpectralField:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ConfigurationError(
+                f"snapshot header has {len(header)} bytes, expected {_HEADER.size}")
         magic, version, nx, n1, n2, lx, l1, l2, rflag = _HEADER.unpack(header)
         if magic != SNAPSHOT_MAGIC:
             raise ConfigurationError(f"bad snapshot magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ConfigurationError(f"unsupported snapshot version {version}")
         grid = GridSpec(nx, n1, n2, lx, l1, l2)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    expect = 2 * nx * n1 * n2
-    if raw.size != expect:
-        raise ConfigurationError(f"snapshot payload has {raw.size} doubles, expected {expect}")
-    inter = raw.reshape(nx, n1, n2, 2)
+        payload = fh.read()
+    expect = 16 * nx * n1 * n2
+    if len(payload) != expect:
+        raise ConfigurationError(f"snapshot payload has {len(payload)} bytes, expected {expect}")
+    inter = np.frombuffer(payload, dtype="<f8").reshape(nx, n1, n2, 2)
     coeff = inter[..., 0] + 1j * inter[..., 1]
     return make_field(grid, coeff, real_flag=bool(rflag))

@@ -302,14 +302,15 @@ def test_criterion_10_picard_contraction():
                       for a, b in zip(tr.states, tr_e.states))
     spread = max(quad_ratios) / min(quad_ratios)
     dt = time.time() - t0
-    ok = ratios_ok and gap <= 1e-8 and spread <= 4.0
+    # the amplitudes span x4, so a part linear in eps would give spread 4
+    ok = ratios_ok and gap <= 1e-8 and spread <= 2.0
     _line(10, "Picard contraction", ok,
           f"ratios <= 1/2: {ratios_ok}; limit-vs-stepper gap {gap:.2e} "
-          f"(tol 1e-8); quadratic-smallness spread x{spread:.2f} (cap x4); "
+          f"(tol 1e-8); quadratic-smallness spread x{spread:.2f} (cap x2); "
           f"{dt:.0f}s")
     assert ratios_ok
     assert gap <= 1e-8
-    assert spread <= 4.0
+    assert spread <= 2.0
 
 
 def test_criterion_11_scattering():
@@ -324,13 +325,14 @@ def test_criterion_11_scattering():
         rep = asymptotic_state(tr, npar, strict=False)
         if rep.detected and np.all(np.diff(rep.cauchy_gaps) < 0):
             n_dec += 1
-        if rep.residuals[-1] <= rep.residuals[0] / 4:
+        # residuals are measured against the last pullback, so the last is 0
+        if rep.residuals[-2] <= rep.residuals[0] / 2:
             resid_ok += 1
     dt = time.time() - t0
     ok = n_dec >= 0.9 * n_seeds and resid_ok == n_seeds
     _line(11, "scattering", ok,
           f"strictly decreasing gaps {n_dec}/{n_seeds} (need >= 18); "
-          f"final residual <= first/4 in {resid_ok}/{n_seeds}; {dt:.0f}s")
+          f"residual at t=4 <= first/2 in {resid_ok}/{n_seeds}; {dt:.0f}s")
     assert n_dec >= 0.9 * n_seeds
     assert resid_ok == n_seeds
 

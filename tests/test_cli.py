@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+import kplab
 from kplab.cli import main
+from kplab.data import gaussian_datum
 from kplab.decomposition import NormParams, lqlp_norm
-from kplab.spectral import read_snapshot
+from kplab.spectral import GridSpec, read_snapshot, write_snapshot
 
 
 def run_cli(args, capsys):
@@ -142,3 +144,39 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "make-data" in proc.stdout and "verify" in proc.stdout
+
+
+# Each malformed input is an unusable configuration: exit 2, no traceback.
+_MALFORMED = {
+    "snapshot-short-header": (["norms", "cut.kp3f"], {"cut.kp3f": 20}),
+    "snapshot-short-payload": (["norms", "cut.kp3f"], {"cut.kp3f": 100}),
+    "snapshot-missing": (["norms", "absent.kp3f"], {}),
+    "config-bad-json": (["--config", "c.json", "run", "picard"], {"c.json": "{bad"}),
+    "config-not-object": (["--config", "c.json", "run", "picard"], {"c.json": "[1, 2]"}),
+    "config-is-directory": (["--config", ".", "run", "picard"], {}),
+    "config-odd-modes": (["--config", "c.json", "run", "sim"],
+                         {"c.json": '{"grid": {"modes_x": 7}}'}),
+    "make-data-bad-json": (["--config", "c.json", "make-data", "gaussian",
+                            "--file", "g.kp3f"], {"c.json": "{bad"}),
+    "lams-not-numbers": (["run", "illposed-sweep", "--lams", "8,x"], {}),
+    "sector-k-not-pair": (["make-data", "sector", "--k", "1"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_2(tmp_path, case):
+    args, files = _MALFORMED[case]
+    for name, content in files.items():
+        if isinstance(content, int):   # a snapshot cut to this many bytes
+            write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)),
+                           tmp_path / "full.kp3f")
+            (tmp_path / name).write_bytes((tmp_path / "full.kp3f").read_bytes()[:content])
+        else:
+            (tmp_path / name).write_text(content)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kplab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "kplab.cli", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

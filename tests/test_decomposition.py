@@ -15,7 +15,7 @@ from kplab.decomposition import (NormParams, SectorIndex, SpaceTimeTrace,
                                  u1_variation_norm, v2_variation_bruteforce,
                                  v2_variation_norm, window_bandwidth,
                                  windowed_trace)
-from kplab.errors import ConfigurationError, PreconditionError
+from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             dispersion_symbol, galilean_shift)
 
@@ -129,6 +129,13 @@ def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
         assert proj.l2_norm() ** 2 == pytest.approx(m, rel=1e-12)
     assert sum(masses.values()) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
     assert lqlp_norm(u, NormParams(q=q, p=p)) == lqlp_norm_from_masses(masses, q, p)
+
+
+def test_sector_masses_reject_xi_zero_content(grid_small):
+    c = np.zeros(grid_small.shape, complex)
+    c[0, 1, 0] = c[1, 0, 0] = 1.0      # xi = 0 lies in no shell
+    with pytest.raises(DomainError):
+        sector_masses(SpectralField(grid_small, c, real_flag=False))
 
 
 def test_norm_params_validation():

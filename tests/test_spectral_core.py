@@ -6,7 +6,7 @@ from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
                             apply_linear_propagator, dispersion_symbol,
                             forward_transform, galilean_boost, galilean_shift,
-                            inverse_transform, make_field, read_snapshot,
+                            grid_geometry, inverse_transform, make_field, read_snapshot,
                             scaling_transform, write_snapshot, zero_field)
 
 
@@ -17,9 +17,18 @@ def test_gridspec_invariants():
         GridSpec(16, 15, 16, 1.0, 1.0, 1.0)      # odd count
     with pytest.raises(ConfigurationError):
         GridSpec(16, 16, 16, -1.0, 1.0, 1.0)     # bad length
+    with pytest.raises(ConfigurationError):
+        GridSpec(16, 16, 16, np.inf, 1.0, 1.0)   # no frequency spacing
     g = GridSpec(32, 16, 16, 2 * np.pi, np.pi, np.pi)
     assert g.dyadic_range()[0] <= g.dxi
     assert 2 * g.dyadic_range()[-1] > g.xi_max()
+
+
+def test_grid_geometry_cache_is_bounded():
+    maxsize = grid_geometry.cache_info().maxsize
+    for n in range(maxsize + 2):
+        grid_geometry(GridSpec(8, 8, 8, 1.0 + n, 1.0, 1.0))
+    assert grid_geometry.cache_info().currsize <= maxsize
 
 
 def test_zero_field_transforms(grid_small):
