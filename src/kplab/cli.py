@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .scattering import asymptotic_state
 from .solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
                      picard_iterate, slope_filtered_product, spectral_product,
                      slope_band_extent)
-from .spectral import (GridSpec, SpectralField, read_snapshot,
+from .spectral import (GridSpec, SpectralField, read_snapshot, require_number,
                        scaling_transform, trilinear_pairing, write_snapshot)
 
 
@@ -46,6 +47,8 @@ def _threads(args) -> int:
 
 def _grid_from(cfgdict) -> GridSpec:
     gd = cfgdict.get("grid", {})
+    if not isinstance(gd, dict):
+        raise ConfigurationError("config value 'grid' must be a JSON object")
     return GridSpec(gd.get("modes_x", 64), gd.get("modes_y1", 32),
                     gd.get("modes_y2", 32),
                     gd.get("length_x", 8 * math.pi),
@@ -267,6 +270,10 @@ def _manifest(cfg, seed, t0, extra):
 
 def _run_setup(experiment, cfg):
     """Grid and SimConfig of a solver experiment; (None, None) otherwise."""
+    for key in ("amplitude", "center_xi", "datum_norm", "member", "p", "comb_p"):
+        if key in cfg:
+            require_number(cfg[key], key,
+                           numbers.Integral if key == "member" else numbers.Real)
     if experiment == "sim":
         grid = _grid_from(cfg)
         return grid, SimConfig(grid, cfg.get("dt", 0.01), cfg.get("T", 1.0),

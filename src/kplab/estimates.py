@@ -27,8 +27,8 @@ import numpy as np
 from .data import member_rng
 from .errors import (ConfigurationError, DomainError, KplabError,
                      PreconditionError)
-from .spectral import (SpectralField, apply_linear_propagator, grid_geometry,
-                       inverse_transform, make_field)
+from .spectral import (SpectralField, apply_linear_propagator, dispersion_symbol,
+                       grid_geometry, inverse_transform, make_field)
 from .reporting import fit_loglog_slope
 
 
@@ -60,10 +60,6 @@ class ResonancePoint:
             raise ConfigurationError("tau components must sum to zero")
 
 
-def _omega(xi, eta):
-    return xi ** 3 - (eta[0] ** 2 + eta[1] ** 2) / xi
-
-
 def resonance_identity_defect(p: ResonancePoint) -> float:
     """|LHS - RHS| / max-term of
 
@@ -73,14 +69,14 @@ def resonance_identity_defect(p: ResonancePoint) -> float:
     """
     x1, x2, x3 = p.xi
     e1, e2, _ = p.eta
-    lhs = sum(t - _omega(x, e) for t, x, e in zip(p.tau, p.xi, p.eta))
+    lhs = sum(t - dispersion_symbol(x, e) for t, x, e in zip(p.tau, p.xi, p.eta))
     ds0 = e1[0] / x1 - e2[0] / x2
     ds1 = e1[1] / x1 - e2[1] / x2
     rhs = -3.0 * x1 * x2 * x3 - (x1 * x2 / x3) * (ds0 * ds0 + ds1 * ds1)
     scale = max(abs(lhs), abs(rhs),
                 abs(3.0 * x1 * x2 * x3), abs((x1 * x2 / x3) * (ds0 ** 2 + ds1 ** 2)),
                 *(abs(t) for t in p.tau),
-                *(abs(_omega(x, e)) for x, e in zip(p.xi, p.eta)), 1e-300)
+                *(abs(dispersion_symbol(x, e)) for x, e in zip(p.xi, p.eta)), 1e-300)
     return abs(lhs - rhs) / scale
 
 
@@ -97,8 +93,8 @@ def random_resonance_point(rng: np.random.Generator, xi_lo: float = 0.25,
     e2 = tuple(rng.uniform(-4, 4, 2))
     e3 = (-(e1[0] + e2[0]), -(e1[1] + e2[1]))
     if on_shell:
-        t1 = _omega(x1, e1)
-        t2 = _omega(x2, e2)
+        t1 = dispersion_symbol(x1, e1)
+        t2 = dispersion_symbol(x2, e2)
     else:
         t1, t2 = rng.uniform(-10, 10, 2)
     t3 = -(t1 + t2)
@@ -141,15 +137,12 @@ def circle_level_set(c: MeasureConfig) -> LevelCircle:
     e1 = np.asarray(c.eta1, dtype=float)
     e2 = np.asarray(c.eta2, dtype=float)
     center = (e2 / a2 - e1 / a1) / q
-    g0 = (_omega_pair(a1, center - e1) - _omega_pair(a2, center - e2)) - c.tau
+    g0 = (dispersion_symbol(a1, center - e1)
+          - dispersion_symbol(a2, center - e2)) - c.tau
     r2 = -g0 / q
     if r2 <= 0.0 or math.sqrt(r2) < 1e-8:
         return LevelCircle(True, tuple(center), max(r2, 0.0) ** 0.5, q)
     return LevelCircle(False, tuple(center), math.sqrt(r2), q)
-
-
-def _omega_pair(a, b):
-    return a ** 3 - (b[0] ** 2 + b[1] ** 2) / a
 
 
 def circle_measure_closed_form(c: MeasureConfig) -> float:
@@ -177,8 +170,8 @@ def circle_measure_integral(c: MeasureConfig, n_theta: int = 4096,
     e2 = np.asarray(c.eta2, dtype=float)
 
     def g(h1, h2):
-        return (_omega_pair(a1, (h1 - e1[0], h2 - e1[1]))
-                - _omega_pair(a2, (h1 - e2[0], h2 - e2[1])) - c.tau)
+        return (dispersion_symbol(a1, (h1 - e1[0], h2 - e1[1]))
+                - dispersion_symbol(a2, (h1 - e2[0], h2 - e2[1])) - c.tau)
 
     def quad(n):
         th = 2 * np.pi * np.arange(n) / n
@@ -228,8 +221,8 @@ def random_measure_config(rng: np.random.Generator) -> MeasureConfig:
         # retune tau for a circle of the chosen radius
         a1, a2 = xi - xi1, xi - xi2
         cvec = np.asarray(geo.center)
-        g0 = (_omega_pair(a1, cvec - np.asarray(eta1))
-              - _omega_pair(a2, cvec - np.asarray(eta2)))
+        g0 = (dispersion_symbol(a1, cvec - np.asarray(eta1))
+              - dispersion_symbol(a2, cvec - np.asarray(eta2)))
         tau = g0 + geo.quad_coeff * radius ** 2
         cfg = MeasureConfig(xi, xi1, xi2, eta1, eta2, tau)
         if not circle_level_set(cfg).degenerate:
@@ -563,7 +556,7 @@ class SparseWave:
         return float(np.sqrt(self.volume * np.sum(np.abs(self.coeff) ** 2)))
 
     def omega(self) -> np.ndarray:
-        return self.xi ** 3 - (self.eta1 ** 2 + self.eta2 ** 2) / self.xi
+        return dispersion_symbol(self.xi, (self.eta1, self.eta2))
 
 
 def random_sector_wave(rng, mu: float, gamma_center, gamma_side: float,

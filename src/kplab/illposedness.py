@@ -22,7 +22,7 @@ from .decomposition import (_lp_reduce, lqlp_from_shells, lqlp_norm_from_masses,
                             sector_sums)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .reporting import fit_loglog_slope
-from .spectral import dyadic_exponent, sector_key
+from .spectral import dispersion_symbol, dyadic_exponent, sector_key
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,15 @@ def _shell_of_box(box: FrequencyBox) -> int:
     return j
 
 
+def _gl_nodes(rule, lo, hi):
+    """Nodes and weights of a Gauss-Legendre rule mapped to [lo, hi]; array
+    bounds give one row of nodes per interval."""
+    x, w = rule
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * x, half * w
+
+
 def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
     """(sum over sectors of mass^{p/2})^{1/p} for one single-shell box.
 
@@ -117,9 +126,7 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
     m_lo = math.floor(slo / lam + 0.5)
     m_hi = math.floor(shi / lam + 0.5)
     count = m_hi - m_lo + 1
-    xg, xw = np.polynomial.legendre.leggauss(64)
-    xi = 0.5 * (xhi + xlo) + 0.5 * (xhi - xlo) * xg
-    wxi = 0.5 * (xhi - xlo) * xw
+    xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(64), xlo, xhi)
     if count <= 256:
         ms = np.arange(m_lo, m_hi + 1)
         lo = np.maximum(np.outer(xi, lam * (ms - 0.5)), elo)
@@ -128,9 +135,7 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
         mass = box.amplitude ** 2 * np.einsum("x,xa,xb->ab", wxi, ov, ov)
         return _lp_reduce(np.sqrt(mass), p)
     # many sectors: slope-integral route
-    gl, gw = np.polynomial.legendre.leggauss(n_slope)
-    s = 0.5 * (shi + slo) + 0.5 * (shi - slo) * gl
-    ws = 0.5 * (shi - slo) * gw
+    s, ws = _gl_nodes(np.polynomial.legendre.leggauss(n_slope), slo, shi)
     lo1 = np.maximum(xlo, elo / s)
     hi1 = np.minimum(xhi, ehi / s)
     acc = 0.0
@@ -159,9 +164,10 @@ def box_lqlp_norm(boxes, q: float, p: float) -> float:
 # Resonance function
 # ----------------------------------------------------------------------
 
-def resonance_function(xi: float, xi1: float, eta, eta1) -> float:
-    """R = -3 xi xi1 (xi-xi1) - (xi xi1/(xi-xi1)) |eta/xi - eta1/xi1|^2."""
-    if xi == 0 or xi1 == 0 or xi == xi1:
+def resonance_function(xi, xi1, eta, eta1):
+    """R = -3 xi xi1 (xi-xi1) - (xi xi1/(xi-xi1)) |eta/xi - eta1/xi1|^2,
+    elementwise on broadcastable xi, xi1 and pairs eta, eta1."""
+    if np.any(xi == 0) or np.any(xi1 == 0) or np.any(xi == xi1):
         raise DomainError("resonance function pole (xi, xi1, xi-xi1 must be nonzero)")
     d0 = eta[0] / xi - eta1[0] / xi1
     d1 = eta[1] / xi - eta1[1] / xi1
@@ -176,12 +182,8 @@ def sample_interaction_set(ip: IllposedParams, n: int, seed: int = 0):
     xi2 = rng.uniform(lam + mu / 2, lam + mu, n)
     e1 = rng.uniform(lam * mu / 2, 2 * lam * mu, (n, 2))
     e2 = rng.uniform(lam * mu / 2, 2 * lam * mu, (n, 2))
-    xi = xi1 + xi2
     eta = e1 + e2
-    d0 = eta[:, 0] / xi - e1[:, 0] / xi1
-    d1 = eta[:, 1] / xi - e1[:, 1] / xi1
-    R = -3.0 * xi * xi1 * (xi - xi1) - (xi * xi1 / (xi - xi1)) * (d0 ** 2 + d1 ** 2)
-    return R, lam ** 2 * mu
+    return resonance_function(xi1 + xi2, xi1, eta.T, e1.T), lam ** 2 * mu
 
 
 def cross_term_support(ip: IllposedParams):
@@ -201,11 +203,6 @@ def cross_term_support(ip: IllposedParams):
 # Second Picard iterate of the cross term
 # ----------------------------------------------------------------------
 
-def _gl_nodes(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
-
-
 def _simpson_weights(n: int) -> np.ndarray:
     if n < 3 or n % 2 == 0:
         raise ConfigurationError("Simpson needs an odd node count >= 3")
@@ -216,10 +213,6 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / (3.0 * (n - 1))
 
 
-def _clip(lo1, hi1, lo2, hi2):
-    return max(lo1, lo2), min(hi1, hi2)
-
-
 @dataclass
 class CrossTermResult:
     xi_nodes: np.ndarray
@@ -228,7 +221,6 @@ class CrossTermResult:
     closed: np.ndarray              # (n_xi, n_eta, n_eta) complex
     direct: np.ndarray
     rel_l2_gap: float
-    prefactor: complex              # overall factor fixed by the direct oracle
     integrand_real_mean: float      # stats of Re (e^{iR}-1)/(iR) over A
     integrand_real_min: float
 
@@ -236,8 +228,7 @@ class CrossTermResult:
 def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
                              n_pair: int = 24, n_pair_direct: int = 18,
                              n_simpson: int = 33,
-                             rel_tol: float = 0.05,
-                             amp_override=None) -> CrossTermResult:
+                             rel_tol: float = 0.05) -> CrossTermResult:
     """Sampled cross-term coefficient F3-hat(1, xi, eta) by two routes.
 
     closed: analytic time factor (e^{iR}-1)/(iR), tensor Gauss-Legendre over
@@ -250,99 +241,73 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
         raise PreconditionError("cross-term experiment requires the coupling flag")
     mu, lam = ip.mu, ip.lam
     box1, box2 = two_bump_datum(ip)
-    if amp_override is not None:
-        amp = amp_override
-    else:
-        amp = box1.amplitude * box2.amplitude
-    if amp == 0.0:
-        z = np.zeros((n_out, n_out, n_out), dtype=np.complex128)
-        xi_out, w_xi = _gl_nodes(lam + mu, lam + 2 * mu, n_out)
-        eta_out, w_eta = _gl_nodes(lam * mu, 4 * lam * mu, n_out)
-        return CrossTermResult(xi_out, eta_out, (w_xi, w_eta), z, z.copy(),
-                               0.0, -4j, 1.0, 1.0)
+    # -2 (second Gateaux derivative) * 2 (cross term) * i (d/dx)/i
+    pref = -4j * box1.amplitude * box2.amplitude
 
-    xi_out, w_xi = _gl_nodes(lam + mu, lam + 2 * mu, n_out)
-    eta_out, w_eta = _gl_nodes(lam * mu, 4 * lam * mu, n_out)
-    pref = -4j * amp  # -2 (second Gateaux derivative) * 2 (cross term) * i (d/dx)/i
+    out_rule = np.polynomial.legendre.leggauss(n_out)
+    xi_out, w_xi = _gl_nodes(out_rule, lam + mu, lam + 2 * mu)
+    eta_out, w_eta = _gl_nodes(out_rule, lam * mu, 4 * lam * mu)
+    # per output node, the interval of the first bump's frequency that puts
+    # the second bump's at the node; one eta interval serves both dims
+    x_lo = np.maximum(mu / 2, xi_out - lam - mu)
+    x_hi = np.minimum(mu, xi_out - lam - mu / 2)
+    e_lo = np.maximum(lam * mu / 2, eta_out - 2 * lam * mu)
+    e_hi = np.minimum(2 * lam * mu, eta_out - lam * mu / 2)
+    ixs, ies = np.flatnonzero(x_hi > x_lo), np.flatnonzero(e_hi > e_lo)
 
-    def omega(xi, e1, e2):
-        return xi ** 3 - (e1 ** 2 + e2 ** 2) / xi
+    def node_table(n_nodes):
+        rule = np.polynomial.legendre.leggauss(n_nodes)
+        return _gl_nodes(rule, x_lo, x_hi), _gl_nodes(rule, e_lo, e_hi)
 
     rsum, rcount, rmin = 0.0, 0, math.inf
 
     def closed_route(n_nodes, collect=False):
         nonlocal rsum, rcount, rmin
+        (x1, wx1), (h, wh) = node_table(n_nodes)
         vals = np.zeros((n_out, n_out, n_out), dtype=np.complex128)
-        for ix, xo in enumerate(xi_out):
-            xlo, xhi = _clip(mu / 2, mu, xo - lam - mu, xo - lam - mu / 2)
-            if xhi <= xlo:
-                continue
-            x1, wx1 = _gl_nodes(xlo, xhi, n_nodes)
-            for i1, eo1 in enumerate(eta_out):
-                elo1, ehi1 = _clip(lam * mu / 2, 2 * lam * mu,
-                                   eo1 - 2 * lam * mu, eo1 - lam * mu / 2)
-                if ehi1 <= elo1:
-                    continue
-                h1, wh1 = _gl_nodes(elo1, ehi1, n_nodes)
-                for i2, eo2 in enumerate(eta_out):
-                    elo2, ehi2 = _clip(lam * mu / 2, 2 * lam * mu,
-                                       eo2 - 2 * lam * mu, eo2 - lam * mu / 2)
-                    if ehi2 <= elo2:
-                        continue
-                    h2, wh2 = _gl_nodes(elo2, ehi2, n_nodes)
-                    X = x1[:, None, None]
-                    D0 = eo1 / xo - h1[None, :, None] / X
-                    D1 = eo2 / xo - h2[None, None, :] / X
-                    R = (-3.0 * xo * X * (xo - X)
-                         - (xo * X / (xo - X)) * (D0 ** 2 + D1 ** 2))
+        for ix in ixs:
+            X = x1[ix][:, None, None]
+            for i1 in ies:
+                for i2 in ies:
+                    R = resonance_function(xi_out[ix], X, (eta_out[i1], eta_out[i2]),
+                                           (h[i1][None, :, None], h[i2][None, None, :]))
                     ker = np.where(np.abs(R) > 1e-12,
                                    (np.exp(1j * R) - 1.0) / (1j * R), 1.0)
                     if collect:
                         rsum += float(np.sum(ker.real))
                         rcount += ker.size
                         rmin = min(rmin, float(np.min(ker.real)))
-                    W = (wx1[:, None, None] * wh1[None, :, None]
-                         * wh2[None, None, :])
+                    W = (wx1[ix][:, None, None] * wh[i1][None, :, None]
+                         * wh[i2][None, None, :])
                     vals[ix, i1, i2] = np.sum(W * ker)
         return vals
 
     def direct_route(n_nodes):
+        (x1, wx1), (h, wh) = node_table(n_nodes)
         s_nodes = np.linspace(0.0, 1.0, n_simpson)
         sw = _simpson_weights(n_simpson)
         vals = np.zeros((n_out, n_out, n_out), dtype=np.complex128)
-        for ix, xo in enumerate(xi_out):
-            xlo, xhi = _clip(mu / 2, mu, xo - lam - mu, xo - lam - mu / 2)
-            if xhi <= xlo:
-                continue
-            x1, wx1 = _gl_nodes(xlo, xhi, n_nodes)
-            A = -3.0 * xo * x1 * (xo - x1)                    # (nx,)
-            B = -(xo * x1 / (xo - x1))                        # (nx,)
-            for i1, eo1 in enumerate(eta_out):
-                elo1, ehi1 = _clip(lam * mu / 2, 2 * lam * mu,
-                                   eo1 - 2 * lam * mu, eo1 - lam * mu / 2)
-                if ehi1 <= elo1:
-                    continue
-                h1, wh1 = _gl_nodes(elo1, ehi1, n_nodes)
-                C1 = (eo1 / xo - h1[None, :] / x1[:, None]) ** 2   # (nx, nh)
-                T1 = np.einsum("h,sxh->sx", wh1,
-                               np.exp(1j * s_nodes[:, None, None] * B[None, :, None] * C1[None]))
-                for i2, eo2 in enumerate(eta_out):
-                    elo2, ehi2 = _clip(lam * mu / 2, 2 * lam * mu,
-                                       eo2 - 2 * lam * mu, eo2 - lam * mu / 2)
-                    if ehi2 <= elo2:
-                        continue
-                    h2, wh2 = _gl_nodes(elo2, ehi2, n_nodes)
-                    C2 = (eo2 / xo - h2[None, :] / x1[:, None]) ** 2
-                    T2 = np.einsum("h,sxh->sx", wh2,
-                                   np.exp(1j * s_nodes[:, None, None] * B[None, :, None] * C2[None]))
-                    phase = np.exp(1j * s_nodes[:, None] * A[None, :])
-                    vals[ix, i1, i2] = np.einsum("s,x,sx->", sw, wx1, phase * T1 * T2)
+        for ix in ixs:
+            xo, xs = xi_out[ix], x1[ix]
+            A = -3.0 * xo * xs * (xo - xs)                    # (nx,)
+            B = -(xo * xs / (xo - xs))                        # (nx,)
+            phase = np.exp(1j * s_nodes[:, None] * A[None, :])
+            # transverse factor of one eta_out node, the same in both dims
+            T = {}
+            for i in ies:
+                C = (eta_out[i] / xo - h[i][None, :] / xs[:, None]) ** 2   # (nx, nh)
+                T[i] = np.einsum("h,sxh->sx", wh[i], np.exp(
+                    1j * s_nodes[:, None, None] * B[None, :, None] * C[None]))
+            for i1 in ies:
+                for i2 in ies:
+                    vals[ix, i1, i2] = np.einsum("s,x,sx->", sw, wx1[ix],
+                                                 phase * T[i1] * T[i2])
         return vals
 
     def finish(vals):
-        return pref * xi_out[:, None, None] * np.exp(
-            1j * omega(xi_out[:, None, None], eta_out[None, :, None],
-                       eta_out[None, None, :])) * vals
+        xo = xi_out[:, None, None]
+        return pref * xo * np.exp(1j * dispersion_symbol(
+            xo, (eta_out[None, :, None], eta_out[None, None, :]))) * vals
 
     closed = finish(closed_route(n_pair, collect=True))
     direct = finish(direct_route(n_pair_direct))
@@ -360,7 +325,6 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
             raise ConfigurationError(
                 f"cross-term quadratures disagree by {gap:.2%} after refinement")
     return CrossTermResult(xi_out, eta_out, (w_xi, w_eta), closed, direct, gap,
-                           prefactor=pref / abs(amp) if amp else pref,
                            integrand_real_mean=rsum / max(rcount, 1),
                            integrand_real_min=rmin)
 

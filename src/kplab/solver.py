@@ -25,7 +25,7 @@ from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm,
                             v2_variation_norm)
 from .errors import (AccuracyError, BlowupError, ConfigurationError,
                      DivergenceError, PreconditionError)
-from .spectral import GridSpec, SpectralField, grid_geometry
+from .spectral import GridSpec, SpectralField, grid_geometry, require_number
 
 # ----------------------------------------------------------------------
 # Dealiasing and the quadratic term
@@ -116,10 +116,16 @@ class SimConfig:
     nonlinear_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ConfigurationError("dt must be positive")
-        if self.T < self.dt:
-            raise ConfigurationError("horizon T must be at least one step")
+        for v, name in ((self.dt, "dt"), (self.T, "T"),
+                        (self.samples_per_unit, "samples_per_unit"),
+                        (self.nonlinear_scale, "nonlinear_scale")):
+            require_number(v, name)
+        if not (0 < self.dt < math.inf):
+            raise ConfigurationError("dt must be positive and finite")
+        if not (self.dt <= self.T < math.inf):
+            raise ConfigurationError("horizon T must be finite and at least one step")
+        if not (0 < self.samples_per_unit < math.inf):
+            raise ConfigurationError("samples_per_unit must be positive and finite")
         if self.nonlinear_scale != 0.0 and not self.grid.dealias:
             raise ConfigurationError("nonlinear runs require dealiasing on")
 

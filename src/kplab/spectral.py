@@ -20,6 +20,7 @@ dispersion symbol w(xi, eta) = xi^3 - |eta|^2/xi, and is exactly unitary.
 
 from __future__ import annotations
 
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -33,6 +34,13 @@ SNAPSHOT_MAGIC = b"KP3F"
 SNAPSHOT_VERSION = 1
 
 _DROPPED_MASS_WARN = 1e-10
+
+
+def require_number(value, name: str, kind=numbers.Real) -> None:
+    """Refuse a configuration value that is not a number of the given kind."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ConfigurationError(f"{name}={value!r} must be {what}")
 
 
 @dataclass(frozen=True)
@@ -50,12 +58,16 @@ class GridSpec:
     def __post_init__(self):
         for n, name in ((self.modes_x, "modes_x"), (self.modes_y1, "modes_y1"),
                         (self.modes_y2, "modes_y2")):
+            require_number(n, name, numbers.Integral)
             if n < 8 or n % 2 != 0:
                 raise ConfigurationError(f"{name}={n}: mode counts must be even and >= 8")
         for L, name in ((self.length_x, "length_x"), (self.length_y1, "length_y1"),
                         (self.length_y2, "length_y2")):
+            require_number(L, name)
             if not (0 < L < np.inf):
                 raise ConfigurationError(f"{name}={L}: box lengths must be positive and finite")
+        if not isinstance(self.dealias, (bool, np.bool_)):
+            raise ConfigurationError(f"dealias={self.dealias!r} must be a boolean")
 
     @property
     def shape(self):
@@ -301,9 +313,10 @@ def inverse_transform(u: SpectralField, imag_tol: float = 1e-9) -> PhysicalField
 # Dispersion symbol and the linear group
 # ----------------------------------------------------------------------
 
-def dispersion_symbol(xi: float, eta) -> float:
-    """w(xi, eta) = xi^3 - |eta|^2 / xi.  Pole at xi = 0 is a domain error."""
-    if xi == 0:
+def dispersion_symbol(xi, eta):
+    """w(xi, eta) = xi^3 - |eta|^2 / xi, elementwise on broadcastable xi and
+    eta = (eta1, eta2).  Pole at xi = 0 is a domain error."""
+    if np.any(xi == 0):
         raise DomainError("dispersion symbol evaluated at xi = 0")
     e1, e2 = eta
     return xi ** 3 - (e1 * e1 + e2 * e2) / xi

@@ -139,9 +139,17 @@ def test_run_unknown_experiment(capsys):
         main(["run", "warp-drive"])
 
 
+def run_module(args, cwd=None):
+    """`python -m kplab.cli args` in a child process that imports this kplab."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kplab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "kplab.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+
+
 def test_console_script_help():
-    proc = subprocess.run([sys.executable, "-m", "kplab.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_module(["--help"])
     assert proc.returncode == 0
     assert "make-data" in proc.stdout and "verify" in proc.stdout
 
@@ -156,6 +164,14 @@ _MALFORMED = {
     "config-is-directory": (["--config", ".", "run", "picard"], {}),
     "config-odd-modes": (["--config", "c.json", "run", "sim"],
                          {"c.json": '{"grid": {"modes_x": 7}}'}),
+    "config-grid-not-object": (["--config", "c.json", "run", "picard"],
+                               {"c.json": '{"grid": []}'}),
+    "config-dt-not-number": (["--config", "c.json", "run", "picard"],
+                             {"c.json": '{"dt": "x"}'}),
+    "config-modes-not-number": (["--config", "c.json", "run", "picard"],
+                                {"c.json": '{"grid": {"modes_x": "64"}}'}),
+    "config-datum-norm-not-number": (["--config", "c.json", "run", "picard"],
+                                     {"c.json": '{"datum_norm": "x"}'}),
     "make-data-bad-json": (["--config", "c.json", "make-data", "gaussian",
                             "--file", "g.kp3f"], {"c.json": "{bad"}),
     "lams-not-numbers": (["run", "illposed-sweep", "--lams", "8,x"], {}),
@@ -173,10 +189,6 @@ def test_malformed_input_exits_2(tmp_path, case):
             (tmp_path / name).write_bytes((tmp_path / "full.kp3f").read_bytes()[:content])
         else:
             (tmp_path / name).write_text(content)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kplab.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "kplab.cli", *args], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+    proc = run_module(args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -66,6 +66,12 @@ def test_resonance_function_values():
     assert R == pytest.approx(-3 * xi * xi1 * (xi - xi1), rel=1e-12)
     with pytest.raises(DomainError):
         resonance_function(1.0, 1.0, (0, 0), (0, 0))
+    # elementwise: an array of xi1 gives one R per entry, and any pole refuses
+    xi1s = np.array([1.0, 0.5, -2.0])
+    R = resonance_function(xi, xi1s, (s[0] * xi, s[1] * xi), (s[0] * xi1s, s[1] * xi1s))
+    assert R == pytest.approx(-3 * xi * xi1s * (xi - xi1s), rel=1e-12)
+    with pytest.raises(DomainError):
+        resonance_function(xi, np.array([1.0, xi]), (0, 0), (0, 0))
 
 
 def test_resonance_function_matches_dispersion_sums():
@@ -131,10 +137,30 @@ def test_cross_term_two_routes_agree():
     assert res.integrand_real_min >= -1.0
 
 
-def test_cross_term_zero_without_second_bump():
+def test_cross_term_bilinear_in_amplitudes():
+    # p enters only through the bump amplitudes, and the cross term is
+    # bilinear in them: scaled by amp1*amp2 it is the same for every p
+    scaled, gaps = [], []
+    for p in (2.0, 3.0, 4.0):
+        ip = IllposedParams(1 / 64, 8.0, p)
+        b1, b2 = two_bump_datum(ip)
+        res = second_picard_cross_term(ip)
+        scaled.append(res.closed / (b1.amplitude * b2.amplitude))
+        gaps.append(res.rel_l2_gap)
+    for other in scaled[1:]:
+        assert np.max(np.abs(other - scaled[0])) <= 1e-14 * np.max(np.abs(scaled[0]))
+    # the gap divides a route difference 1.9e-5 times smaller than the
+    # routes, so last-bit rounding of amp1*amp2 shows at about 1e-12
+    assert gaps[1] == pytest.approx(gaps[0], rel=1e-10)
+    assert gaps[2] == pytest.approx(gaps[0], rel=1e-10)
+
+
+def test_cross_term_refinement_then_refusal():
+    # the routes agree to about 1.9e-5; a tighter tolerance runs the
+    # refinement pass and then refuses
     ip = IllposedParams(1 / 64, 8.0, 3.0)
-    res = second_picard_cross_term(ip, amp_override=0.0)
-    assert np.all(res.closed == 0) and np.all(res.direct == 0)
+    with pytest.raises(ConfigurationError, match="after refinement"):
+        second_picard_cross_term(ip, rel_tol=1e-9)
 
 
 def test_cross_term_lower_bound_inner_box_averaged():

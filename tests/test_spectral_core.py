@@ -66,6 +66,12 @@ def test_dispersion_symbol_values():
     assert dispersion_symbol(-1.0, (1.0, 1.0)) == 1.0
     with pytest.raises(DomainError):
         dispersion_symbol(0.0, (1.0, 0.0))
+    # elementwise on arrays, refusing any xi = 0 entry
+    xi = np.array([1.0, 2.0, -1.0])
+    w = dispersion_symbol(xi, (np.array([0.0, 2.0, 1.0]), np.array([0.0, 0.0, 1.0])))
+    assert np.array_equal(w, [1.0, 6.0, 1.0])
+    with pytest.raises(DomainError):
+        dispersion_symbol(np.array([1.0, 0.0]), (1.0, 0.0))
 
 
 def test_propagator_identity_and_single_mode(grid_small):
