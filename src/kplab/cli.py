@@ -29,7 +29,7 @@ from .estimates import (bilinear_mu_sweep, circle_measure_closed_form,
                         random_measure_config, random_resonance_point,
                         resonance_identity_defect, sector_gamma_sweep,
                         strichartz_ratio)
-from .illposedness import growth_sweep
+from .illposedness import IllposedParams, growth_sweep
 from .reporting import config_hash, json_dumps, write_csv, write_json
 from .scattering import asymptotic_state
 from .solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
@@ -57,8 +57,22 @@ def _grid_from(cfgdict) -> GridSpec:
                     gd.get("dealias", True))
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",")]
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a count >= 1")
+    return value
+
+
+def _positive(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
+    return value
+
+
+def _positives(text):
+    return [_positive(v) for v in text.split(",")]
 
 
 def _int_pair(text):
@@ -268,12 +282,21 @@ def _manifest(cfg, seed, t0, extra):
             "wall_clock_s": round(time.time() - t0, 3), **extra}
 
 
-def _run_setup(experiment, cfg):
-    """Grid and SimConfig of a solver experiment; (None, None) otherwise."""
+def _run_setup(args, cfg):
+    """Grid and SimConfig of a solver experiment; (None, None) otherwise.
+    Every value outside its range is refused here, before the experiment runs."""
+    experiment = args.experiment
     for key in ("amplitude", "center_xi", "datum_norm", "member", "p", "comb_p"):
         if key in cfg:
             require_number(cfg[key], key,
                            numbers.Integral if key == "member" else numbers.Real)
+    if experiment == "spaces-lab":
+        for key in ("p", "comb_p"):
+            if key in cfg and not 1.0 <= cfg[key] < math.inf:
+                raise ConfigurationError(f"config value '{key}' must lie in [1, inf)")
+    if experiment == "illposed-sweep":
+        for lam in args.lams:   # the sweep's parameters, checked by their own rule
+            IllposedParams(lam ** -2.0, lam, args.p)
     if experiment == "sim":
         grid = _grid_from(cfg)
         return grid, SimConfig(grid, cfg.get("dt", 0.01), cfg.get("T", 1.0),
@@ -294,7 +317,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     # an unusable configuration raises here and exits 2; failures of the
     # experiment itself are reported below as diagnostics with exit 1
-    grid, sim = _run_setup(args.experiment, cfg)
+    grid, sim = _run_setup(args, cfg)
     t0 = time.time()
     try:
         if args.experiment == "sim":
@@ -431,12 +454,12 @@ def main(argv=None) -> int:
     mk.add_argument("kind", choices=("gaussian", "sector", "illposed", "random-band"))
     mk.add_argument("--file", default="datum.kp3f")
     mk.add_argument("--amplitude", type=float, default=1.0)
-    mk.add_argument("--width", type=float, default=1.0)
+    mk.add_argument("--width", type=_positive, default=1.0)
     mk.add_argument("--center-xi", dest="center_xi", type=float, default=2.0)
-    mk.add_argument("--lam", type=float, default=2.0)
+    mk.add_argument("--lam", type=_positive, default=2.0)
     mk.add_argument("--k", type=_int_pair, default="0,0")
-    mk.add_argument("--mu", type=float, default=1 / 64)
-    mk.add_argument("--p", type=float, default=3.0)
+    mk.add_argument("--mu", type=_positive, default=1 / 64)
+    mk.add_argument("--p", type=_positive, default=3.0)
     mk.add_argument("--band-lo", dest="band_lo", type=float, default=0.0)
     mk.add_argument("--band-hi", dest="band_hi", type=float, default=2.0)
     mk.add_argument("--eta-max", dest="eta_max", type=float, default=2.0)
@@ -446,10 +469,10 @@ def main(argv=None) -> int:
 
     vf = sub.add_parser("verify", help="run one identity/estimate check")
     vf.add_argument("check", choices=_VERIFY_CHECKS)
-    vf.add_argument("--samples", type=int, default=10000)
-    vf.add_argument("--configs", type=int, default=100)
+    vf.add_argument("--samples", type=_count, default=10000)
+    vf.add_argument("--configs", type=_count, default=100)
     vf.add_argument("--lam", type=float, default=4.0)
-    vf.add_argument("--ensemble", type=int, default=4)
+    vf.add_argument("--ensemble", type=_count, default=4)
     vf.add_argument("--mu-sweep", dest="mu_sweep", action="store_true")
     vf.set_defaults(func=cmd_verify)
 
@@ -457,7 +480,7 @@ def main(argv=None) -> int:
     rn.add_argument("experiment", choices=("sim", "picard", "scatter",
                                            "illposed-sweep", "spaces-lab"))
     rn.add_argument("--p", type=float, default=3.0)
-    rn.add_argument("--lams", type=_floats, default="8,16,32,64")
+    rn.add_argument("--lams", type=_positives, default="8,16,32,64")
     rn.set_defaults(func=cmd_run)
 
     nm = sub.add_parser("norms", help="norm report for a snapshot")

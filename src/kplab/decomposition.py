@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                       dyadic_exponent, grid_geometry)
+                       dyadic_exponent, grid_geometry, require_power_of_two)
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ class SectorIndex:
     k: tuple[int, int]
 
     def __post_init__(self):
-        j = int(np.rint(np.log2(self.lam)))
-        if abs(self.lam - 2.0 ** j) > 1e-12 * self.lam:
-            raise ConfigurationError(f"sector scale {self.lam} must be a power of 2")
+        require_power_of_two(self.lam, "sector scale lam")
 
     @property
     def center(self):
@@ -159,10 +157,21 @@ def sector_masses(u: SpectralField) -> dict:
                        u.grid.volume * np.abs(u.coeff.take(flat)) ** 2)
 
 
-def _lp_reduce(values: np.ndarray, p: float) -> float:
+def _lp_reduce(values: np.ndarray, p: float, measure: float = 1.0) -> float:
+    """(measure * sum values^p)^{1/p}, the max at p = inf: the one l^p / L^p
+    reduction of nonnegative samples (measure = cell size for L^p)."""
     if p == math.inf:
         return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values ** p) ** (1.0 / p))
+    return float((measure * np.sum(values ** p)) ** (1.0 / p))
+
+
+def _gl_nodes(rule, lo, hi):
+    """Nodes and weights of a Gauss-Legendre rule mapped to [lo, hi]; array
+    bounds give one row of nodes per interval."""
+    x, w = rule
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * x, half * w
 
 
 def lqlp_from_shells(shells: dict, q: float, p: float) -> float:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import member_rng
+from .decomposition import _lp_reduce
 from .errors import (ConfigurationError, DomainError, KplabError,
                      PreconditionError)
 from .spectral import (SpectralField, apply_linear_propagator, dispersion_symbol,
@@ -381,18 +382,10 @@ def strichartz_exponent(p: float, q: float, family: str | int = "auto") -> float
         f"{_LINE1} and {_LINE2}")
 
 
-def _lq_space(phys, q, dV):
-    a = np.abs(phys)
-    if q == math.inf:
-        return float(np.max(a))
-    return float((np.sum(a ** q) * dV) ** (1.0 / q))
-
-
-def _lp_time(vals, p, dt):
-    v = np.asarray(vals)
-    if p == math.inf:
-        return float(np.max(v))
-    return float((np.sum(v ** p) * dt) ** (1.0 / p))
+def _flow_samples(u0: SpectralField, times):
+    """Physical samples of the linear flow S(t) u0, one array per time."""
+    for t in times:
+        yield inverse_transform(apply_linear_propagator(u0, t)).samples
 
 
 def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,
@@ -408,11 +401,8 @@ def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,
     dV = g.volume / u0.coeff.size
     dt = T / n_time
     times = (np.arange(n_time) + 0.5) * dt  # midpoint rule in t
-    vals = np.empty(n_time)
-    for i, t in enumerate(times):
-        ph = inverse_transform(apply_linear_propagator(u0, t)).samples
-        vals[i] = _lq_space(ph, q, dV)
-    return _lp_time(vals, p, dt) / denom
+    vals = np.array([_lp_reduce(np.abs(ph), q, dV) for ph in _flow_samples(u0, times)])
+    return _lp_reduce(vals, p, dt) / denom
 
 
 # ----------------------------------------------------------------------
@@ -427,22 +417,27 @@ class SlopeReport:
     per_seed: np.ndarray | None = None
 
 
-def bilinear_lowhigh_ratio(u0: SpectralField, v0: SpectralField, T: float,
-                           n_time: int = 32) -> float:
-    """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||) for the two linear waves."""
+def _product_ratio(u0: SpectralField, v0: SpectralField, times, integrate) -> float:
+    """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||) for the two linear waves;
+    integrate(vals) is the time rule over the squared L^2_{xy} norms at times."""
     nu, nv = u0.l2_norm(), v0.l2_norm()
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    g = u0.grid
-    dV = g.volume / u0.coeff.size
+    dV = u0.grid.volume / u0.coeff.size
+    # map, not a loop over zip: no sample of the previous time stays alive
+    # while the next pair is transformed
+    sq = map(lambda pu, pv: np.sum((pu * pv) ** 2) * dV,
+             _flow_samples(u0, times), _flow_samples(v0, times))
+    return math.sqrt(float(integrate(np.fromiter(sq, float, len(times))))) / (nu * nv)
+
+
+def bilinear_lowhigh_ratio(u0: SpectralField, v0: SpectralField, T: float,
+                           n_time: int = 32) -> float:
+    """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||), midpoint rule in t."""
     dt = T / n_time
-    acc = 0.0
-    for i in range(n_time):
-        t = (i + 0.5) * dt
-        pu = inverse_transform(apply_linear_propagator(u0, t)).samples
-        pv = inverse_transform(apply_linear_propagator(v0, t)).samples
-        acc += np.sum((pu * pv) ** 2) * dV * dt
-    return math.sqrt(acc) / (nu * nv)
+    times = (np.arange(n_time) + 0.5) * dt
+    # a running sum, so the result does not depend on numpy's summation blocking
+    return _product_ratio(u0, v0, times, lambda vals: np.cumsum(vals * dt)[-1])
 
 
 def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
@@ -452,20 +447,10 @@ def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
 
     The product of two coherent packets decays on a timescale set by their
     relative group velocity; geometric sampling captures every scale of the
-    decay with few transforms.
+    decay with few transforms (trapezoid rule on t = 0 and the geometric times).
     """
-    nu, nv = u0.l2_norm(), v0.l2_norm()
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    g = u0.grid
-    dV = g.volume / u0.coeff.size
     ts = np.concatenate([[0.0], np.geomspace(t_min, T, n_time)])
-    vals = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        pu = inverse_transform(apply_linear_propagator(u0, t)).samples
-        pv = inverse_transform(apply_linear_propagator(v0, t)).samples
-        vals[i] = np.sum((pu * pv) ** 2) * dV
-    return math.sqrt(float(np.trapezoid(vals, ts))) / (nu * nv)
+    return _product_ratio(u0, v0, ts, lambda vals: np.trapezoid(vals, ts))
 
 
 def coherent_low_cap(grid, mu: float, slope_center, slope_width: float = 0.75,

@@ -27,6 +27,7 @@ from functools import cache
 import numpy as np
 from scipy.special import erf
 
+from .decomposition import _gl_nodes, _lp_reduce
 from .errors import ConfigurationError
 from .reporting import fit_loglog_slope
 
@@ -78,28 +79,15 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
     sum is replaced by the slope integral (radial, one-dimensional).
     """
     m_max = int(math.ceil(6.0 * d.width_eta / lam ** 2)) + 1
+    xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(48), lam, 2.0 * lam)
+    base = 2.0 * wxi * _xi_weight(d, xi)
     if m_max <= enumeration_limit:
         ms = np.arange(-m_max, m_max + 1)
-        xg, xw = np.polynomial.legendre.leggauss(48)
-        xi = 1.5 * lam + 0.5 * lam * xg
-        wxi = 0.5 * lam * xw
-        lo = np.outer(xi * lam, ms - 0.5)
-        hi = np.outer(xi * lam, ms + 0.5)
-        G = _eta_window(d.width_eta, lo, hi)                # (n_xi, n_m)
-        base = 2.0 * wxi * _xi_weight(d, xi)
-        total = 0.0
-        chunk = 512
-        Ge = G * base[:, None]
-        for a in range(0, ms.size, chunk):
-            M = Ge[:, a:a + chunk].T @ G                    # (chunk, n_m) masses
-            total += float(np.sum(np.maximum(M, 0.0) ** (p / 2.0)))
-        return total ** (1.0 / p)
+        G = _eta_window(d.width_eta, np.outer(xi * lam, ms - 0.5),
+                        np.outer(xi * lam, ms + 0.5))       # (n_xi, n_m)
+        M = (G * base[:, None]).T @ G                       # (n_m, n_m) masses
+        return _lp_reduce(np.sqrt(np.maximum(M, 0.0)), p)
     # slope-integral route: v = slope/lam, radial
-    xg, xw = np.polynomial.legendre.leggauss(48)
-    xi = 1.5 * lam + 0.5 * lam * xg
-    wxi = 0.5 * lam * xw
-    base = 2.0 * wxi * _xi_weight(d, xi)
-
     def mass_at(v1, v2):
         a1 = _eta_window(d.width_eta, xi * lam * (v1 - 0.5), xi * lam * (v1 + 0.5))
         a2 = _eta_window(d.width_eta, xi * lam * (v2 - 0.5), xi * lam * (v2 + 0.5))
@@ -107,9 +95,7 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
 
     vmax = 8.0 * d.width_eta / lam ** 2
     n_v = 160
-    vg, vw = np.polynomial.legendre.leggauss(n_v)
-    v = 0.5 * vmax * (vg + 1.0)          # radial half-line [0, vmax]
-    wv = 0.5 * vmax * vw
+    v, wv = _gl_nodes(np.polynomial.legendre.leggauss(n_v), 0.0, vmax)  # radial half-line
     # radial reduction: integrate mass(v,0)^{p/2}-profile over the plane.
     # masses are separable windows, not exactly radial; sample on rays and
     # average over the angle with an 8-point rule (windows vary slowly).
@@ -127,9 +113,7 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
 
 def gaussian_total_mass(d: AnalyticDatum, lam: float) -> float:
     """||f_lam||_2^2: the shell mass without sector splitting."""
-    xg, xw = np.polynomial.legendre.leggauss(64)
-    xi = 1.5 * lam + 0.5 * lam * xg
-    wxi = 0.5 * lam * xw
+    xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(64), lam, 2.0 * lam)
     eta_total = (math.sqrt(math.pi) * d.width_eta) ** 2
     return float(2.0 * np.sum(wxi * _xi_weight(d, xi)) * eta_total)
 
@@ -193,9 +177,6 @@ def zero_mean_blowup(d: AnalyticDatum, p: float, lam_lo: float = 2.0 ** -7,
 # The bounded-but-distribution-divergent comb
 # ----------------------------------------------------------------------
 
-_COMB_WIDTH = 1.0 / math.sqrt(2.0 * math.pi)   # ||g||_{L^2(R^2)}^2 = 1/2
-
-
 def _bump_1d(x: np.ndarray) -> np.ndarray:
     """Even C^2 low-pass profile: 1 on |x|<=1, quintic ramp to 0 at |x|=2."""
     t = np.clip(np.abs(x) - 1.0, 0.0, 1.0)
@@ -219,7 +200,7 @@ def comb_norm(mu: float, p: float, lam_floor: float = 2.0 ** -80) -> float:
     count = a + 1   # shells 2^-2a .. 2^-a
     weight = abs(math.log(mu)) ** (-1.0 / p)
     vals = np.full(count, comb_shell_value(1.0))    # scale-free: all equal 1
-    return weight * float(np.sum(vals ** p) ** (1.0 / p))
+    return weight * _lp_reduce(vals, p)
 
 
 @cache

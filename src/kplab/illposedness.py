@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (_lp_reduce, lqlp_from_shells, lqlp_norm_from_masses,
-                            sector_sums)
+from .decomposition import (_gl_nodes, _lp_reduce, lqlp_from_shells,
+                            lqlp_norm_from_masses, sector_sums)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .reporting import fit_loglog_slope
-from .spectral import dispersion_symbol, dyadic_exponent, sector_key
+from .solver import _composite_weights
+from .spectral import (dispersion_symbol, dyadic_exponent, require_power_of_two,
+                       sector_key)
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,8 @@ class IllposedParams:
     coupling: bool = True
 
     def __post_init__(self):
-        for v, name in ((self.mu, "mu"), (self.lam, "lam")):
-            j = round(math.log2(v))
-            if abs(v - 2.0 ** j) > 1e-12 * v:
-                raise ConfigurationError(f"{name}={v} must be a power of 2")
+        require_power_of_two(self.mu, "mu")
+        require_power_of_two(self.lam, "lam")
         if not (self.mu < 1 < self.lam):
             raise ConfigurationError("need mu << 1 << lam")
         if not (1.0 < self.p < math.inf):
@@ -95,15 +95,6 @@ def _shell_of_box(box: FrequencyBox) -> int:
     if xhi > 2.0 ** (j + 1) * (1 + 1e-12):
         raise ConfigurationError("box straddles a dyadic shell boundary")
     return j
-
-
-def _gl_nodes(rule, lo, hi):
-    """Nodes and weights of a Gauss-Legendre rule mapped to [lo, hi]; array
-    bounds give one row of nodes per interval."""
-    x, w = rule
-    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
-    half = 0.5 * (hi - lo)
-    return 0.5 * (hi + lo) + half * x, half * w
 
 
 def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
@@ -203,16 +194,6 @@ def cross_term_support(ip: IllposedParams):
 # Second Picard iterate of the cross term
 # ----------------------------------------------------------------------
 
-def _simpson_weights(n: int) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ConfigurationError("Simpson needs an odd node count >= 3")
-    w = np.zeros(n)
-    w[0] = w[-1] = 1.0
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * (n - 1))
-
-
 @dataclass
 class CrossTermResult:
     xi_nodes: np.ndarray
@@ -285,7 +266,7 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
     def direct_route(n_nodes):
         (x1, wx1), (h, wh) = node_table(n_nodes)
         s_nodes = np.linspace(0.0, 1.0, n_simpson)
-        sw = _simpson_weights(n_simpson)
+        sw = _composite_weights(n_simpson, 1.0 / (n_simpson - 1))
         vals = np.zeros((n_out, n_out, n_out), dtype=np.complex128)
         for ix in ixs:
             xo, xs = xi_out[ix], x1[ix]

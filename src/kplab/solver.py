@@ -17,7 +17,7 @@ discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,8 +258,6 @@ class PicardReport:
     diffs: list
     ratios: list
     converged: bool
-    diffs_lqlp: list = field(default_factory=list)
-    diffs_v2: list = field(default_factory=list)
 
 
 def _surrogate_diff_norm(grid: GridSpec, times: np.ndarray, a: np.ndarray,
@@ -318,7 +316,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         return base + integ
 
     w = base.copy()
-    diffs, ratios, dl, dv = [], [], [], []
+    diffs, ratios = [], []
     converged = datum_norm == 0.0
     n_done = 0
     rising = 0
@@ -326,8 +324,6 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         w_next = apply_duhamel(w)
         sl, sv = _surrogate_diff_norm(g, times, w_next, w, np_)
         d = sl + sv
-        dl.append(sl)
-        dv.append(sv)
         diffs.append(d)
         if len(diffs) >= 2 and diffs[-2] > 0:
             r = diffs[-1] / diffs[-2]
@@ -344,7 +340,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
             break
     states = [SpectralField(g, w[i], u0.real_flag) for i in range(n_t)]
     trace = SpaceTimeTrace(times, states, window="hann")
-    return trace, PicardReport(n_done, diffs, ratios, converged, dl, dv)
+    return trace, PicardReport(n_done, diffs, ratios, converged)
 
 
 # ----------------------------------------------------------------------

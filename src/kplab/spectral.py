@@ -20,6 +20,7 @@ dispersion symbol w(xi, eta) = xi^3 - |eta|^2/xi, and is exactly unitary.
 
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 import warnings
@@ -41,6 +42,18 @@ def require_number(value, name: str, kind=numbers.Real) -> None:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise ConfigurationError(f"{name}={value!r} must be {what}")
+
+
+def require_power_of_two(value, name: str) -> int:
+    """The exponent j of value = 2^j (to 1e-12 relative); refuse zero,
+    negative, NaN, infinite and non-dyadic values."""
+    require_number(value, name)
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name}={value} must be a positive finite power of 2")
+    j = round(math.log2(value))
+    if abs(math.ldexp(value, -j) - 1.0) > 1e-12:
+        raise ConfigurationError(f"{name}={value} must be a power of 2")
+    return j
 
 
 @dataclass(frozen=True)
@@ -410,7 +423,7 @@ def scaling_transform(u: SpectralField, lam: float, same_grid: bool = False) -> 
     With same_grid=True the modes are moved within the original lattice,
     which requires (lam kx, lam^2 ky) to stay representable.
     """
-    j = _check_dyadic(lam)
+    require_power_of_two(lam, "lam")
     g = u.grid
     if not same_grid:
         g2 = replace(g, length_x=g.length_x / lam,
@@ -436,15 +449,6 @@ def scaling_transform(u: SpectralField, lam: float, same_grid: bool = False) -> 
         raise ConfigurationError(f"scaling by {lam} moves occupied modes out of range")
     out[tx % g.modes_x, t1 % g.modes_y1, t2 % g.modes_y2] = lam ** 2 * u.coeff[idx]
     return SpectralField(g, out, u.real_flag)
-
-
-def _check_dyadic(lam: float) -> int:
-    if not (lam > 0):
-        raise ConfigurationError(f"scale factor {lam} must be positive")
-    j = int(np.rint(np.log2(lam)))
-    if abs(lam - 2.0 ** j) > 1e-12 * lam:
-        raise ConfigurationError(f"scale factor {lam} must be a power of 2")
-    return j
 
 
 # ----------------------------------------------------------------------

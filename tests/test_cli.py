@@ -176,6 +176,11 @@ _MALFORMED = {
                             "--file", "g.kp3f"], {"c.json": "{bad"}),
     "lams-not-numbers": (["run", "illposed-sweep", "--lams", "8,x"], {}),
     "sector-k-not-pair": (["make-data", "sector", "--k", "1"], {}),
+    "sector-lam-overflows-power-of-two": (["make-data", "sector", "--lam", "1.7e308"], {}),
+    "verify-samples-not-a-count": (["verify", "resonance", "--samples", "-5"], {}),
+    "make-data-width-zero": (["make-data", "gaussian", "--width", "0"], {}),
+    "spaces-lab-p-zero": (["--config", "c.json", "run", "spaces-lab"], {"c.json": '{"p": 0}'}),
+    "illposed-sweep-p-out-of-range": (["run", "illposed-sweep", "--p", "0.5"], {}),
 }
 
 

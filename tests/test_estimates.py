@@ -5,8 +5,10 @@ import pytest
 
 from kplab.data import gaussian_datum, member_rng, random_band_field
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
+from kplab.decomposition import _lp_reduce
 from kplab.estimates import (MeasureConfig, ResonancePoint,
-                             bilinear_lowhigh_ratio, bilinear_mu_sweep,
+                             bilinear_lowhigh_ratio, bilinear_lowhigh_ratio_transient,
+                             bilinear_mu_sweep,
                              check_sector_hypotheses,
                              circle_measure_closed_form,
                              circle_measure_integral, circle_level_set,
@@ -197,6 +199,56 @@ def test_strichartz_dilation_invariance(strich_grid):
         uh = scaling_transform(u0, h)
         rh = strichartz_ratio(uh, 4, 4, T=4.0 / h ** 3, n_time=32)
         assert abs(rh / base - 1.0) <= 0.05
+
+
+def _direct_flow(u0, times):
+    """S(t) u0 sampled on the space grid, from the symbol written out here."""
+    g = u0.grid
+    xi = g.xi_axis()[:, None, None]
+    eta2 = g.eta1_axis()[None, :, None] ** 2 + g.eta2_axis()[None, None, :] ** 2
+    w = np.where(xi != 0, xi ** 3 - eta2 / np.where(xi != 0, xi, 1.0), 0.0)
+    c = np.exp(1j * np.asarray(times)[:, None, None, None] * w) * u0.coeff
+    return np.fft.ifftn(c, axes=(1, 2, 3)).real * u0.coeff.size
+
+
+def test_linear_flow_ratios_match_direct_evaluation():
+    g = GridSpec(16, 8, 8, 4 * np.pi, 2 * np.pi, 2 * np.pi)
+    u0 = random_band_field(g, member_rng(7, 0), 0.5, 3.0, eta_max=2.0)
+    v0 = random_band_field(g, member_rng(7, 1), 0.5, 3.0, eta_max=2.0)
+    dV, T = g.volume / u0.coeff.size, 0.5
+    xi = np.abs(g.xi_axis())[:, None, None]
+    for p, q, s in ((4, 4, 0.5), (2, math.inf, 1.0)):
+        n = 12
+        ph = np.abs(_direct_flow(u0, (np.arange(n) + 0.5) * T / n))
+        lq = (np.max(ph, axis=(1, 2, 3)) if q == math.inf
+              else (dV * np.sum(ph ** q, axis=(1, 2, 3))) ** (1 / q))
+        num = (T / n * np.sum(lq ** p)) ** (1 / p)
+        den = math.sqrt(g.volume * np.sum((np.where(xi > 0, xi, 1.0) ** s
+                                           * np.abs(u0.coeff)) ** 2))
+        assert strichartz_ratio(u0, p, q, T, n_time=n) == pytest.approx(num / den, rel=1e-12)
+    norms = u0.l2_norm() * v0.l2_norm()
+
+    def product_l2(times):
+        return dV * np.sum((_direct_flow(u0, times) * _direct_flow(v0, times)) ** 2,
+                           axis=(1, 2, 3))
+
+    mid = (np.arange(10) + 0.5) * T / 10
+    expect = math.sqrt(T / 10 * np.sum(product_l2(mid))) / norms
+    assert bilinear_lowhigh_ratio(u0, v0, T, n_time=10) == pytest.approx(expect, rel=1e-12)
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, T, 9)])
+    pl = product_l2(ts)
+    expect = math.sqrt(np.sum(np.diff(ts) * (pl[1:] + pl[:-1]) / 2)) / norms
+    got = bilinear_lowhigh_ratio_transient(u0, v0, T, n_time=9, t_min=1e-3)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_lp_reduce_measure():
+    vals = np.array([3.0, 4.0])
+    assert _lp_reduce(vals, 2.0, 0.25) == 2.5        # (0.25 * 25)^(1/2)
+    assert _lp_reduce(vals, 1.0, 0.5) == 3.5
+    assert _lp_reduce(vals, 2.0) == 5.0
+    assert _lp_reduce(vals, math.inf, 0.25) == 4.0   # the max ignores the measure
+    assert _lp_reduce(np.array([]), math.inf) == 0.0
 
 
 def test_strichartz_rejects_zero(strich_grid):

@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kplab.data import gaussian_datum, random_band_field
+from kplab.decomposition import SectorIndex
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
+from kplab.illposedness import IllposedParams
 from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
                             apply_linear_propagator, dispersion_symbol,
                             forward_transform, galilean_boost, galilean_shift,
                             grid_geometry, inverse_transform, make_field, read_snapshot,
-                            scaling_transform, write_snapshot, zero_field)
+                            require_power_of_two, scaling_transform, write_snapshot,
+                            zero_field)
 
 
 def test_gridspec_invariants():
@@ -143,6 +150,27 @@ def test_scaling_nested_grid_and_same_grid(grid_small):
         scaling_transform(u, 3.0)
 
 
+def test_power_of_two_accepts_dyadic_values():
+    assert require_power_of_two(1.0, "lam") == 0
+    assert require_power_of_two(0.125, "lam") == -3
+    assert require_power_of_two(4, "lam") == 2
+    assert require_power_of_two(2.0 ** 1023, "lam") == 1023
+    assert require_power_of_two(2.0 ** -1074, "lam") == -1074
+    assert require_power_of_two(8.0 * (1 + 1e-13), "lam") == 3
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf, 3.0, 1.7e308, "2"])
+def test_power_of_two_refusals(grid_small, value):
+    u = gaussian_datum(grid_small)
+    for check in (lambda: require_power_of_two(value, "lam"),
+                  lambda: scaling_transform(u, value),
+                  lambda: SectorIndex(value, (0, 0)),
+                  lambda: IllposedParams(value, 8.0, 3.0),
+                  lambda: IllposedParams(1 / 64, value, 3.0, coupling=False)):
+        with pytest.raises(ConfigurationError):
+            check()
+
+
 def test_scaling_linear_solution_property(grid_aniso):
     # rescaled linear solution equals linear evolution of rescaled datum
     # with t -> lam^3 t, exactly on the same grid (relabeling).
@@ -175,14 +203,29 @@ def test_zero_x_mean_preserved_everywhere(grid_small, rng):
         v.validate()
 
 
-def test_snapshot_roundtrip(tmp_path, grid_small, rng):
-    u = random_band_field(grid_small, rng, 0.0, 6.0, eta_max=6.0)
-    path = tmp_path / "field.kp3f"
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.1, 100.0), st.floats(0.1, 100.0), st.floats(0.1, 100.0),
+       st.booleans(), st.integers(0, 2 ** 31 - 1), st.data())
+def test_snapshot_roundtrip(tmp_path_factory, hx, h1, h2, lx, l1, l2, real_flag,
+                            seed, data):
+    grid = GridSpec(2 * hx, 2 * h1, 2 * h2, lx, l1, l2)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    u = make_field(grid, c, real_flag=real_flag, hermitize=True)
+    path = tmp_path_factory.mktemp("kp3f") / "u.kp3f"
     write_snapshot(u, path)
     v = read_snapshot(path)
-    assert v.grid == u.grid
-    assert v.real_flag == u.real_flag
-    assert np.array_equal(v.coeff, u.coeff)
+    assert v.grid == grid and v.real_flag == real_flag
+    assert v.coeff.tobytes() == u.coeff.tobytes()
+    raw = path.read_bytes()
+    # every cut of the 45-byte header, the bare header, the file less its
+    # last byte, and one drawn cut
+    cuts = {*range(46), len(raw) - 1, data.draw(st.integers(0, len(raw) - 1))}
+    for cut in sorted(cuts):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConfigurationError):
+            read_snapshot(path)
 
 
 def test_snapshot_header_layout(tmp_path, grid_small):
