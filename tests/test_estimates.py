@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kplab.data import gaussian_datum, member_rng, random_band_field
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.decomposition import _lp_reduce
-from kplab.estimates import (MeasureConfig, ResonancePoint,
+from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
                              bilinear_lowhigh_ratio, bilinear_lowhigh_ratio_transient,
                              bilinear_mu_sweep,
                              check_sector_hypotheses,
@@ -18,7 +20,8 @@ from kplab.estimates import (MeasureConfig, ResonancePoint,
                              random_sector_wave, section_roots_by_scan,
                              sector_gamma_sweep, strichartz_exponent,
                              strichartz_ratio, weighted_pair_norm)
-from kplab.spectral import GridSpec, scaling_transform
+from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
+                            inverse_transform, scaling_transform)
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +243,33 @@ def test_linear_flow_ratios_match_direct_evaluation():
     expect = math.sqrt(np.sum(np.diff(ts) * (pl[1:] + pl[:-1]) / 2)) / norms
     got = bilinear_lowhigh_ratio_transient(u0, v0, T, n_time=9, t_min=1e-3)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.integers(0, 2 ** 31 - 1), st.data())
+def test_flow_samples_match_full_transform(hx, h1, h2, lx, l1, l2, seed, data):
+    # the sampler must reproduce the full-grid propagate-then-invert path for
+    # every x-band (so every count of occupied x-planes), keep that path's
+    # real-part semantics for non-real fields, and refuse a field marked real
+    # that is not Hermitian
+    g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                 2 * np.pi * l2)
+    lo = data.draw(st.integers(0, hx - 2))
+    hi = data.draw(st.integers(lo + 1, hx - 1))
+    u0 = random_band_field(g, np.random.default_rng(seed),
+                           (lo + 0.5) * g.dxi, (hi + 0.5) * g.dxi)
+    times = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
+    ref = [inverse_transform(apply_linear_propagator(u0, t)).samples for t in times]
+    for got, want in zip(_flow_samples(u0, times), ref):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    w0 = SpectralField(g, u0.coeff, real_flag=False)
+    for got, want in zip(_flow_samples(w0, times), ref):
+        assert np.array_equal(got, want)
+    one_sided = SpectralField(g, np.where(g.xi_axis()[:, None, None] > 0, u0.coeff, 0.0))
+    with pytest.raises(ConfigurationError):
+        next(_flow_samples(one_sided, times))
 
 
 def test_lp_reduce_measure():
