@@ -295,6 +295,8 @@ def _run_setup(args, cfg):
             if key in cfg and not 1.0 <= cfg[key] < math.inf:
                 raise ConfigurationError(f"config value '{key}' must lie in [1, inf)")
     if experiment == "illposed-sweep":
+        if len(args.lams) < 3:
+            raise ConfigurationError("growth sweep needs at least 3 lam values")
         for lam in args.lams:   # the sweep's parameters, checked by their own rule
             IllposedParams(lam ** -2.0, lam, args.p)
     if experiment == "sim":

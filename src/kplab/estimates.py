@@ -383,9 +383,32 @@ def strichartz_exponent(p: float, q: float, family: str | int = "auto") -> float
 
 
 def _flow_samples(u0: SpectralField, times):
-    """Physical samples of the linear flow S(t) u0, one array per time."""
-    for t in times:
-        yield inverse_transform(apply_linear_propagator(u0, t)).samples
+    """Physical samples of the linear flow S(t) u0, one array per time (lazy).
+
+    A real field is checked for Hermitian symmetry once, on the call, so the
+    two fields of a product are both checked before either holds a sample.
+    It is sampled from its eta2 half spectrum (k2 <= n2/2): the phase and
+    the eta1 transform run on the occupied x-planes only (FFT pruning),
+    which are scattered into one zero buffer for the x transform and the
+    real eta2 transform.  A field not marked real keeps the full complex
+    path and its real part.
+    """
+    if not u0.real_flag:
+        return (inverse_transform(apply_linear_propagator(u0, t)).samples for t in times)
+    u0.validate()
+    n2 = u0.grid.modes_y2
+    half = u0.coeff[:, :, :n2 // 2 + 1]
+    planes = np.flatnonzero(half.any(axis=(1, 2)))
+    c = half[planes]
+    omega = grid_geometry(u0.grid).omega[planes, :, :n2 // 2 + 1]
+    buf = np.zeros(half.shape, complex)
+
+    def sample(t):
+        # norm="forward" leaves the inverse transforms unscaled: ifftn(coeff) * N
+        buf[planes] = np.fft.ifft(c * np.exp(1j * t * omega), axis=1, norm="forward")
+        return np.fft.irfft(np.fft.ifft(buf, axis=0, norm="forward"), n=n2, axis=2,
+                            norm="forward")
+    return map(sample, times)
 
 
 def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,

@@ -136,6 +136,8 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     Raises BlowupError with a time stamp on NaN or norm explosion (the
     small-data step guard).
     """
+    if not u0.real_flag:
+        raise PreconditionError("evolve requires a real field")
     g = cfg.grid
     if u0.grid != g:
         raise ConfigurationError("datum grid differs from SimConfig grid")
@@ -283,6 +285,8 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     anisotropic norm + 2-variation of the difference); three consecutive
     ratios >= 1 raise DivergenceError.
     """
+    if not u0.real_flag:
+        raise PreconditionError("picard_iterate requires a real field")
     np_ = norm_params or NormParams()
     datum_norm = lqlp_norm(u0, np_)
     if datum_norm > smallness_threshold:

@@ -217,13 +217,14 @@ def test_criterion_07_strichartz():
     med = float(np.median(vals))
     stable = vals.max() <= 1.2 * med and vals.min() >= 0.8 * med
     dt = time.time() - t0
-    ok = worst <= 0.05 and np.isfinite(vals.max()) and stable
+    ok = worst <= 0.05 and np.isfinite(vals.max()) and stable and dt < 10.0
     _line(7, "Strichartz ratios", ok,
           f"dilation defect {worst:.2e} (tol 5%); ensemble sup "
           f"{vals.max():.3f}, spread within +-20% of median: {stable}; "
-          f"{dt:.1f}s")
+          f"{dt:.1f}s (cap 10s)")
     assert worst <= 0.05
     assert stable
+    assert dt < 10.0
 
 
 def test_criterion_08_bilinear_estimates():
@@ -234,13 +235,14 @@ def test_criterion_08_bilinear_estimates():
     sec = sector_gamma_sweep([64, 128, 256, 512], mu=0.25, lam=2.0,
                              ensemble_size=6, T=4.0, seed=108)
     dt = time.time() - t0
-    ok = 0.8 <= rep.slope <= 1.2 and 0.35 <= sec.slope <= 0.65
+    ok = 0.8 <= rep.slope <= 1.2 and 0.35 <= sec.slope <= 0.65 and dt < 225.0
     _line(8, "bilinear estimates", ok,
           f"low-high mu-slope {rep.slope:.3f} (band [0.8, 1.2]); "
           f"sector |Gamma|-slope {sec.slope:.3f} (band [0.35, 0.65]); "
-          f"{dt:.0f}s")
+          f"{dt:.0f}s (cap 225s)")
     assert 0.8 <= rep.slope <= 1.2
     assert 0.35 <= sec.slope <= 0.65
+    assert dt < 225.0
 
 
 def test_criterion_09_bilinear_projection_machinery():

@@ -181,6 +181,7 @@ _MALFORMED = {
     "make-data-width-zero": (["make-data", "gaussian", "--width", "0"], {}),
     "spaces-lab-p-zero": (["--config", "c.json", "run", "spaces-lab"], {"c.json": '{"p": 0}'}),
     "illposed-sweep-p-out-of-range": (["run", "illposed-sweep", "--p", "0.5"], {}),
+    "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
 }
 
 

@@ -21,7 +21,7 @@ from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
                              sector_gamma_sweep, strichartz_exponent,
                              strichartz_ratio, weighted_pair_norm)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            inverse_transform, scaling_transform)
+                            grid_geometry, inverse_transform, scaling_transform)
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +262,14 @@ def test_flow_samples_match_full_transform(hx, h1, h2, lx, l1, l2, seed, data):
                            (lo + 0.5) * g.dxi, (hi + 0.5) * g.dxi)
     times = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
     ref = [inverse_transform(apply_linear_propagator(u0, t)).samples for t in times]
-    for got, want in zip(_flow_samples(u0, times), ref):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # numpy's xi ** 3 is not exactly odd, so omega(-k) can miss -omega(k) by an
+    # ulp: the full path's phase at a mirror mode is then not the conjugate the
+    # half spectrum implies, which moves a sample by at most
+    # t * sum |c| |omega(k) + omega(-k)| beyond transform rounding
+    w = grid_geometry(g).omega
+    odd_defect = np.sum(np.abs(u0.coeff) * np.abs(w + w[grid_geometry(g).reverse]))
+    for t, got, want in zip(times, _flow_samples(u0, times), ref):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + t * odd_defect
     w0 = SpectralField(g, u0.coeff, real_flag=False)
     for got, want in zip(_flow_samples(w0, times), ref):
         assert np.array_equal(got, want)

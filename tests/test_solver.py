@@ -55,6 +55,25 @@ def test_nonlinearity_requires_real(grid_small, rng):
 # evolve
 # ----------------------------------------------------------------------
 
+def _non_real_datum(grid):
+    # a small non-Hermitian 8^3 datum: one mode without its mirror
+    c = np.zeros(grid.shape, complex)
+    c[1, 1, 0] = 1e-5
+    return SpectralField(grid, c, real_flag=False)
+
+
+def test_evolve_requires_real():
+    g = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    with pytest.raises(PreconditionError, match="requires a real field"):
+        evolve(_non_real_datum(g), SimConfig(g, dt=0.05, T=0.5))
+
+
+def test_picard_iterate_requires_real():
+    g = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    with pytest.raises(PreconditionError, match="requires a real field"):
+        picard_iterate(_non_real_datum(g), SimConfig(g, dt=0.05, T=0.5))
+
+
 def test_evolve_zero_datum(grid_solver):
     tr = evolve(zero_field(grid_solver), SimConfig(grid_solver, dt=0.05, T=0.5))
     assert all(s.l2_norm() == 0.0 for s in tr.states)
