@@ -38,10 +38,6 @@ class SectorIndex:
     def __post_init__(self):
         require_power_of_two(self.lam, "sector scale lam")
 
-    @property
-    def center(self):
-        return (self.lam * self.k[0], self.lam * self.k[1])
-
 
 @dataclass(frozen=True)
 class NormParams:
@@ -122,39 +118,47 @@ def sector_projection(u: SpectralField, s: SectorIndex) -> SpectralField:
     geo = grid_geometry(u.grid)
     lam, (k1, k2) = s.lam, s.k
     shell = (np.abs(geo.xi) >= lam) & (np.abs(geo.xi) < 2 * lam)
-    box = ((geo.s1 - lam * k1 >= -lam / 2) & (geo.s1 - lam * k1 < lam / 2)
-           & (geo.s2 - lam * k2 >= -lam / 2) & (geo.s2 - lam * k2 < lam / 2))
+    t1, t2 = geo.s1 / lam, geo.s2 / lam   # exact, so the box test below is exact
+    box = (t1 >= k1 - 0.5) & (t1 < k1 + 0.5) & (t2 >= k2 - 0.5) & (t2 < k2 + 0.5)
     out = np.where(shell & box, u.coeff, 0.0)
     return SpectralField(u.grid, out, u.real_flag)
 
 
-def sector_sums(j, m1, m2, mass) -> dict:
-    """Total of `mass` per sector key (j, m1, m2) (arrays broadcast together),
-    in order of first occurrence; each total is summed in input order."""
+def sector_sums(j, m1, m2, mass):
+    """Sector keys (j, m1, m2) (arrays broadcast together) as a (3, n) array in
+    order of first occurrence, and each row of `mass` (rows shaped like the
+    keys) totalled per key in input order, as a (rows, n) array."""
     cols = [c.ravel() for c in np.broadcast_arrays(j, m1, m2)]
     code = np.ravel_multi_index([c - c.min() for c in cols],
                                 [int(np.ptp(c)) + 1 for c in cols])
     _, first, label = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    sums = np.bincount(label.reshape(-1), weights=np.ravel(mass))[order]
-    keys = zip(*(c[first[order]].tolist() for c in cols))
-    return dict(zip(keys, sums.tolist()))
+    rows = np.reshape(mass, (-1, code.size))
+    at = label.reshape(-1) + order.size * np.arange(len(rows))[:, None]
+    sums = np.bincount(at.ravel(), weights=rows.ravel()).reshape(len(rows), -1)
+    return np.stack([c[first[order]] for c in cols]), sums[:, order]
+
+
+def _sector_mass_rows(stack: np.ndarray, grid: GridSpec):
+    """sector_sums of the squared L^2 masses of an (n, *grid.shape) stack,
+    keyed over the union support of its rows."""
+    stack = np.reshape(stack, (-1,) + grid.shape)
+    flat = np.flatnonzero(np.any(stack, axis=0))
+    if flat.size == 0:
+        return np.zeros((3, 0), dtype=np.int64), np.zeros((len(stack), 0))
+    if flat[0] < stack[0, 0].size:   # the xi = 0 plane comes first in C order
+        raise DomainError("field has content on the xi = 0 plane, which lies in no sector")
+    i, a, b = np.unravel_index(flat, grid.shape)
+    j, m1, m2 = grid_geometry(grid).sector
+    return sector_sums(j[i, 0, 0], m1[i, a, 0], m2[i, 0, b],
+                       grid.volume * np.abs(stack.reshape(len(stack), -1)[:, flat]) ** 2)
 
 
 def sector_masses(u: SpectralField) -> dict:
-    """Squared L^2 mass per occupied sector, keyed by (shell_exp, k1, k2).
-
-    Exact partition, so the values sum to the squared L^2 norm of the field.
-    """
-    flat = np.flatnonzero(u.coeff)
-    if flat.size == 0:
-        return {}
-    if flat[0] < u.coeff[0].size:   # the xi = 0 plane comes first in C order
-        raise DomainError("field has content on the xi = 0 plane, which lies in no sector")
-    i, a, b = np.unravel_index(flat, u.coeff.shape)
-    j, m1, m2 = grid_geometry(u.grid).sector
-    return sector_sums(j[i, 0, 0], m1[i, a, 0], m2[i, 0, b],
-                       u.grid.volume * np.abs(u.coeff.take(flat)) ** 2)
+    """Squared L^2 mass per occupied sector, keyed by (shell_exp, k1, k2); an
+    exact partition, so the values sum to the squared L^2 norm of the field."""
+    keys, sums = _sector_mass_rows(u.coeff, u.grid)
+    return dict(zip(map(tuple, keys.T.tolist()), sums[0].tolist()))
 
 
 def _lp_reduce(values: np.ndarray, p: float, measure: float = 1.0) -> float:
@@ -174,27 +178,26 @@ def _gl_nodes(rule, lo, hi):
     return 0.5 * (hi + lo) + half * x, half * w
 
 
-def lqlp_from_shells(shells: dict, q: float, p: float) -> float:
-    """(sum_j (2^{j/2} ||a_j||_p)^q)^{1/q} over shells {j: a_j}, with
-    max-reductions at p or q = infinity.  The entries of a_j are sector
-    norms, or l^p norms of disjoint groups of sectors."""
-    vals = [math.sqrt(2.0 ** j) * _lp_reduce(np.asarray(a), p)
-            for j, a in sorted(shells.items())]
-    return _lp_reduce(np.asarray(vals), q) if vals else 0.0
+def _lqlp_reduce(j, values, q: float, p: float) -> np.ndarray:
+    """The one l^q l^p reduction: (sum_j (2^{j/2} ||a_j||_p)^q)^{1/q} per row of
+    `values`, max at p or q = inf, where a_j holds the row's entries in columns
+    of shell j (sector norms, or l^p norms of disjoint groups of sectors)."""
+    values = np.atleast_2d(values)
+    shells = [(math.sqrt(2.0 ** s), values[:, j == s]) for s in np.unique(j).tolist()]
+    return np.array([_lp_reduce(np.array([w * _lp_reduce(a[r], p) for w, a in shells]), q)
+                     for r in range(len(values))])
 
 
-def lqlp_norm_from_masses(masses: dict, q: float, p: float) -> float:
-    """The l^q l^p reduction of squared sector masses {(j, k1, k2): mass}."""
-    shells: dict = {}
-    for (j, _, _), m2 in masses.items():
-        shells.setdefault(j, []).append(math.sqrt(max(m2, 0.0)))
-    return lqlp_from_shells(shells, q, p)
+def lqlp_norms(stack: np.ndarray, grid: GridSpec, np_: NormParams) -> np.ndarray:
+    """lqlp_norm of each row of an (n, *grid.shape) stack, labelled once for all rows."""
+    keys, masses = _sector_mass_rows(stack, grid)
+    return _lqlp_reduce(keys[0], np.sqrt(masses), np_.q, np_.p)
 
 
 def lqlp_norm(u: SpectralField, np_: NormParams) -> float:
     """The anisotropic norm (sum_lam lam^{q/2} (sum_k ||u_sector||^p)^{q/p})^{1/q},
     with max-reductions at p or q = infinity."""
-    return lqlp_norm_from_masses(sector_masses(u), np_.q, np_.p)
+    return float(lqlp_norms(u.coeff, u.grid, np_)[0])
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (_gl_nodes, _lp_reduce, lqlp_from_shells,
-                            lqlp_norm_from_masses, sector_sums)
+from .decomposition import _gl_nodes, _lp_reduce, _lqlp_reduce, sector_sums
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .reporting import fit_loglog_slope
 from .solver import _composite_weights
@@ -145,10 +144,8 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
 
 def box_lqlp_norm(boxes, q: float, p: float) -> float:
     """l^q l^p L^2 norm of a union of positive-xi single-shell boxes."""
-    shells: dict = {}
-    for box in boxes:
-        shells.setdefault(_shell_of_box(box), []).append(_box_sector_lp(box, p))
-    return lqlp_from_shells(shells, q, p)
+    return float(_lqlp_reduce(np.array([_shell_of_box(b) for b in boxes]),
+                              [_box_sector_lp(b, p) for b in boxes], q, p)[0])
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +320,8 @@ def cross_term_norm(ip: IllposedParams, result: CrossTermResult) -> float:
                      result.eta_nodes[None, None, :] / xo)
     mass = (w_xi[:, None, None] * w_eta[None, :, None] * w_eta[None, None, :]
             * np.abs(result.closed) ** 2)
-    return lqlp_norm_from_masses(sector_sums(*key, mass), math.inf, ip.p)
+    keys, sums = sector_sums(*key, mass)
+    return float(_lqlp_reduce(keys[0], np.sqrt(sums), math.inf, ip.p)[0])
 
 
 @dataclass

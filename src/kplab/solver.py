@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm,
+from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_norms,
                             v2_variation_norm)
 from .errors import (AccuracyError, BlowupError, ConfigurationError,
                      DivergenceError, PreconditionError)
@@ -266,12 +266,9 @@ def _surrogate_diff_norm(grid: GridSpec, times: np.ndarray, a: np.ndarray,
                          b: np.ndarray, np_: NormParams):
     """sup-in-t lqlp norm plus the 2-variation of the difference trace."""
     diff = a - b
-    sup_lqlp = 0.0
-    for i in range(times.size):
-        sup_lqlp = max(sup_lqlp, lqlp_norm(SpectralField(grid, diff[i]), np_))
-    states = [SpectralField(grid, diff[i], real_flag=False) for i in range(times.size)]
-    v2 = v2_variation_norm(SpaceTimeTrace(times, states, window="none"))
-    return sup_lqlp, v2
+    states = [SpectralField(grid, d, real_flag=False) for d in diff]
+    return (float(np.max(lqlp_norms(diff, grid, np_))),
+            v2_variation_norm(SpaceTimeTrace(times, states, window="none")))
 
 
 def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,

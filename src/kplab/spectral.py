@@ -140,11 +140,12 @@ def dyadic_exponent(x):
 
 def sector_key(xi, s1, s2):
     """Sector (j, m1, m2) of x-frequency xi != 0 and slope (s1, s2), elementwise:
-    2^j <= |xi| < 2^(j+1) and s - 2^j m in 2^j [-1/2, 1/2)^2."""
+    2^j <= |xi| < 2^(j+1) and s / 2^j - m in [-1/2, 1/2)^2, tested exactly: the
+    rounded floor(s / 2^j + 1/2) can be one too high at a lower box edge."""
     j = dyadic_exponent(np.abs(xi))
-    lam = np.exp2(j.astype(float))
-    return (j, np.floor(s1 / lam + 0.5).astype(np.int64),
-            np.floor(s2 / lam + 0.5).astype(np.int64))
+    t = [s / np.exp2(j.astype(float)) for s in (s1, s2)]   # exact: a power of two
+    m = [np.floor(x + 0.5) for x in t]
+    return (j, *(np.where(x < k - 0.5, k - 1, k).astype(np.int64) for x, k in zip(t, m)))
 
 
 def _read_only(a):
@@ -237,9 +238,10 @@ class SpectralField:
         if np.any(c[~geo.structural] != 0):
             raise ConfigurationError("Nyquist-plane content present")
         if self.real_flag:
-            mirror = np.conj(c[geo.reverse])
             scale = np.max(np.abs(c)) or 1.0
-            if np.max(np.abs(c - mirror)) > hermitian_tol * scale:
+            defect = c[geo.reverse]   # c - conj(mirror), in one complex temporary
+            np.subtract(c, np.conjugate(defect, out=defect), out=defect)
+            if np.max(np.abs(defect)) > hermitian_tol * scale:
                 raise ConfigurationError("Hermitian symmetry violated for real field")
 
     def l2_norm(self) -> float:

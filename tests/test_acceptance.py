@@ -17,7 +17,8 @@ import pytest
 from kplab.data import (gaussian_datum, member_rng, random_band_field,
                         scattering_datum)
 from kplab.decomposition import (NormParams, SpaceTimeTrace, lqlp_norm,
-                                 v2_variation_bruteforce, v2_variation_norm)
+                                 lqlp_norms, v2_variation_bruteforce,
+                                 v2_variation_norm)
 from kplab.estimates import (bilinear_mu_sweep,
                              circle_measure_closed_form,
                              circle_measure_integral, phase_difference_roots,
@@ -33,8 +34,8 @@ from kplab.solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
                           picard_iterate, slope_filtered_product,
                           spectral_product, slope_band_extent)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            galilean_boost, galilean_shift, scaling_transform,
-                            trilinear_pairing)
+                            galilean_boost, galilean_shift, grid_geometry,
+                            scaling_transform, trilinear_pairing)
 
 
 def _line(num, name, ok, detail):
@@ -265,12 +266,13 @@ def test_criterion_09_bilinear_projection_machinery():
             c = trilinear_pairing(w, slope_filtered_product(u, v, L))
             worst = max(worst, abs(a - b), abs(a - c))
     dt = time.time() - t0
-    ok = part <= 1e-12 and worst <= 1e-10
+    ok = part <= 1e-12 and worst <= 1e-10 and dt < 8.0
     _line(9, "slope-projection machinery", ok,
           f"partition defect {part:.2e} (tol 1e-12); trilinear symmetry gap "
-          f"{worst:.2e} (tol 1e-10); {dt:.1f}s")
+          f"{worst:.2e} (tol 1e-10); {dt:.1f}s (cap 8s)")
     assert part <= 1e-12
     assert worst <= 1e-10
+    assert dt < 8.0
 
 
 def test_criterion_10_picard_contraction():
@@ -280,6 +282,7 @@ def test_criterion_10_picard_contraction():
     base = gaussian_datum(grid, amplitude=1.0, center_xi=1.0,
                           width_xi=0.4, width_eta=0.4)
     base_norm = lqlp_norm(base, npar)
+    omega = grid_geometry(grid).omega
     cfg = SimConfig(grid, dt=1 / 64, T=1.0, samples_per_unit=64)
 
     quad_ratios = []
@@ -290,12 +293,8 @@ def test_criterion_10_picard_contraction():
         tr, rep = picard_iterate(u0, cfg, n_max=8, tol=1e-14)
         ratios_ok &= all(r <= 0.5 for r in rep.ratios)
         # X-surrogate size of the nonlinear part u = w - S(t) u0
-        sup_l = 0.0
-        for i, t in enumerate(tr.times):
-            lin = apply_linear_propagator(u0, t)
-            diff = SpectralField(grid, tr.states[i].coeff - lin.coeff,
-                                 real_flag=False)
-            sup_l = max(sup_l, lqlp_norm(diff, npar))
+        lin = u0.coeff * np.exp(1j * tr.times[:, None, None, None] * omega)
+        sup_l = float(np.max(lqlp_norms(tr.stack() - lin, grid, npar)))
         quad_ratios.append(sup_l / eps ** 2)
         if eps == 1e-3:
             tr_e = evolve(u0, SimConfig(grid, dt=1 / 256, T=1.0,
@@ -305,14 +304,15 @@ def test_criterion_10_picard_contraction():
     spread = max(quad_ratios) / min(quad_ratios)
     dt = time.time() - t0
     # the amplitudes span x4, so a part linear in eps would give spread 4
-    ok = ratios_ok and gap <= 1e-8 and spread <= 2.0
+    ok = ratios_ok and gap <= 1e-8 and spread <= 2.0 and dt < 6.0
     _line(10, "Picard contraction", ok,
           f"ratios <= 1/2: {ratios_ok}; limit-vs-stepper gap {gap:.2e} "
           f"(tol 1e-8); quadratic-smallness spread x{spread:.2f} (cap x2); "
-          f"{dt:.0f}s")
+          f"{dt:.1f}s (cap 6s)")
     assert ratios_ok
     assert gap <= 1e-8
     assert spread <= 2.0
+    assert dt < 6.0
 
 
 def test_criterion_11_scattering():
@@ -350,29 +350,33 @@ def test_criterion_12_illposedness_growth():
         worst_gap = max(worst_gap, float(np.max(rep.gaps)))
     dt = time.time() - t0
     ok = (abs(results[3.0] - 1.0) <= 0.3 and abs(results[4.0] - 1.5) <= 0.3
-          and results[2.0] <= 0.3 and worst_gap <= 0.02 and dt < 600.0)
+          and results[2.0] <= 0.3 and worst_gap <= 0.02 and dt < 15.0)
     _line(12, "ill-posedness growth", ok,
           f"slopes p=3: {results[3.0]:.3f} (1.0+-0.3), p=4: {results[4.0]:.3f} "
           f"(1.5+-0.3), p=2: {results[2.0]:.3f} (<=0.3); route gap "
-          f"{worst_gap:.2%} (tol 2%); {dt:.0f}s (cap 600s)")
+          f"{worst_gap:.2%} (tol 2%); {dt:.1f}s (cap 15s)")
     assert abs(results[3.0] - 1.0) <= 0.3
     assert abs(results[4.0] - 1.5) <= 0.3
     assert results[2.0] <= 0.3
     assert worst_gap <= 0.02
-    assert dt < 600.0
+    assert dt < 15.0
 
 
 def test_criterion_13_resonance_size_on_interaction_set():
+    t0 = time.time()
     lo, hi = math.inf, 0.0
     for lam in (8.0, 16.0, 32.0, 64.0):
         ip = IllposedParams(lam ** -2, lam, 3.0)
         R, scale = sample_interaction_set(ip, 100000, seed=113)
         ratios = np.abs(R) / scale
         lo, hi = min(lo, ratios.min()), max(hi, ratios.max())
-    ok = lo >= 1 / 64 and hi <= 64
+    dt = time.time() - t0
+    ok = lo >= 1 / 64 and hi <= 64 and dt < 0.25
     _line(13, "|R| ~ lam^2 mu", ok,
-          f"sampled |R|/(lam^2 mu) in [{lo:.3f}, {hi:.3f}] (band [1/64, 64])")
+          f"sampled |R|/(lam^2 mu) in [{lo:.3f}, {hi:.3f}] (band [1/64, 64]); "
+          f"{dt:.2f}s (cap 0.25s)")
     assert lo >= 1 / 64 and hi <= 64
+    assert dt < 0.25
 
 
 def test_criterion_14_function_spaces():
@@ -391,16 +395,17 @@ def test_criterion_14_function_spaces():
     dichotomy_ok = dich1.divergent and not dich2.divergent and not dichd.divergent
     dt = time.time() - t0
     ok = (abs(tab2.low_slope - 0.5) <= 0.1 and norms_ok and growth >= 4.0
-          and dichotomy_ok and abs(dich2.sum_slope - 0.5) <= 0.1)
+          and dichotomy_ok and abs(dich2.sum_slope - 0.5) <= 0.1 and dt < 4.0)
     _line(14, "function spaces", ok,
           f"smooth-decay low-shell slope (p=2) {tab2.low_slope:.3f} (0.5+-0.1); "
           f"comb norms in [{comb.norms.min():.2f}, {comb.norms.max():.2f}] "
           f"(band [1/4, 4]), pairing growth x{growth:.2f} (need >= 4); "
           f"dichotomy p=1 divergent/p=2 bounded/deriv bounded: {dichotomy_ok}; "
-          f"{dt:.1f}s")
+          f"{dt:.1f}s (cap 4s)")
     assert abs(tab2.low_slope - 0.5) <= 0.1
     assert norms_ok and growth >= 4.0
     assert dichotomy_ok
+    assert dt < 4.0
 
 
 @pytest.mark.xfail(strict=True,

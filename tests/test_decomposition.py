@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kplab.data import (gaussian_datum, random_band_field,
                         sector_indicator_datum)
 from kplab.decomposition import (NormParams, SectorIndex, SpaceTimeTrace,
-                                 dyadic_projection, lqlp_norm,
-                                 lqlp_norm_from_masses, modulation_projection,
+                                 _lqlp_reduce, dyadic_projection, lqlp_norm,
+                                 lqlp_norms, modulation_projection,
                                  modulation_weighted_norm, sector_masses,
                                  sector_projection, shell_scale,
                                  u1_variation_norm, v2_variation_bruteforce,
@@ -117,9 +117,10 @@ def test_lqlp_nesting_property(seed, p, q):
        st.integers(0, 2 ** 31 - 1),
        st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
        st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]))
+@example(4, 4, 6, 0.3, 1.0, 1.5, 0, 1.0, 1.0)   # eta2/xi stored 1 ulp below a box edge
 def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
     # sector_masses must equal the explicit sector projections key for key,
-    # sum to the squared L^2 norm, and feed lqlp_norm's one reduction
+    # sum to the squared L^2 norm, and feed lqlp_norm's one array reduction
     grid = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
                     2 * np.pi * l2)
     u = random_band_field(grid, np.random.default_rng(seed), 0.0, grid.xi_max())
@@ -128,7 +129,38 @@ def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
         proj = sector_projection(u, SectorIndex(2.0 ** j, (k1, k2)))
         assert proj.l2_norm() ** 2 == pytest.approx(m, rel=1e-12)
     assert sum(masses.values()) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
-    assert lqlp_norm(u, NormParams(q=q, p=p)) == lqlp_norm_from_masses(masses, q, p)
+    shells = np.array([j for (j, _, _) in masses])
+    norms = np.sqrt(list(masses.values()))
+    assert lqlp_norm(u, NormParams(q=q, p=p)) == _lqlp_reduce(shells, norms, q, p)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 12), st.integers(4, 12),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.integers(0, 2 ** 31 - 1),
+       st.lists(st.sampled_from(["zero", "low", "high", "full"]), min_size=1, max_size=5),
+       st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+       st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]))
+def test_lqlp_norms_rows_match_lqlp_norm(hx, h1, h2, lx, l1, l2, seed, rows, q, p):
+    # rows are zero, or supported on the disjoint x-bands "low" and "high",
+    # or on both, so the union support is wider than most rows' own
+    grid = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                    2 * np.pi * l2)
+    rng = np.random.default_rng(seed)
+    top = grid.xi_max()
+    bands = {"low": (0.0, top / 2), "high": (top / 2, top), "full": (0.0, top)}
+    stack = np.array([np.zeros(grid.shape, complex) if row == "zero"
+                      else random_band_field(grid, rng, *bands[row]).coeff for row in rows])
+    npar = NormParams(q=q, p=p)
+    got = lqlp_norms(stack, grid, npar)
+    assert got.shape == (len(rows),)
+    for coeff, val in zip(stack, got):
+        one = lqlp_norm(SpectralField(grid, coeff, real_flag=False), npar)
+        assert val == pytest.approx(one, rel=1e-14, abs=0.0)
+    assert np.array_equal(lqlp_norms(np.zeros_like(stack), grid, npar), np.zeros(len(rows)))
+    stack[-1, 0, 1, 0] = 1.0
+    with pytest.raises(DomainError):
+        lqlp_norms(stack, grid, npar)
 
 
 def test_sector_masses_reject_xi_zero_content(grid_small):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kplab.data import gaussian_datum, random_band_field
 from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm
@@ -13,7 +15,8 @@ from kplab.solver import (MultiplierProfile, SimConfig, duhamel_integral,
                           slope_band_extent, slope_filtered_product,
                           spectral_product)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            dispersion_symbol, trilinear_pairing, zero_field)
+                            dispersion_symbol, galilean_lattice, galilean_shift,
+                            scaling_transform, trilinear_pairing, zero_field)
 
 
 # ----------------------------------------------------------------------
@@ -42,6 +45,37 @@ def test_nonlinearity_matches_direct_convolution(grid_small, rng):
     a = nonlinearity(u)
     b = nonlinearity_direct(u)
     assert np.max(np.abs(a.coeff - b.coeff)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(-1, 1), st.integers(-1, 1),
+       st.floats(0.5, 4.0), st.floats(0.5, 4.0))
+def test_nonlinearity_galilean_covariance(seed, m1, m2, lx, ly):
+    # |kx|, |ky| <= 2 and a shear of at most one y-mode per x-mode keep u,
+    # u^2 and both their shears inside the 2/3 mask (|k| <= 8 on 24^3), so
+    # N(shift u) = shift N(u) holds up to FFT rounding
+    grid = GridSpec(24, 24, 24, 2 * np.pi * lx, 2 * np.pi * ly, 2 * np.pi * ly)
+    u = random_band_field(grid, np.random.default_rng(seed), 0.0, 2 * grid.dxi,
+                          eta_max=2 * grid.deta1)
+    b1, b2 = galilean_lattice(grid)
+    c = (m1 * b1, m2 * b2)
+    a = nonlinearity(galilean_shift(u, c)).coeff
+    b = galilean_shift(nonlinearity(u), c).coeff
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+def test_nonlinearity_scaling_covariance(seed, lam):
+    # u_lam = lam^2 u(lam x, lam^2 y) gives N(u_lam) = lam^3 (N u)_lam, the
+    # lam^3 of the KP-II time rescaling t -> lam^3 t; exact, since lam is a
+    # power of two
+    grid = GridSpec(16, 16, 16, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    u = random_band_field(grid, np.random.default_rng(seed), 0.0, 5.0, eta_max=5.0)
+    a = nonlinearity(scaling_transform(u, lam))
+    b = scaling_transform(nonlinearity(u), lam)
+    assert a.grid == b.grid
+    assert np.array_equal(a.coeff, lam ** 3 * b.coeff)
 
 
 def test_nonlinearity_requires_real(grid_small, rng):
@@ -285,9 +319,18 @@ def test_parallel_slopes_all_in_band_one(tl_grid):
         assert slope_filtered_product(u, v, L).l2_norm() == 0.0
 
 
-def test_band_sum_reassembles_product(tl_grid, rng):
-    u = random_band_field(tl_grid, rng, 0.0, 0.4, eta_max=1.5)
-    v = random_band_field(tl_grid, rng, 0.0, 0.4, eta_max=1.5)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 5), st.integers(2, 7),
+       st.sampled_from([0.5, 1.0, 1.5]))
+def test_band_sum_reassembles_product(tl_grid, seed, lo, width, eta_max):
+    # band edges in whole x-modes (dxi = 1/16): xi in (lo, min(lo + width, 7)] / 16.
+    # At least two x-modes, so xi1 + xi2 = +-1/16 is on the grid: a single
+    # mode at |kx| >= 4 has an exactly zero product, and the relative bound
+    # below would compare FFT rounding noise with 0
+    rng = np.random.default_rng(seed)
+    edges = (lo * tl_grid.dxi, min(lo + width, 7) * tl_grid.dxi)
+    u = random_band_field(tl_grid, rng, *edges, eta_max=eta_max)
+    v = random_band_field(tl_grid, rng, *edges, eta_max=eta_max)
     prof = MultiplierProfile()
     acc = None
     for L in prof.bands_for_extent(slope_band_extent(tl_grid)):
