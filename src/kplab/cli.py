@@ -39,12 +39,6 @@ from .spectral import (GridSpec, SpectralField, read_snapshot, require_number,
                        scaling_transform, trilinear_pairing, write_snapshot)
 
 
-def _threads(args) -> int:
-    if args.threads:
-        return args.threads
-    return int(os.environ.get("KPLAB_THREADS", "1"))
-
-
 def _grid_from(cfgdict) -> GridSpec:
     gd = cfgdict.get("grid", {})
     if not isinstance(gd, dict):
@@ -61,6 +55,13 @@ def _count(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a count >= 1")
+    return value
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
     return value
 
 
@@ -82,7 +83,6 @@ def _int_pair(text):
 
 def _emit(args, name, payload):
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.json")
         write_json(path, payload)
         return path
@@ -190,7 +190,7 @@ def _verify_bilinear(args):
     grid = GridSpec(232, 64, 64, 32 * math.pi, 32 * math.pi, 32 * math.pi)
     mus = [0.25, 0.5, 1.0] if not args.mu_sweep else [0.125, 0.25, 0.5, 1.0]
     rep = bilinear_mu_sweep(mus, args.lam, args.ensemble, T=1.0, grid=grid,
-                            seed=args.seed, threads=_threads(args))
+                            seed=args.seed, threads=args.threads)
     ok = 0.8 <= rep.slope <= 1.2
     return ok, {"mus": list(rep.xs), "values": list(rep.values),
                 "slope": rep.slope, "band": [0.8, 1.2]}
@@ -332,7 +332,6 @@ def cmd_run(args) -> int:
                 "times": list(tr.times), "mass_drift": drift,
                 "mass_tol": 1e-6, "passed": drift <= 1e-6})
             if args.out:
-                os.makedirs(args.out, exist_ok=True)
                 for i, s in enumerate(tr.states):
                     write_snapshot(s, os.path.join(args.out, f"state_{i:04d}.kp3f"))
             _emit(args, "run-sim", payload)
@@ -381,7 +380,6 @@ def cmd_run(args) -> int:
                 "predicted": rep.predicted, "quadrature_gaps": list(rep.gaps),
                 "passed": bool(ok)})
             if args.out:
-                os.makedirs(args.out, exist_ok=True)
                 write_csv(os.path.join(args.out, "growth.csv"),
                           ["lam", "mu", "p", "norm", "fitted_slope"],
                           [(l, m, args.p, n, rep.slope)
@@ -429,7 +427,6 @@ def cmd_norms(args) -> int:
     ]
     payload = {"file": args.file, "records": records}
     if args.out and args.format == "csv":
-        os.makedirs(args.out, exist_ok=True)
         masses = sector_masses(field)
         write_csv(os.path.join(args.out, "sector_masses.csv"),
                   ["lam", "k1", "k2", "mass"],
@@ -446,18 +443,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="kplab", description=__doc__)
     ap.add_argument("--config", default=None, help="JSON config file")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="worker threads (default: KPLAB_THREADS or 1)")
+    ap.add_argument("--out", default=None, help="output directory (created if missing)")
+    ap.add_argument("--threads", type=_count, default=1, help="worker threads")
     ap.add_argument("--format", choices=("csv", "json"), default="json")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     mk = sub.add_parser("make-data", help="generate a datum snapshot")
     mk.add_argument("kind", choices=("gaussian", "sector", "illposed", "random-band"))
     mk.add_argument("--file", default="datum.kp3f")
-    mk.add_argument("--amplitude", type=float, default=1.0)
+    mk.add_argument("--amplitude", type=_finite, default=1.0)
     mk.add_argument("--width", type=_positive, default=1.0)
-    mk.add_argument("--center-xi", dest="center_xi", type=float, default=2.0)
+    mk.add_argument("--center-xi", dest="center_xi", type=_finite, default=2.0)
     mk.add_argument("--lam", type=_positive, default=2.0)
     mk.add_argument("--k", type=_int_pair, default="0,0")
     mk.add_argument("--mu", type=_positive, default=1 / 64)
@@ -473,7 +469,7 @@ def main(argv=None) -> int:
     vf.add_argument("check", choices=_VERIFY_CHECKS)
     vf.add_argument("--samples", type=_count, default=10000)
     vf.add_argument("--configs", type=_count, default=100)
-    vf.add_argument("--lam", type=float, default=4.0)
+    vf.add_argument("--lam", type=_positive, default=4.0)
     vf.add_argument("--ensemble", type=_count, default=4)
     vf.add_argument("--mu-sweep", dest="mu_sweep", action="store_true")
     vf.set_defaults(func=cmd_verify)
@@ -493,6 +489,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except (KplabError, OSError) as ex:   # OSError: a path that cannot be read or written
         print(f"error: {ex}", file=sys.stderr)

@@ -41,40 +41,42 @@ class SectorIndex:
 
 @dataclass(frozen=True)
 class NormParams:
-    """(q, p) for the l^q l^p L^2 norm and b for the modulation weight."""
+    """(q, p) for the l^q l^p L^2 norm."""
 
     q: float = math.inf
     p: float = 1.5
-    b: float = 0.9
 
     def __post_init__(self):
         if not (1.0 <= self.p <= math.inf and 1.0 <= self.q <= math.inf):
             raise ConfigurationError("p, q must lie in [1, inf]")
-        if not (0.5 < self.b <= 1.0):
-            raise ConfigurationError("b must lie in (1/2, 1]")
 
 
 @dataclass
 class SpaceTimeTrace:
-    """Time-sampled trajectory {t_n, u(t_n)} with a taper identifier."""
+    """Time-sampled trajectory {t_n, u(t_n)}: one complex (n, *grid.shape)
+    coefficient stack, one row per sample time, with a taper identifier."""
 
     times: np.ndarray
-    states: list
+    coeff: np.ndarray
+    grid: GridSpec
+    real_flag: bool = True
     window: str = "hann"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.states) != self.times.size:
-            raise ConfigurationError("times/states length mismatch")
+        if self.coeff.shape != (self.times.size, *self.grid.shape):
+            raise ConfigurationError(
+                f"trace stack shape {self.coeff.shape} != "
+                f"{(self.times.size, *self.grid.shape)} (samples, *grid shape)")
         if self.times.size and np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("trace times must be strictly increasing")
-        grids = {s.grid for s in self.states}
-        if len(grids) > 1:
-            raise ConfigurationError("all trace states must share one grid")
 
     @property
-    def grid(self) -> GridSpec:
-        return self.states[0].grid
+    def states(self) -> list:
+        """Read-only SpectralField views of the rows, one per sample."""
+        rows = self.coeff.view()
+        rows.flags.writeable = False
+        return [SpectralField(self.grid, r, self.real_flag) for r in rows]
 
     def is_uniform(self, rtol: float = 1e-9) -> bool:
         if self.times.size < 2:
@@ -85,13 +87,9 @@ class SpaceTimeTrace:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def stack(self) -> np.ndarray:
-        return np.stack([s.coeff for s in self.states])
-
     def l2_spacetime(self) -> float:
         """Discrete space-time L^2 norm (dt measure in time)."""
-        arr = self.stack()
-        return float(np.sqrt(self.dt() * self.grid.volume * np.sum(np.abs(arr) ** 2)))
+        return float(np.sqrt(self.dt() * self.grid.volume * np.sum(np.abs(self.coeff) ** 2)))
 
 
 # ----------------------------------------------------------------------
@@ -114,13 +112,12 @@ def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
 
 
 def sector_projection(u: SpectralField, s: SectorIndex) -> SpectralField:
-    """Keep coefficients in the sector: shell lam, slope box lam*(k+[-1/2,1/2)^2)."""
+    """Keep coefficients in the sector: shell lam, slope box lam*(k+[-1/2,1/2)^2),
+    as labelled by grid_geometry(grid).sector."""
     geo = grid_geometry(u.grid)
-    lam, (k1, k2) = s.lam, s.k
-    shell = (np.abs(geo.xi) >= lam) & (np.abs(geo.xi) < 2 * lam)
-    t1, t2 = geo.s1 / lam, geo.s2 / lam   # exact, so the box test below is exact
-    box = (t1 >= k1 - 0.5) & (t1 < k1 + 0.5) & (t2 >= k2 - 0.5) & (t2 < k2 + 0.5)
-    out = np.where(shell & box, u.coeff, 0.0)
+    j, m1, m2 = geo.sector
+    keep = (j == dyadic_exponent(s.lam)) & (m1 == s.k[0]) & (m2 == s.k[1]) & (geo.xi != 0)
+    out = np.where(keep, u.coeff, 0.0)
     return SpectralField(u.grid, out, u.real_flag)
 
 
@@ -206,7 +203,7 @@ def lqlp_norm(u: SpectralField, np_: NormParams) -> float:
 
 def _window_profile(name: str, n: int, dt: float) -> np.ndarray:
     """Taper samples normalized so that dt * sum(w^2) = 1."""
-    if name in ("hann", "applied-hann"):
+    if name == "hann":
         w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
     elif name == "none":
         w = np.ones(n)
@@ -232,7 +229,7 @@ def _windowed_dft(tr: SpaceTimeTrace):
         raise PreconditionError("modulation analysis needs at least 4 samples")
     dt = tr.dt()
     w = _window_profile(tr.window, n, dt)
-    arr = tr.stack() * w[:, None, None, None]
+    arr = tr.coeff * w[:, None, None, None]
     chat = np.fft.fft(arr, axis=0) / math.sqrt(n)
     tau = 2 * np.pi * np.fft.fftfreq(n, dt)
     return chat, tau, w, dt
@@ -253,18 +250,14 @@ def modulation_projection(tr: SpaceTimeTrace, Lam: float, side: str) -> SpaceTim
     dist = _circular_distance(tau, grid_geometry(tr.grid).omega, dt)
     mask = dist > Lam if side == "above" else dist <= Lam
     filt = np.fft.ifft(chat * mask, axis=0) * math.sqrt(tr.times.size)
-    states = [SpectralField(tr.grid, filt[i], real_flag=False)
-              for i in range(tr.times.size)]
-    return SpaceTimeTrace(tr.times.copy(), states, window="none")
+    return SpaceTimeTrace(tr.times.copy(), filt, tr.grid, real_flag=False, window="none")
 
 
 def windowed_trace(tr: SpaceTimeTrace) -> SpaceTimeTrace:
     """The trace with its taper applied (window marker cleared)."""
-    n = tr.times.size
-    w = _window_profile(tr.window, n, tr.dt())
-    states = [SpectralField(tr.grid, tr.states[i].coeff * w[i], tr.states[i].real_flag)
-              for i in range(n)]
-    return SpaceTimeTrace(tr.times.copy(), states, window="none")
+    w = _window_profile(tr.window, tr.times.size, tr.dt())
+    return SpaceTimeTrace(tr.times.copy(), tr.coeff * w[:, None, None, None], tr.grid,
+                          tr.real_flag, window="none")
 
 
 def modulation_weighted_norm(tr: SpaceTimeTrace, b: float) -> float:
@@ -348,6 +341,5 @@ def u1_variation_norm(tr: SpaceTimeTrace) -> float:
 
 def l1t_l2_norm(tr: SpaceTimeTrace) -> float:
     """Discrete L^1_t L^2_{xy} norm of a trace (dt measure)."""
-    arr = tr.stack()
-    per_t = np.sqrt(tr.grid.volume * np.sum(np.abs(arr) ** 2, axis=(1, 2, 3)))
+    per_t = np.sqrt(tr.grid.volume * np.sum(np.abs(tr.coeff) ** 2, axis=(1, 2, 3)))
     return float(tr.dt() * np.sum(per_t))

@@ -113,8 +113,7 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
     xlo, xhi = box.xi_range
     elo, ehi = box.eta_range
     slo, shi = elo / xhi, ehi / xlo
-    m_lo = math.floor(slo / lam + 0.5)
-    m_hi = math.floor(shi / lam + 0.5)
+    _, m_lo, m_hi = (int(m) for m in sector_key(xlo, slo, shi))
     count = m_hi - m_lo + 1
     xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(64), xlo, xhi)
     if count <= 256:
@@ -334,7 +333,7 @@ class GrowthReport:
     predicted: float
 
 
-def growth_sweep(lams, p: float, **kwargs) -> GrowthReport:
+def growth_sweep(lams, p: float) -> GrowthReport:
     """Fitted log2 slope of ||F3(1)|| against lam with mu = lam^{-2}.
 
     Predicted exponent 3 - 6/p: growth for p > 2, flat at p = 2.
@@ -346,7 +345,7 @@ def growth_sweep(lams, p: float, **kwargs) -> GrowthReport:
     for lam in lams:
         mu = lam ** -2.0
         ip = IllposedParams(mu, lam, p)
-        res = second_picard_cross_term(ip, **kwargs)
+        res = second_picard_cross_term(ip)
         norms.append(cross_term_norm(ip, res))
         gaps.append(res.rel_l2_gap)
         mus.append(mu)

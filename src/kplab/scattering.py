@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import NormParams, SpaceTimeTrace, lqlp_norm
+from .decomposition import NormParams, SpaceTimeTrace, lqlp_norm, pullback_states
 from .errors import PreconditionError, ScatteringNotDetected
 from .spectral import SpectralField, apply_linear_propagator
 
 
 def pullback_trace(tr: SpaceTimeTrace) -> SpaceTimeTrace:
     """v(t_j) = S(-t_j) u(t_j) for each sample."""
-    states = [apply_linear_propagator(s, -t) for t, s in zip(tr.times, tr.states)]
-    return SpaceTimeTrace(tr.times.copy(), states, window=tr.window)
+    return SpaceTimeTrace(tr.times.copy(), pullback_states(tr), tr.grid, tr.real_flag,
+                          tr.window)
 
 
 @dataclass
@@ -61,7 +61,8 @@ def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams | None = None,
     if len(idxs) < 4:
         raise PreconditionError("trace must cover dyadic checkpoints up to T >= 8")
     times = tr.times[idxs]
-    pulls = [apply_linear_propagator(tr.states[i], -tr.times[i]) for i in idxs]
+    states = tr.states
+    pulls = [apply_linear_propagator(states[i], -tr.times[i]) for i in idxs]
     gaps = np.array([
         lqlp_norm(SpectralField(tr.grid, b.coeff - a.coeff, real_flag=False), np_)
         for a, b in zip(pulls, pulls[1:])])

@@ -152,10 +152,10 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     E = np.exp(1j * omega * h)
     E2 = np.exp(1j * omega * h / 2)
 
-    c = np.where(mask, u0.coeff, 0.0) if g.dealias else u0.coeff.copy()
+    c = np.where(mask, u0.coeff, 0.0) if g.dealias else u0.coeff
     norm0 = np.sqrt(np.sum(np.abs(c) ** 2))
-    times = [0.0]
-    states = [SpectralField(g, c.copy(), u0.real_flag)]
+    coeff = np.empty((n_samples + 1,) + g.shape, dtype=np.complex128)
+    coeff[0] = c
 
     def rhs(a):
         if alpha == 0.0:
@@ -177,9 +177,9 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
             nn = np.sqrt(np.sum(np.abs(c) ** 2))
             if not np.isfinite(nn) or (norm0 > 0 and nn > 1e3 * norm0):
                 raise BlowupError(f"step rejected at t={t:.6g} (norm {nn:.3e})", t=t)
-        times.append(js * sample_dt)
-        states.append(SpectralField(g, c.copy(), u0.real_flag))
-    return SpaceTimeTrace(np.asarray(times), states, window="hann")
+        coeff[js] = c
+    return SpaceTimeTrace(np.arange(n_samples + 1) * sample_dt, coeff, g, u0.real_flag,
+                          window="hann")
 
 
 def mass_series(tr: SpaceTimeTrace) -> np.ndarray:
@@ -229,8 +229,7 @@ def duhamel_integral(forcing: SpaceTimeTrace, t: float,
     dt = forcing.dt()
     g = forcing.grid
     omega = grid_geometry(g).omega
-    arr = forcing.stack()[:n]
-    pull = arr * np.exp(-1j * omega[None, ...] * times[:n, None, None, None])
+    pull = forcing.coeff[:n] * np.exp(-1j * omega[None, ...] * times[:n, None, None, None])
 
     w = _composite_weights(n, dt)
     integral = np.tensordot(w, pull, axes=(0, 0))
@@ -247,7 +246,7 @@ def duhamel_integral(forcing: SpaceTimeTrace, t: float,
                 f"Duhamel quadrature error {err:.3e} exceeds tol {tol:.1e}; "
                 f"sample spacing of about {need:.3e} required")
     out = integral * np.exp(1j * omega * t)
-    return SpectralField(g, out, real_flag=forcing.states[0].real_flag)
+    return SpectralField(g, out, real_flag=forcing.real_flag)
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +265,9 @@ def _surrogate_diff_norm(grid: GridSpec, times: np.ndarray, a: np.ndarray,
                          b: np.ndarray, np_: NormParams):
     """sup-in-t lqlp norm plus the 2-variation of the difference trace."""
     diff = a - b
-    states = [SpectralField(grid, d, real_flag=False) for d in diff]
     return (float(np.max(lqlp_norms(diff, grid, np_))),
-            v2_variation_norm(SpaceTimeTrace(times, states, window="none")))
+            v2_variation_norm(SpaceTimeTrace(times, diff, grid, real_flag=False,
+                                             window="none")))
 
 
 def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
@@ -339,8 +338,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         if d <= tol:
             converged = True
             break
-    states = [SpectralField(g, w[i], u0.real_flag) for i in range(n_t)]
-    trace = SpaceTimeTrace(times, states, window="hann")
+    trace = SpaceTimeTrace(times, w, g, u0.real_flag, window="hann")
     return trace, PicardReport(n_done, diffs, ratios, converged)
 
 

@@ -120,6 +120,21 @@ def test_run_sim_writes_trace_artifacts(tmp_path, capsys):
     read_snapshot(os.path.join(out, snaps[0]))   # parses
 
 
+def test_run_scatter_csv_into_new_directory(tmp_path, capsys):
+    cfg = tmp_path / "scatter.json"
+    cfg.write_text(json.dumps({"grid": {
+        "modes_x": 32, "modes_y1": 8, "modes_y2": 8, "length_x": 8 * math.pi,
+        "length_y1": 4 * math.pi, "length_y2": 4 * math.pi}}))
+    out = tmp_path / "new" / "rep"
+    code = main(["--config", str(cfg), "--out", str(out), "--format", "csv",
+                 "run", "scatter"])
+    capsys.readouterr()
+    assert code != 2
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert lines[0] == "t,residual" and len(lines) == 5   # checkpoints 1, 2, 4, 8
+    assert (out / "run-scatter.json").exists()
+
+
 def test_norms_csv_sector_table(tmp_path, capsys):
     f = str(tmp_path / "g.kp3f")
     assert main(["make-data", "sector", "--lam", "2", "--k", "0,0",
@@ -182,6 +197,10 @@ _MALFORMED = {
     "spaces-lab-p-zero": (["--config", "c.json", "run", "spaces-lab"], {"c.json": '{"p": 0}'}),
     "illposed-sweep-p-out-of-range": (["run", "illposed-sweep", "--p", "0.5"], {}),
     "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
+    "threads-not-a-count": (["--threads", "0", "verify", "resonance"], {}),
+    "verify-lam-nan": (["verify", "bilinear", "--lam", "nan"], {}),
+    "make-data-amplitude-nan": (["make-data", "gaussian", "--amplitude", "nan"], {}),
+    "make-data-center-xi-nan": (["make-data", "gaussian", "--center-xi", "nan"], {}),
 }
 
 

@@ -17,7 +17,8 @@ def grid_scatter():
 
 def _linear_trace(u0, times):
     return SpaceTimeTrace(np.asarray(times),
-                          [apply_linear_propagator(u0, t) for t in times])
+                          np.stack([apply_linear_propagator(u0, t).coeff for t in times]),
+                          u0.grid, u0.real_flag)
 
 
 def test_pullback_linear_is_constant(grid_scatter):

@@ -185,8 +185,8 @@ def test_simconfig_requires_dealias_for_nonlinear():
 
 def _const_pullback_trace(grid, gdat, n=33, T=1.0):
     times = np.arange(n) * (T / (n - 1))
-    states = [apply_linear_propagator(gdat, t) for t in times]
-    return SpaceTimeTrace(times, states, window="none")
+    coeff = np.stack([apply_linear_propagator(gdat, t).coeff for t in times])
+    return SpaceTimeTrace(times, coeff, grid, gdat.real_flag, window="none")
 
 
 def test_duhamel_zero(grid_solver):
@@ -212,9 +212,8 @@ def test_duhamel_offset_mode_closed_form(grid_solver):
     delta = 3.0
     n = 257
     times = np.arange(n) / (n - 1)
-    states = [SpectralField(grid_solver, c * np.exp(1j * (w + delta) * t),
-                            real_flag=False) for t in times]
-    tr = SpaceTimeTrace(times, states, window="none")
+    coeff = c * np.exp(1j * (w + delta) * times)[:, None, None, None]
+    tr = SpaceTimeTrace(times, coeff, grid_solver, real_flag=False, window="none")
     out = duhamel_integral(tr, 1.0)
     closed = np.exp(1j * w) * (np.exp(1j * delta) - 1.0) / (1j * delta)
     assert abs(out.coeff[2, 1, 0] - closed) <= 1e-8
@@ -225,9 +224,8 @@ def test_duhamel_insufficient_density_raises(grid_solver):
     c[2, 1, 0] = 1.0
     w = dispersion_symbol(2 * grid_solver.dxi, (grid_solver.deta1, 0.0))
     times = np.arange(33) / 32
-    states = [SpectralField(grid_solver, c * np.exp(1j * (w + 3.0) * t),
-                            real_flag=False) for t in times]
-    tr = SpaceTimeTrace(times, states, window="none")
+    coeff = c * np.exp(1j * (w + 3.0) * times)[:, None, None, None]
+    tr = SpaceTimeTrace(times, coeff, grid_solver, real_flag=False, window="none")
     with pytest.raises(AccuracyError, match="required"):
         duhamel_integral(tr, 1.0)
 
