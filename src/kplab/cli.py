@@ -102,8 +102,8 @@ def cmd_make_data(args) -> int:
     elif args.kind == "sector":
         field = sector_indicator_datum(grid, args.lam, args.k, args.amplitude)
     elif args.kind == "illposed":
-        mu = args.mu
-        lam = args.lam
+        ip = IllposedParams(args.mu, args.lam, args.p, coupling=False)
+        mu, lam = ip.mu, ip.lam
         # dedicated fine-x grid hosting both bumps at resolution mu/4, lam*mu/4
         nx = args.illposed_modes_x
         dxi = mu / 4.0
@@ -114,7 +114,7 @@ def cmd_make_data(args) -> int:
             print(f"error: grid of {nx} x-modes cannot host xi up to {lam + mu}",
                   file=sys.stderr)
             return 2
-        field = two_bump_lattice_datum(grid, mu, lam, args.p)
+        field = two_bump_lattice_datum(grid, ip)
     else:  # random-band
         rng = member_rng(args.seed, 0)
         field = random_band_field(grid, rng, args.band_lo, args.band_hi,
@@ -390,7 +390,7 @@ def cmd_run(args) -> int:
         # spaces-lab
         from .function_spaces import (AnalyticDatum, divergent_sequence_check,
                                       sector_sum_decay, zero_mean_blowup)
-        d = AnalyticDatum(kind="gaussian")
+        d = AnalyticDatum()
         tab = sector_sum_decay(d, cfg.get("p", 2.0))
         dich = zero_mean_blowup(d, cfg.get("p", 2.0))
         comb = divergent_sequence_check(
@@ -455,7 +455,8 @@ def main(argv=None) -> int:
     mk.add_argument("--width", type=_positive, default=1.0)
     mk.add_argument("--center-xi", dest="center_xi", type=_finite, default=2.0)
     mk.add_argument("--lam", type=_positive, default=2.0)
-    mk.add_argument("--k", type=_int_pair, default="0,0")
+    mk.add_argument("--k", type=_int_pair, default="0,0",
+                    help="sector index k1,k2; write a negative k1 as --k=-1,1")
     mk.add_argument("--mu", type=_positive, default=1 / 64)
     mk.add_argument("--p", type=_positive, default=3.0)
     mk.add_argument("--band-lo", dest="band_lo", type=float, default=0.0)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomposition import SectorIndex, sector_projection
+from .decomposition import NormParams, SectorIndex, lqlp_norm, sector_projection
 from .errors import ConfigurationError
+from .illposedness import IllposedParams, two_bump_datum
 from .spectral import GridSpec, SpectralField, grid_geometry, make_field
 
 # counter-based generator so ensembles are order-independent
@@ -21,9 +22,9 @@ def member_rng(run_seed: int, member: int) -> np.random.Generator:
 
 
 def gaussian_datum(grid: GridSpec, amplitude: float = 1.0, scale: float = 1.0,
-                   center_xi: float = 2.0, center_eta=(0.0, 0.0),
-                   width_xi: float = 0.75, width_eta: float = 0.75) -> SpectralField:
-    """Real field with Gaussian coefficient profile around +-(center_xi, center_eta).
+                   center_xi: float = 2.0, width_xi: float = 0.75,
+                   width_eta: float = 0.75) -> SpectralField:
+    """Real field with Gaussian coefficient profile around +-(center_xi, 0, 0).
 
     `scale` applies the exact dilation u -> scale^2 u(scale x, scale^2 y) to
     the base formula, evaluated in closed form on the lattice.
@@ -35,8 +36,7 @@ def gaussian_datum(grid: GridSpec, amplitude: float = 1.0, scale: float = 1.0,
     e1 = grid.eta1_axis()[None, :, None] / h ** 2
     e2 = grid.eta2_axis()[None, None, :] / h ** 2
     prof = (np.exp(-((xi - center_xi) ** 2) / (2 * width_xi ** 2))
-            * np.exp(-((e1 - center_eta[0]) ** 2 + (e2 - center_eta[1]) ** 2)
-                     / (2 * width_eta ** 2)))
+            * np.exp(-(e1 ** 2 + e2 ** 2) / (2 * width_eta ** 2)))
     coeff = (amplitude / h ** 3) * prof
     return make_field(grid, coeff, real_flag=True, hermitize=True)
 
@@ -54,11 +54,10 @@ def sector_indicator_datum(grid: GridSpec, lam: float, k=(0, 0),
 def random_band_field(grid: GridSpec, rng: np.random.Generator,
                       xi_lo: float, xi_hi: float,
                       eta_max: float | None = None,
-                      slope_box=None, norm: float = 1.0) -> SpectralField:
+                      norm: float = 1.0) -> SpectralField:
     """Random real field with coefficients supported in xi_lo < |xi| <= xi_hi.
 
-    Optional eta_max limits |eta_i|; slope_box=(lo1,hi1,lo2,hi2) instead
-    restricts eta/xi componentwise.  Coefficients are complex Gaussian,
+    Optional eta_max limits |eta_i|.  Coefficients are complex Gaussian,
     normalized to the requested L^2 norm.
     """
     geo = grid_geometry(grid)
@@ -67,9 +66,6 @@ def random_band_field(grid: GridSpec, rng: np.random.Generator,
            & np.ones(grid.shape, dtype=bool))
     if eta_max is not None:
         sup &= (np.abs(geo.eta1) <= eta_max) & (np.abs(geo.eta2) <= eta_max)
-    if slope_box is not None:
-        lo1, hi1, lo2, hi2 = slope_box
-        sup &= (geo.s1 >= lo1) & (geo.s1 <= hi1) & (geo.s2 >= lo2) & (geo.s2 <= hi2)
     sup &= xi != 0
     if not sup.any():
         raise ConfigurationError("random band support is empty on this grid")
@@ -90,7 +86,6 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
     pullback increments are dominated by interactions whose phase spread the
     grid resolves; amplitude jitter and the slope center are randomized.
     """
-    from .decomposition import NormParams, lqlp_norm
     npar = norm_params or NormParams()
     geo = grid_geometry(grid)
     xi, s1, s2 = geo.xi, geo.s1, geo.s2
@@ -107,29 +102,21 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
     return SpectralField(grid, f.coeff * (lqlp_target / n), real_flag=True)
 
 
-def two_bump_lattice_datum(grid: GridSpec, mu: float, lam: float,
-                           p: float) -> SpectralField:
-    """Lattice rendition of the two-bump datum: characteristic-function bumps
-
-        amp1 = mu^-3 (lam/mu)^{-2/p}   on  xi in [mu/2, mu],
-        amp2 = mu^{-3/2} lam^{-3/2}    on  xi in [lam + mu/2, lam + mu],
-
-    both with eta in [lam mu / 2, 2 lam mu]^2 (Hermitian mirror added).
-    """
+def two_bump_lattice_datum(grid: GridSpec, ip: IllposedParams) -> SpectralField:
+    """Lattice rendition of the boxes of `two_bump_datum(ip)`: each box's
+    amplitude on the modes inside it (Hermitian mirror added)."""
     xi = grid.xi_axis()[:, None, None]
     e1 = grid.eta1_axis()[None, :, None]
     e2 = grid.eta2_axis()[None, None, :]
-    ebox = (e1 >= lam * mu / 2) & (e1 <= 2 * lam * mu) \
-        & (e2 >= lam * mu / 2) & (e2 <= 2 * lam * mu)
-    box1 = (xi >= mu / 2) & (xi <= mu) & ebox
-    box2 = (xi >= lam + mu / 2) & (xi <= lam + mu) & ebox
-    if not box1.any() or not box2.any():
-        raise ConfigurationError(
-            "two-bump boxes are off the representable frequency window")
-    amp1 = mu ** -3 * (lam / mu) ** (-2.0 / p)
-    amp2 = mu ** -1.5 * lam ** -1.5
+    coeff = np.zeros(grid.shape, dtype=np.complex128)
+    for box in two_bump_datum(ip):
+        (xlo, xhi), (elo, ehi) = box.xi_range, box.eta_range
+        inside = ((xi >= xlo) & (xi <= xhi) & (e1 >= elo) & (e1 <= ehi)
+                  & (e2 >= elo) & (e2 <= ehi))
+        if not inside.any():
+            raise ConfigurationError(
+                "two-bump boxes are off the representable frequency window")
+        coeff += np.where(inside, box.amplitude + 0.0j, 0.0)
     # continuum spectral densities -> series coefficients on this lattice
     cell = grid.dxi * grid.deta1 * grid.deta2 / grid.volume
-    coeff = (np.where(box1, amp1 + 0.0j, 0.0)
-             + np.where(box2, amp2 + 0.0j, 0.0)) * np.sqrt(cell)
-    return make_field(grid, coeff, real_flag=True, hermitize=True)
+    return make_field(grid, coeff * np.sqrt(cell), real_flag=True, hermitize=True)

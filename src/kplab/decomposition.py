@@ -78,11 +78,11 @@ class SpaceTimeTrace:
         rows.flags.writeable = False
         return [SpectralField(self.grid, r, self.real_flag) for r in rows]
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         if self.times.size < 2:
             return True
         dt = np.diff(self.times)
-        return bool(np.max(np.abs(dt - dt[0])) <= rtol * dt[0])
+        return bool(np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0])
 
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])

@@ -154,14 +154,14 @@ def circle_measure_closed_form(c: MeasureConfig) -> float:
     return math.pi * abs(c.xi - c.xi1) * abs(c.xi - c.xi2) / abs(c.xi2 - c.xi1)
 
 
-def circle_measure_integral(c: MeasureConfig, n_theta: int = 4096,
-                            richardson: bool = True):
+def circle_measure_integral(c: MeasureConfig):
     """Coarea quadrature of the delta measure over the level circle.
 
     The level-set function is treated as a black box: the radius is located
     by bisection along rays from the completed-square center and the coarea
-    weight 1/|grad g| uses central finite differences.  Returns
-    (value, LevelCircle); degenerate level sets return value 0.
+    weight 1/|grad g| uses central finite differences.  4096 rays, refined
+    once to 8192 when the two disagree.  Returns (value, LevelCircle);
+    degenerate level sets return value 0.
     """
     geo = circle_level_set(c)
     if geo.degenerate:
@@ -198,11 +198,10 @@ def circle_measure_integral(c: MeasureConfig, n_theta: int = 4096,
         arc = np.hypot(np.diff(np.append(h1, h1[0])), np.diff(np.append(h2, h2[0])))
         return float(np.sum(arc / grad))
 
-    val = quad(n_theta)
-    if richardson:
-        val2 = quad(2 * n_theta)
-        if abs(val2 - val) > 1e-8 * max(abs(val), 1e-30):
-            val = val2
+    val = quad(4096)
+    val2 = quad(8192)
+    if abs(val2 - val) > 1e-8 * max(abs(val), 1e-30):
+        val = val2
     return val, geo
 
 
@@ -255,8 +254,7 @@ def _g_rho(xi, xi1, xi2, deta, rho, tau):
 
 
 def phase_difference_roots(xi1: float, xi2: float, deta, rho, tau: float,
-                           interval=(-64.0, 64.0),
-                           pole_clearance: float = 1e-6) -> SectionRootReport:
+                           interval=(-64.0, 64.0)) -> SectionRootReport:
     """All real roots of the fixed-slope phase section g_rho(xi) = tau on the
     interval (at most 4), with a two-sided evaluation of the derivative
     identity |g'| = |3(xi-xi1)^2 - 3(xi-xi2)^2 + |slope difference|^2| at
@@ -283,7 +281,7 @@ def phase_difference_roots(xi1: float, xi2: float, deta, rho, tau: float,
     real = roots[np.abs(roots.imag) < 1e-8 * np.maximum(1.0, np.abs(roots.real))].real
     lo, hi = interval
     real = real[(real >= lo) & (real <= hi)]
-    real = real[np.abs(real - xi1) > pole_clearance]
+    real = real[np.abs(real - xi1) > 1e-6]   # clear of the pole
     real = np.unique(np.round(real, 10))
     # confirm against the section itself; reject spurious cleared-denominator roots
     keep = []
@@ -324,12 +322,12 @@ def _g_rho_prime_slope_form(xi, xi1, xi2, deta, rho):
 
 
 def section_roots_by_scan(xi1, xi2, deta, rho, tau, interval=(-64.0, 64.0),
-                          n_scan: int = 200000, pole_clearance: float = 1e-4):
+                          n_scan: int = 200000):
     """Independent bracketing-scan oracle for the section roots."""
     deta = np.asarray(deta, dtype=float)
     rho = np.asarray(rho, dtype=float)
     xs = np.linspace(interval[0], interval[1], n_scan)
-    xs = xs[np.abs(xs - xi1) > pole_clearance]
+    xs = xs[np.abs(xs - xi1) > 1e-4]   # clear of the pole
     vals = _g_rho(xs, xi1, xi2, deta, rho, tau)
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -476,23 +474,22 @@ def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
     return _product_ratio(u0, v0, ts, lambda vals: np.trapezoid(vals, ts))
 
 
-def coherent_low_cap(grid, mu: float, slope_center, slope_width: float = 0.75,
+def coherent_low_cap(grid, mu: float, slope_center,
                      phase: complex = 1.0) -> SpectralField:
     """Smooth constant-phase cap supported in 0 < xi <= mu with slopes in a
-    fixed box: the sector-respecting family that saturates the low-frequency
-    gain (transverse extent scales with mu automatically)."""
+    fixed box of width 0.75: the sector-respecting family that saturates the
+    low-frequency gain (transverse extent scales with mu automatically)."""
     geo = grid_geometry(grid)
     xi = geo.xi
     prof = (np.exp(-((xi - 0.6 * mu) ** 2) / (2 * (0.22 * mu) ** 2))
             * np.exp(-((geo.s1 - slope_center[0]) ** 2 + (geo.s2 - slope_center[1]) ** 2)
-                     / (2 * (slope_width / 2) ** 2)))
+                     / (2 * (0.75 / 2) ** 2)))
     prof = np.where((xi > 0) & (xi <= mu), prof, 0.0)
     return make_field(grid, prof * phase, real_flag=True, hermitize=True)
 
 
 def coherent_high_cap(grid, lam: float, width: float, eta_center,
-                      eta_halfwidth: float = 1.0,
-                      phase: complex = 1.0) -> SpectralField:
+                      eta_halfwidth: float = 1.0) -> SpectralField:
     """Smooth constant-phase cap supported in lam < xi <= lam + width."""
     geo = grid_geometry(grid)
     xi = geo.xi
@@ -501,12 +498,11 @@ def coherent_high_cap(grid, lam: float, width: float, eta_center,
                      / (2 * (eta_halfwidth / 2) ** 2)))
     prof = np.where((xi > lam) & (xi <= lam + width)
                     & np.ones(grid.shape, bool), prof, 0.0)
-    return make_field(grid, prof * phase, real_flag=True, hermitize=True)
+    return make_field(grid, prof, real_flag=True, hermitize=True)
 
 
 def bilinear_mu_sweep(mus, lam: float, ensemble_size: int, T: float,
-                      grid, seed: int = 0, n_time: int = 17,
-                      threads: int = 1) -> SlopeReport:
+                      grid, seed: int = 0, threads: int = 1) -> SlopeReport:
     """Fitted log2-log2 slope of the low-frequency gain: expected near 1.
 
     The ensemble draws randomized coherent caps (random slope/transverse
@@ -530,7 +526,7 @@ def bilinear_mu_sweep(mus, lam: float, ensemble_size: int, T: float,
         ph = np.exp(1j * rng.uniform(0, 2 * np.pi))
         u0 = coherent_low_cap(grid, mus[im], cs, phase=ph)
         v0 = coherent_high_cap(grid, lam, 2.0, ec)
-        return im, m, bilinear_lowhigh_ratio_transient(u0, v0, T, n_time)
+        return im, m, bilinear_lowhigh_ratio_transient(u0, v0, T)
 
     jobs = [(im, m) for im in range(len(mus)) for m in range(ensemble_size)]
     if threads > 1:
@@ -558,40 +554,31 @@ class SparseWave:
     eta1: np.ndarray
     eta2: np.ndarray
     coeff: np.ndarray
-    volume: float = 1.0  # formal box volume for norms
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self.volume * np.sum(np.abs(self.coeff) ** 2)))
+        return float(np.sqrt(np.sum(np.abs(self.coeff) ** 2)))
 
     def omega(self) -> np.ndarray:
         return dispersion_symbol(self.xi, (self.eta1, self.eta2))
 
 
 def random_sector_wave(rng, mu: float, gamma_center, gamma_side: float,
-                       n_modes: int, slope_quantum: float) -> SparseWave:
-    """Random modes with mu/2 < xi <= mu and slopes in mu * Gamma-box.
-
-    Slopes are drawn on a quantized lattice (mimicking an eta lattice) so
-    repeated draws can collide, then jittered by the xi draw.
-    """
+                       n_modes: int) -> SparseWave:
+    """Random modes with mu/2 < xi <= mu and slopes in mu * Gamma-box."""
     xi = mu * rng.uniform(0.5, 1.0, n_modes)
     half = gamma_side / 2.0
     s1 = mu * (gamma_center[0] + rng.uniform(-half, half, n_modes))
     s2 = mu * (gamma_center[1] + rng.uniform(-half, half, n_modes))
-    if slope_quantum > 0:
-        s1 = np.round(s1 / slope_quantum) * slope_quantum
-        s2 = np.round(s2 / slope_quantum) * slope_quantum
     z = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
     return SparseWave(xi, s1 * xi, s2 * xi, z)
 
 
-def weighted_pair_norm(u: SparseWave, v: SparseWave, lam: float, T: float,
-                       n_time: int = 16) -> float:
+def weighted_pair_norm(u: SparseWave, v: SparseWave, lam: float, T: float) -> float:
     """L^2_t l^2_out norm of the weighted convolution
 
         sum_pairs (lam + |s1 - s2|) u-hat v-hat e^{i t (w1 + w2)}
 
-    computed by direct frequency-pair quadrature with midpoint time samples.
+    computed by direct frequency-pair quadrature with 16 midpoint time samples.
     """
     wu, wv = u.omega(), v.omega()
     # group output by the pair sums; accumulate weighted amplitudes per time
@@ -606,6 +593,7 @@ def weighted_pair_norm(u: SparseWave, v: SparseWave, lam: float, T: float,
     keys = np.stack([np.round(tx, 9), np.round(t1, 9), np.round(t2, 9)], axis=1)
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
     nout = int(inverse.max()) + 1
+    n_time = 16
     dt = T / n_time
     total = 0.0
     for i in range(n_time):
@@ -637,28 +625,26 @@ def check_sector_hypotheses(mu: float, lam: float, gamma_center,
 
 
 def sector_gamma_sweep(sides, mu: float, lam: float, ensemble_size: int,
-                       T: float, seed: int = 0, n_modes_u: int = 384,
-                       n_modes_v: int = 160, slope_quantum: float = 0.0,
-                       gamma_center=(0.0, 0.0)) -> SlopeReport:
+                       T: float, seed: int = 0) -> SlopeReport:
     """|Gamma|-sweep of the weighted product norm; expected slope 1/2.
 
-    Each sweep point draws u supported in slopes mu*Gamma (Gamma a centered
-    square of the given side) and a fixed-band high-frequency v; the report
-    fits log2 ||weighted conv|| / (||u0|| ||v0||) against log2 |Gamma|.
+    Each sweep point draws u (384 modes) supported in slopes mu*Gamma (Gamma
+    a centered square of the given side) and a fixed-band high-frequency v
+    (160 modes); the report fits log2 ||weighted conv|| / (||u0|| ||v0||)
+    against log2 |Gamma|.
     """
     sides = sorted(sides)
     for side in sides:
         # the drawn high-frequency waves carry no modulation exclusion
-        check_sector_hypotheses(mu, lam, gamma_center, side, 0.0)
+        check_sector_hypotheses(mu, lam, (0.0, 0.0), side, 0.0)
     areas = np.array([s * s for s in sides], dtype=float)
     per_seed = np.zeros((len(sides), ensemble_size))
     for i, side in enumerate(sides):
         for m in range(ensemble_size):
             rng = member_rng(seed, i * ensemble_size + m)
-            u = random_sector_wave(rng, mu, gamma_center, side, n_modes_u,
-                                   slope_quantum)
-            v = random_sector_wave(rng, 2 * lam, (0.0, 0.0), 0.25, n_modes_v,
-                                   slope_quantum)  # xi in (lam, 2 lam]
+            u = random_sector_wave(rng, mu, (0.0, 0.0), side, 384)
+            # xi in (lam, 2 lam]
+            v = random_sector_wave(rng, 2 * lam, (0.0, 0.0), 0.25, 160)
             val = weighted_pair_norm(u, v, lam, T)
             per_seed[i, m] = val / (u.l2_norm() * v.l2_norm())
     means = per_seed.mean(axis=1)

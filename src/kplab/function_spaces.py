@@ -34,21 +34,15 @@ from .reporting import fit_loglog_slope
 
 @dataclass(frozen=True)
 class AnalyticDatum:
-    """Closed-form spectral datum for the lattice-free experiments.
+    """Closed-form spectral datum for the lattice-free experiments, the unit
+    Gaussian or its x-derivative:
 
-    kind "gaussian": coeff(xi, eta) = (i xi)^deriv_x *
-        exp(-(xi-cx)^2/(2 wx^2)) * exp(-|eta|^2/(2 we^2))
+        coeff(xi, eta) = (i xi)^deriv_x * exp(-xi^2/2) * exp(-|eta|^2/2)
     """
 
-    kind: str = "gaussian"
-    center_xi: float = 0.0
-    width_xi: float = 1.0
-    width_eta: float = 1.0
     deriv_x: int = 0
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ConfigurationError(f"unknown datum kind {self.kind!r}")
         if self.deriv_x not in (0, 1):
             raise ConfigurationError("deriv_x must be 0 or 1")
 
@@ -58,42 +52,41 @@ class AnalyticDatum:
 # ----------------------------------------------------------------------
 
 def _xi_weight(d: AnalyticDatum, xi: np.ndarray) -> np.ndarray:
-    w = np.exp(-((xi - d.center_xi) ** 2) / d.width_xi ** 2)
-    w = w + np.exp(-((xi + d.center_xi) ** 2) / d.width_xi ** 2)  # even datum
+    w = 2.0 * np.exp(-xi ** 2)   # both signs of xi
     if d.deriv_x:
         w = w * xi ** 2
     return w
 
 
-def _eta_window(we: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """integral of exp(-eta^2/we^2) over [lo, hi]."""
-    return (math.sqrt(math.pi) * we / 2.0) * (erf(hi / we) - erf(lo / we))
+def _eta_window(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """integral of exp(-eta^2) over [lo, hi]."""
+    return (math.sqrt(math.pi) / 2.0) * (erf(hi) - erf(lo))
 
 
 def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
                         enumeration_limit: int = 300) -> float:
     """(sum over sectors of mass^{p/2})^{1/p} at shell lam.
 
-    Slopes reach ~6 width_eta / lam, i.e. sector indices up to
-    ~6 width_eta / lam^2 per dim; beyond the enumeration limit the lattice
-    sum is replaced by the slope integral (radial, one-dimensional).
+    Slopes reach ~6 / lam, i.e. sector indices up to ~6 / lam^2 per dim;
+    beyond the enumeration limit the lattice sum is replaced by the slope
+    integral (radial, one-dimensional).
     """
-    m_max = int(math.ceil(6.0 * d.width_eta / lam ** 2)) + 1
+    m_max = int(math.ceil(6.0 / lam ** 2)) + 1
     xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(48), lam, 2.0 * lam)
     base = 2.0 * wxi * _xi_weight(d, xi)
     if m_max <= enumeration_limit:
         ms = np.arange(-m_max, m_max + 1)
-        G = _eta_window(d.width_eta, np.outer(xi * lam, ms - 0.5),
+        G = _eta_window(np.outer(xi * lam, ms - 0.5),
                         np.outer(xi * lam, ms + 0.5))       # (n_xi, n_m)
         M = (G * base[:, None]).T @ G                       # (n_m, n_m) masses
         return _lp_reduce(np.sqrt(np.maximum(M, 0.0)), p)
     # slope-integral route: v = slope/lam, radial
     def mass_at(v1, v2):
-        a1 = _eta_window(d.width_eta, xi * lam * (v1 - 0.5), xi * lam * (v1 + 0.5))
-        a2 = _eta_window(d.width_eta, xi * lam * (v2 - 0.5), xi * lam * (v2 + 0.5))
+        a1 = _eta_window(xi * lam * (v1 - 0.5), xi * lam * (v1 + 0.5))
+        a2 = _eta_window(xi * lam * (v2 - 0.5), xi * lam * (v2 + 0.5))
         return np.sum(base * a1 * a2)
 
-    vmax = 8.0 * d.width_eta / lam ** 2
+    vmax = 8.0 / lam ** 2
     n_v = 160
     v, wv = _gl_nodes(np.polynomial.legendre.leggauss(n_v), 0.0, vmax)  # radial half-line
     # radial reduction: integrate mass(v,0)^{p/2}-profile over the plane.
@@ -114,7 +107,7 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
 def gaussian_total_mass(d: AnalyticDatum, lam: float) -> float:
     """||f_lam||_2^2: the shell mass without sector splitting."""
     xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(64), lam, 2.0 * lam)
-    eta_total = (math.sqrt(math.pi) * d.width_eta) ** 2
+    eta_total = math.sqrt(math.pi) ** 2
     return float(2.0 * np.sum(wxi * _xi_weight(d, xi)) * eta_total)
 
 
@@ -158,15 +151,15 @@ class DichotomyReport:
     divergent: bool                # partial values blow up as lam -> 0
 
 
-def zero_mean_blowup(d: AnalyticDatum, p: float, lam_lo: float = 2.0 ** -7,
-                     lam_hi: float = 2.0 ** -1) -> DichotomyReport:
-    """Partial values lam^{1/2} (sum_k mass^{p/2})^{1/p} as lam -> 0.
+def zero_mean_blowup(d: AnalyticDatum, p: float) -> DichotomyReport:
+    """Partial values lam^{1/2} (sum_k mass^{p/2})^{1/p} as lam -> 0, on the
+    shells 2^-7 .. 2^-1.
 
     A negative fitted partial slope certifies divergence (possible only for
     p < 4/3 when the x-mean is nonzero); x-mean-zero derivative data stay
     bounded.
     """
-    table = sector_sum_decay(d, p, lam_lo, lam_hi)
+    table = sector_sum_decay(d, p, 2.0 ** -7, 2.0 ** -1)
     partial = np.sqrt(table.lams) * table.values
     pslope = fit_loglog_slope(table.lams[:4], partial[:4])
     return DichotomyReport(table.lams, partial, table.low_slope, pslope,
@@ -241,8 +234,7 @@ class CombReport:
     predicted_exponent: float
 
 
-def divergent_sequence_check(mu_list, p: float,
-                             lam_floor: float = 2.0 ** -80) -> CombReport:
+def divergent_sequence_check(mu_list, p: float) -> CombReport:
     """Norms stay in a fixed band while the low-pass pairing grows like
     |ln mu|^{1 - 1/p} (flat at p = 1, the embedding endpoint)."""
     if p < 1.0:
@@ -250,7 +242,7 @@ def divergent_sequence_check(mu_list, p: float,
     mus = np.asarray(sorted(mu_list, reverse=True), dtype=float)
     norms, pairings = [], []
     for mu in mus:
-        norms.append(comb_norm(mu, p, lam_floor))
+        norms.append(comb_norm(mu, p))
         pairings.append(abs(math.log(mu)) ** (-1.0 / p) * comb_pairing(mu))
     logs = np.abs(np.log(mus))
     if p == 1.0:

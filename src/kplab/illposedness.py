@@ -96,7 +96,7 @@ def _shell_of_box(box: FrequencyBox) -> int:
     return j
 
 
-def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
+def _box_sector_lp(box: FrequencyBox, p: float) -> float:
     """(sum over sectors of mass^{p/2})^{1/p} for one single-shell box.
 
     Sector masses in slope coordinates: for slope s inside the box's slope
@@ -124,12 +124,12 @@ def _box_sector_lp(box: FrequencyBox, p: float, n_slope: int = 240) -> float:
         mass = box.amplitude ** 2 * np.einsum("x,xa,xb->ab", wxi, ov, ov)
         return _lp_reduce(np.sqrt(mass), p)
     # many sectors: slope-integral route
-    s, ws = _gl_nodes(np.polynomial.legendre.leggauss(n_slope), slo, shi)
+    s, ws = _gl_nodes(np.polynomial.legendre.leggauss(240), slo, shi)
     lo1 = np.maximum(xlo, elo / s)
     hi1 = np.minimum(xhi, ehi / s)
     acc = 0.0
     mx = 0.0
-    for i in range(n_slope):
+    for i in range(s.size):
         lo = np.maximum(lo1[i], lo1)
         hi = np.minimum(hi1[i], hi1)
         integ = np.where(hi > lo, (hi ** 3 - lo ** 3) / 3.0, 0.0)
@@ -202,9 +202,12 @@ class CrossTermResult:
     integrand_real_min: float
 
 
-def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
-                             n_pair: int = 24, n_pair_direct: int = 18,
-                             n_simpson: int = 33,
+# Gauss-Legendre nodes per output axis and per pair axis of the closed and
+# direct routes; composite-Simpson samples in s
+_N_OUT, _N_PAIR, _N_PAIR_DIRECT, _N_SIMPSON = 8, 24, 18, 33
+
+
+def second_picard_cross_term(ip: IllposedParams,
                              rel_tol: float = 0.05) -> CrossTermResult:
     """Sampled cross-term coefficient F3-hat(1, xi, eta) by two routes.
 
@@ -221,7 +224,7 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
     # -2 (second Gateaux derivative) * 2 (cross term) * i (d/dx)/i
     pref = -4j * box1.amplitude * box2.amplitude
 
-    out_rule = np.polynomial.legendre.leggauss(n_out)
+    out_rule = np.polynomial.legendre.leggauss(_N_OUT)
     xi_out, w_xi = _gl_nodes(out_rule, lam + mu, lam + 2 * mu)
     eta_out, w_eta = _gl_nodes(out_rule, lam * mu, 4 * lam * mu)
     # per output node, the interval of the first bump's frequency that puts
@@ -241,7 +244,7 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
     def closed_route(n_nodes, collect=False):
         nonlocal rsum, rcount, rmin
         (x1, wx1), (h, wh) = node_table(n_nodes)
-        vals = np.zeros((n_out, n_out, n_out), dtype=np.complex128)
+        vals = np.zeros((_N_OUT,) * 3, dtype=np.complex128)
         for ix in ixs:
             X = x1[ix][:, None, None]
             for i1 in ies:
@@ -261,9 +264,9 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
 
     def direct_route(n_nodes):
         (x1, wx1), (h, wh) = node_table(n_nodes)
-        s_nodes = np.linspace(0.0, 1.0, n_simpson)
-        sw = _composite_weights(n_simpson, 1.0 / (n_simpson - 1))
-        vals = np.zeros((n_out, n_out, n_out), dtype=np.complex128)
+        s_nodes = np.linspace(0.0, 1.0, _N_SIMPSON)
+        sw = _composite_weights(_N_SIMPSON, 1.0 / (_N_SIMPSON - 1))
+        vals = np.zeros((_N_OUT,) * 3, dtype=np.complex128)
         for ix in ixs:
             xo, xs = xi_out[ix], x1[ix]
             A = -3.0 * xo * xs * (xo - xs)                    # (nx,)
@@ -286,8 +289,8 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
         return pref * xo * np.exp(1j * dispersion_symbol(
             xo, (eta_out[None, :, None], eta_out[None, None, :]))) * vals
 
-    closed = finish(closed_route(n_pair, collect=True))
-    direct = finish(direct_route(n_pair_direct))
+    closed = finish(closed_route(_N_PAIR, collect=True))
+    direct = finish(direct_route(_N_PAIR_DIRECT))
 
     def l2(arr):
         W = (w_xi[:, None, None] * w_eta[None, :, None] * w_eta[None, None, :])
@@ -295,8 +298,8 @@ def second_picard_cross_term(ip: IllposedParams, n_out: int = 8,
 
     gap = l2(closed - direct) / max(l2(closed), 1e-300)
     if gap > rel_tol:
-        closed = finish(closed_route(int(n_pair * 1.5)))
-        direct = finish(direct_route(int(n_pair_direct * 1.5)))
+        closed = finish(closed_route(int(_N_PAIR * 1.5)))
+        direct = finish(direct_route(int(_N_PAIR_DIRECT * 1.5)))
         gap = l2(closed - direct) / max(l2(closed), 1e-300)
         if gap > rel_tol:
             raise ConfigurationError(

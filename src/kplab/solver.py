@@ -209,12 +209,11 @@ def _composite_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def duhamel_integral(forcing: SpaceTimeTrace, t: float,
-                     tol: float = 1e-8) -> SpectralField:
+def duhamel_integral(forcing: SpaceTimeTrace, t: float) -> SpectralField:
     """integral_0^t S(t-s) f(s) ds by interaction-picture composite Simpson.
 
     A coarse/fine Richardson comparison guards the tolerance: if halving the
-    sampling changes the result by more than tol (relative to the forcing
+    sampling changes the result by more than 1e-8 (relative to the forcing
     scale), an AccuracyError reports the required density.
     """
     if not forcing.is_uniform():
@@ -240,6 +239,7 @@ def duhamel_integral(forcing: SpaceTimeTrace, t: float,
         coarse = np.tensordot(wc, sub, axes=(0, 0))
         scale = np.sqrt(g.volume * np.sum(np.abs(integral) ** 2))
         err = np.sqrt(g.volume * np.sum(np.abs(integral - coarse) ** 2)) / 15.0
+        tol = 1e-8
         if scale > 0 and err > tol * max(scale, 1.0):
             need = dt * (tol * max(scale, 1.0) / err) ** 0.25
             raise AccuracyError(
@@ -271,19 +271,17 @@ def _surrogate_diff_norm(grid: GridSpec, times: np.ndarray, a: np.ndarray,
 
 
 def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
-                   tol: float = 1e-10,
-                   norm_params: NormParams | None = None,
-                   smallness_threshold: float = 0.05):
+                   tol: float = 1e-10, smallness_threshold: float = 0.05):
     """Duhamel fixed-point iteration w <- S(t)u0 + int_0^t S(t-s) N(w)(s) ds.
 
     Returns (trace of the final iterate, PicardReport).  Successive
     differences are measured in the composite surrogate norm (sup-in-t
-    anisotropic norm + 2-variation of the difference); three consecutive
+    l^inf l^1.5 norm + 2-variation of the difference); three consecutive
     ratios >= 1 raise DivergenceError.
     """
     if not u0.real_flag:
         raise PreconditionError("picard_iterate requires a real field")
-    np_ = norm_params or NormParams()
+    np_ = NormParams()
     datum_norm = lqlp_norm(u0, np_)
     if datum_norm > smallness_threshold:
         raise PreconditionError(
@@ -346,17 +344,12 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
 # Slope-filtered bilinear projections
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MultiplierProfile:
     """Even C^2 cutoff phi1 on R^2 (1 on (-plateau, plateau)^2, 0 outside
     (-support, support)^2) and the derived telescoping band family."""
 
-    plateau: float = 128.0
-    support: float = 129.0
-
-    def __post_init__(self):
-        if not (0 < self.plateau < self.support):
-            raise ConfigurationError("need 0 < plateau < support")
+    plateau = 128.0
+    support = 129.0
 
     def _ramp(self, a: np.ndarray) -> np.ndarray:
         a = np.abs(a)
@@ -402,7 +395,6 @@ def _mode_list(u: SpectralField):
 
 
 def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
-                           profile: MultiplierProfile = DEFAULT_PROFILE,
                            return_report: bool = False):
     """The band-L piece of the product:  weight rho_L((s1-s2)/(xi1+xi2))
     applied to each frequency pair of the convolution.
@@ -431,7 +423,7 @@ def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
         ok = ~zero
         arg1 = (e1u[a] / xu[a] - s1v[ok]) / xsum[ok]
         arg2 = (e2u[a] / xu[a] - s2v[ok]) / xsum[ok]
-        w = profile.band_weight(L, arg1, arg2)
+        w = DEFAULT_PROFILE.band_weight(L, arg1, arg2)
         tx = np.rint((xsum[ok]) / g.dxi).astype(int)
         t1 = np.rint((e1u[a] + e1v[ok]) / g.deta1).astype(int)
         t2 = np.rint((e2u[a] + e2v[ok]) / g.deta2).astype(int)

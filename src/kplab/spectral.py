@@ -229,7 +229,7 @@ class SpectralField:
             raise ConfigurationError(
                 f"coefficient shape {self.coeff.shape} != grid shape {self.grid.shape}")
 
-    def validate(self, hermitian_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raises ConfigurationError."""
         c = self.coeff
         if np.any(c[0, :, :] != 0):
@@ -241,7 +241,7 @@ class SpectralField:
             scale = np.max(np.abs(c)) or 1.0
             defect = c[geo.reverse]   # c - conj(mirror), in one complex temporary
             np.subtract(c, np.conjugate(defect, out=defect), out=defect)
-            if np.max(np.abs(defect)) > hermitian_tol * scale:
+            if np.max(np.abs(defect)) > 1e-12 * scale:
                 raise ConfigurationError("Hermitian symmetry violated for real field")
 
     def l2_norm(self) -> float:
@@ -305,21 +305,21 @@ def zero_field(grid: GridSpec) -> SpectralField:
 # Transforms
 # ----------------------------------------------------------------------
 
-def forward_transform(f: PhysicalField, mean_tol: float = 1e-10) -> SpectralField:
+def forward_transform(f: PhysicalField) -> SpectralField:
     """Physical samples -> coefficients; enforces the zero-x-mean invariant."""
     c = np.fft.fftn(f.samples) / f.samples.size
     amp = np.max(np.abs(c)) or 1.0
-    if np.max(np.abs(c[0, :, :])) > mean_tol * amp:
+    if np.max(np.abs(c[0, :, :])) > 1e-10 * amp:
         raise ConfigurationError("physical field has a nonzero x-mean")
     return make_field(f.grid, c, real_flag=True)
 
 
-def inverse_transform(u: SpectralField, imag_tol: float = 1e-9) -> PhysicalField:
+def inverse_transform(u: SpectralField) -> PhysicalField:
     """Coefficients -> physical samples; real part returned for real fields."""
     s = np.fft.ifftn(u.coeff) * u.coeff.size
     if u.real_flag:
         amp = np.max(np.abs(s)) or 1.0
-        if np.max(np.abs(s.imag)) > imag_tol * amp:
+        if np.max(np.abs(s.imag)) > 1e-9 * amp:
             raise ConfigurationError("field marked real has non-real samples")
     return PhysicalField(u.grid, np.ascontiguousarray(s.real))
 

@@ -9,7 +9,7 @@ import pytest
 import kplab
 from kplab.cli import main
 from kplab.data import gaussian_datum
-from kplab.decomposition import NormParams, lqlp_norm
+from kplab.decomposition import NormParams, lqlp_norm, sector_masses
 from kplab.spectral import GridSpec, read_snapshot, write_snapshot
 
 
@@ -45,6 +45,14 @@ def test_make_data_sector_single_term(tmp_path, capsys):
     expect = math.sqrt(2.0) * field.l2_norm()
     for label, val in json.loads(out)["lqlp_norms"].items():
         assert val == pytest.approx(expect, rel=1e-9)
+
+
+def test_make_data_sector_negative_index(tmp_path):
+    # argparse reads "--k -1,1" as a flag; the "=" form passes the value
+    proc = run_module(["make-data", "sector", "--lam", "1", "--k=-1,1",
+                       "--file", "s.kp3f"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert list(sector_masses(read_snapshot(tmp_path / "s.kp3f"))) == [(0, -1, 1)]
 
 
 def test_make_data_unknown_kind_exits_2(capsys):
@@ -201,6 +209,7 @@ _MALFORMED = {
     "verify-lam-nan": (["verify", "bilinear", "--lam", "nan"], {}),
     "make-data-amplitude-nan": (["make-data", "gaussian", "--amplitude", "nan"], {}),
     "make-data-center-xi-nan": (["make-data", "gaussian", "--center-xi", "nan"], {}),
+    "make-data-illposed-lam-below-one": (["make-data", "illposed", "--lam", "0.5"], {}),
 }
 
 

@@ -349,8 +349,8 @@ def test_weighted_pair_norm_constant_weight_reduction():
     # single slope pair: the weight is constant lam + |ds|, so the weighted
     # norm is exactly that constant times the plain product norm
     rng = member_rng(6, 0)
-    u = random_sector_wave(rng, 0.25, (0.0, 0.0), 1e-9, 24, 0.0)
-    v = random_sector_wave(rng, 4.0, (0.5, 0.0), 1e-9, 24, 0.0)
+    u = random_sector_wave(rng, 0.25, (0.0, 0.0), 1e-9, 24)
+    v = random_sector_wave(rng, 4.0, (0.5, 0.0), 1e-9, 24)
     lam = 2.0
     got = weighted_pair_norm(u, v, lam, T=2.0)
     ds = math.hypot(u.eta1[0] / u.xi[0] - v.eta1[0] / v.xi[0],

@@ -11,8 +11,6 @@ from kplab.function_spaces import (AnalyticDatum, comb_layer_pairing,
 
 def test_datum_validation():
     with pytest.raises(ConfigurationError):
-        AnalyticDatum(kind="plane-wave")
-    with pytest.raises(ConfigurationError):
         AnalyticDatum(deriv_x=2)
 
 

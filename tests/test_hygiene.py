@@ -53,3 +53,59 @@ def test_every_private_name_is_referenced(module):
     private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
     refs = set().union(*(_referenced(tree) for tree in _TREES.values()))
     assert sorted(private - refs) == []
+
+
+def _defaulted(tree):
+    """(callee name, positional index or None, parameter name) of every
+    defaulted parameter of a non-dunder function and every defaulted
+    dataclass field; a method's index does not count self."""
+    found = []
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                    fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+                    found.extend((node.name, i, f.target.id)
+                                 for i, f in enumerate(fields) if f.value is not None)
+                visit(node.body, True)
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    pos = [x.arg for x in a.posonlyargs + a.args]
+                    found.extend((node.name, i - in_class, pos[i])
+                                 for i in range(len(pos) - len(a.defaults), len(pos)))
+                    found.extend((node.name, None, k.arg) for k, d
+                                 in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(node.body, False)
+    visit(tree.body, False)
+    return found
+
+
+def _call_settings():
+    """Per callee name: [largest positional count, keywords passed, whether
+    some call passes *args or **kwargs]."""
+    calls = {}
+    roots = (_SRC, _SRC.parents[1] / "tests", _SRC.parents[1] / "bench")
+    for path in (p for root in roots for p in sorted(root.glob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                entry = calls.setdefault(getattr(f, "id", getattr(f, "attr", None)),
+                                         [0, set(), False])
+                entry[0] = max(entry[0], len(node.args))
+                entry[1].update(k.arg for k in node.keywords)
+                entry[2] = (entry[2] or None in entry[1]
+                            or any(isinstance(x, ast.Starred) for x in node.args))
+    return calls
+
+
+def test_every_default_is_overridden_somewhere():
+    calls = _call_settings()
+    never = []
+    for module, tree in _TREES.items():
+        for name, index, param in _defaulted(tree):
+            n_pos, keys, star = calls.get(name, (0, set(), False))
+            if not (star or param in keys or (index is not None and n_pos > index)):
+                never.append(f"{module}:{name}.{param}")
+    assert never == []

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from kplab.data import two_bump_lattice_datum
 from kplab.errors import ConfigurationError, DomainError
 from kplab.illposedness import (FrequencyBox, IllposedParams,
                                 box_lqlp_norm, cross_term_norm,
                                 cross_term_support, resonance_function,
                                 sample_interaction_set,
                                 second_picard_cross_term, two_bump_datum)
+from kplab.spectral import GridSpec, grid_geometry
 
 
 def test_params_validation():
@@ -33,6 +35,28 @@ def test_two_bump_boxes():
     assert b1.amplitude == pytest.approx(mu ** -3 * (lam / mu) ** -1)
     # box volume |supp phi1| = (mu/2) (3 lam mu / 2)^2
     assert b1.volume() == pytest.approx((mu / 2) * (1.5 * lam * mu) ** 2)
+
+
+def test_two_bump_lattice_datum():
+    # dxi = 1/8 and deta = 1/4 host both boxes of (mu, lam) = (1/2, 2)
+    ip = IllposedParams(0.5, 2.0, 3.0, coupling=False)
+    grid = GridSpec(64, 24, 24, 16 * np.pi, 8 * np.pi, 8 * np.pi)
+    u = two_bump_lattice_datum(grid, ip)
+    b1, b2 = two_bump_datum(ip)
+    cell = grid.dxi * grid.deta1 * grid.deta2 / grid.volume
+    for box, mode in ((b1, (0.375, 1.0, 1.5)), (b2, (2.375, 1.25, 1.75))):
+        assert u.mode(*mode) == box.amplitude * math.sqrt(cell) / 2
+        assert u.mode(*(-m for m in mode)) == np.conj(u.mode(*mode))
+    geo = grid_geometry(grid)
+
+    def held(box, sign):
+        (xlo, xhi), (elo, ehi) = box.xi_range, box.eta_range
+        x, e1, e2 = sign * geo.xi, sign * geo.eta1, sign * geo.eta2
+        return ((x >= xlo) & (x <= xhi) & (e1 >= elo) & (e1 <= ehi)
+                & (e2 >= elo) & (e2 <= ehi))
+
+    inside = held(b1, 1) | held(b1, -1) | held(b2, 1) | held(b2, -1)
+    assert inside.any() and not u.coeff[~inside].any()
 
 
 def test_two_bump_norms_order_one():

@@ -332,7 +332,7 @@ def test_band_sum_reassembles_product(tl_grid, seed, lo, width, eta_max):
     prof = MultiplierProfile()
     acc = None
     for L in prof.bands_for_extent(slope_band_extent(tl_grid)):
-        piece = slope_filtered_product(u, v, L, prof)
+        piece = slope_filtered_product(u, v, L)
         acc = piece.coeff if acc is None else acc + piece.coeff
     prod = spectral_product(u, v)
     scale = np.max(np.abs(prod.coeff))
