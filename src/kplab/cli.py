@@ -39,16 +39,18 @@ from .spectral import (GridSpec, SpectralField, read_snapshot, require_number,
                        scaling_transform, trilinear_pairing, write_snapshot)
 
 
+_GRID_DEFAULTS = {"modes_x": 64, "modes_y1": 32, "modes_y2": 32, "length_x": 8 * math.pi,
+                  "length_y1": 8 * math.pi, "length_y2": 8 * math.pi}
+
+
 def _grid_from(cfgdict) -> GridSpec:
     gd = cfgdict.get("grid", {})
     if not isinstance(gd, dict):
         raise ConfigurationError("config value 'grid' must be a JSON object")
-    return GridSpec(gd.get("modes_x", 64), gd.get("modes_y1", 32),
-                    gd.get("modes_y2", 32),
-                    gd.get("length_x", 8 * math.pi),
-                    gd.get("length_y1", 8 * math.pi),
-                    gd.get("length_y2", 8 * math.pi),
-                    gd.get("dealias", True))
+    unknown = sorted(set(gd) - set(_GRID_DEFAULTS))
+    if unknown:
+        raise ConfigurationError(f"unknown grid keys {unknown}; known: {list(_GRID_DEFAULTS)}")
+    return GridSpec(**{**_GRID_DEFAULTS, **gd})
 
 
 def _count(text):
@@ -387,7 +389,7 @@ def cmd_run(args) -> int:
             _emit(args, "run-illposed-sweep", payload)
             return 0 if ok else 1
 
-        # spaces-lab
+        # spaces-lab; imported here so that no other verb loads scipy.special
         from .function_spaces import (AnalyticDatum, divergent_sequence_check,
                                       sector_sum_decay, zero_mean_blowup)
         d = AnalyticDatum()

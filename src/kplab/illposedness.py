@@ -245,21 +245,27 @@ def second_picard_cross_term(ip: IllposedParams,
         nonlocal rsum, rcount, rmin
         (x1, wx1), (h, wh) = node_table(n_nodes)
         vals = np.zeros((_N_OUT,) * 3, dtype=np.complex128)
+        # work arrays reused at every output node: fresh per-node temporaries
+        # make the allocator hand pages back and fault them in again
+        iR, ker = (np.empty((n_nodes,) * 3, dtype=np.complex128) for _ in range(2))
         for ix in ixs:
             X = x1[ix][:, None, None]
             for i1 in ies:
                 for i2 in ies:
                     R = resonance_function(xi_out[ix], X, (eta_out[i1], eta_out[i2]),
                                            (h[i1][None, :, None], h[i2][None, None, :]))
-                    ker = np.where(np.abs(R) > 1e-12,
-                                   (np.exp(1j * R) - 1.0) / (1j * R), 1.0)
+                    np.multiply(1j, R, out=iR)
+                    np.exp(iR, out=ker)
+                    ker -= 1.0
+                    ker /= iR                            # (e^{iR} - 1) / (iR)
+                    np.copyto(ker, 1.0, where=~(np.abs(R) > 1e-12))
                     if collect:
                         rsum += float(np.sum(ker.real))
                         rcount += ker.size
                         rmin = min(rmin, float(np.min(ker.real)))
                     W = (wx1[ix][:, None, None] * wh[i1][None, :, None]
                          * wh[i2][None, None, :])
-                    vals[ix, i1, i2] = np.sum(W * ker)
+                    vals[ix, i1, i2] = np.sum(np.multiply(W, ker, out=iR))
         return vals
 
     def direct_route(n_nodes):

@@ -126,8 +126,6 @@ class SimConfig:
             raise ConfigurationError("horizon T must be finite and at least one step")
         if not (0 < self.samples_per_unit < math.inf):
             raise ConfigurationError("samples_per_unit must be positive and finite")
-        if self.nonlinear_scale != 0.0 and not self.grid.dealias:
-            raise ConfigurationError("nonlinear runs require dealiasing on")
 
 
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
@@ -152,7 +150,7 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     E = np.exp(1j * omega * h)
     E2 = np.exp(1j * omega * h / 2)
 
-    c = np.where(mask, u0.coeff, 0.0) if g.dealias else u0.coeff
+    c = np.where(mask, u0.coeff, 0.0)
     norm0 = np.sqrt(np.sum(np.abs(c) ** 2))
     coeff = np.empty((n_samples + 1,) + g.shape, dtype=np.complex128)
     coeff[0] = c

@@ -66,7 +66,6 @@ class GridSpec:
     length_x: float
     length_y1: float
     length_y2: float
-    dealias: bool = True
 
     def __post_init__(self):
         for n, name in ((self.modes_x, "modes_x"), (self.modes_y1, "modes_y1"),
@@ -79,8 +78,6 @@ class GridSpec:
             require_number(L, name)
             if not (0 < L < np.inf):
                 raise ConfigurationError(f"{name}={L}: box lengths must be positive and finite")
-        if not isinstance(self.dealias, (bool, np.bool_)):
-            raise ConfigurationError(f"dealias={self.dealias!r} must be a boolean")
 
     @property
     def shape(self):
@@ -176,10 +173,8 @@ class GridGeometry:
 
     @cached_property
     def active(self) -> np.ndarray:
-        """Modes the solver evolves: structural, and the 2/3 rule when dealiased."""
+        """Modes the solver evolves: structural and inside the 2/3 rule."""
         g = self.grid
-        if not g.dealias:
-            return self.structural
         kx, k1, k2 = (np.abs(g.mode_numbers(a)) for a in range(3))
         return _read_only((kx[:, None, None] <= g.modes_x // 3)
                           & (k1[None, :, None] <= g.modes_y1 // 3)
@@ -201,7 +196,7 @@ def grid_geometry(grid: GridSpec) -> GridGeometry:
     e2 = grid.eta2_axis()[None, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = (e1 ** 2 + e2 ** 2) / xi     # in place: one full-grid array, not three
-        np.subtract(xi ** 3, omega, out=omega)
+        np.subtract(xi * xi * xi, omega, out=omega)   # exactly odd in xi; xi ** 3 is not
         s1 = np.where(xi != 0, e1 / xi, 0.0)
         s2 = np.where(xi != 0, e2 / xi, 0.0)
     omega[xi[:, 0, 0] == 0] = 0.0
@@ -454,15 +449,8 @@ def scaling_transform(u: SpectralField, lam: float, same_grid: bool = False) -> 
 
 
 # ----------------------------------------------------------------------
-# Inner products
+# Pairing
 # ----------------------------------------------------------------------
-
-def inner(u: SpectralField, v: SpectralField) -> complex:
-    """Space inner product <u, v> = integral u conj(v) over the box."""
-    if u.grid != v.grid:
-        raise ConfigurationError("inner product requires a shared grid")
-    return complex(u.grid.volume * np.sum(u.coeff * np.conj(v.coeff)))
-
 
 def trilinear_pairing(u: SpectralField, w: SpectralField) -> float:
     """Real pairing integral u * w dx dy for real fields (no conjugation)."""
@@ -512,5 +500,6 @@ def read_snapshot(path) -> SpectralField:
     if len(payload) != expect:
         raise ConfigurationError(f"snapshot payload has {len(payload)} bytes, expected {expect}")
     inter = np.frombuffer(payload, dtype="<f8").reshape(nx, n1, n2, 2)
-    coeff = inter[..., 0] + 1j * inter[..., 1]
-    return make_field(grid, coeff, real_flag=bool(rflag))
+    field = SpectralField(grid, inter[..., 0] + 1j * inter[..., 1], bool(rflag))
+    field.validate()
+    return field

@@ -10,7 +10,7 @@ import kplab
 from kplab.cli import main
 from kplab.data import gaussian_datum
 from kplab.decomposition import NormParams, lqlp_norm, sector_masses
-from kplab.spectral import GridSpec, read_snapshot, write_snapshot
+from kplab.spectral import GridSpec, SpectralField, read_snapshot, write_snapshot
 
 
 def run_cli(args, capsys):
@@ -157,6 +157,23 @@ def test_norms_csv_sector_table(tmp_path, capsys):
     assert float(lam) == 2.0 and (k1, k2) == ("0", "0")
 
 
+@pytest.mark.parametrize("index", [(0, 1, 1), (1, 1, 1)])
+def test_norms_refuses_snapshot_breaking_invariants(tmp_path, capsys, index):
+    # content on the xi = 0 plane, or one side of a mirror pair of a real field
+    g = GridSpec(8, 8, 8, 1.0, 1.0, 1.0)
+    c = gaussian_datum(g).coeff.copy()
+    c[index] += 1.0
+    write_snapshot(SpectralField(g, c), tmp_path / "bad.kp3f")
+    assert main(["norms", str(tmp_path / "bad.kp3f")]) == 2
+    capsys.readouterr()
+
+
+def test_run_spaces_lab_report(capsys):
+    code, out = run_cli(["run", "spaces-lab"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_run_unknown_experiment(capsys):
     with pytest.raises(SystemExit):
         main(["run", "warp-drive"])
@@ -189,6 +206,10 @@ _MALFORMED = {
                          {"c.json": '{"grid": {"modes_x": 7}}'}),
     "config-grid-not-object": (["--config", "c.json", "run", "picard"],
                                {"c.json": '{"grid": []}'}),
+    "config-grid-dealias-off": (["--config", "c.json", "run", "sim"],
+                                {"c.json": '{"grid": {"dealias": false}}'}),
+    "config-grid-unknown-key": (["--config", "c.json", "run", "picard"],
+                                {"c.json": '{"grid": {"modes_X": 32}}'}),
     "config-dt-not-number": (["--config", "c.json", "run", "picard"],
                              {"c.json": '{"dt": "x"}'}),
     "config-modes-not-number": (["--config", "c.json", "run", "picard"],

@@ -324,6 +324,14 @@ def test_bilinear_mu_monotone_trend():
     assert rep.xs[0] == 0.25
 
 
+def test_bilinear_mu_sweep_thread_pool_matches_serial():
+    g = GridSpec(64, 16, 16, 8 * np.pi, 8 * np.pi, 8 * np.pi)
+    serial, pooled = (bilinear_mu_sweep([0.5, 1.0], lam=4.0, ensemble_size=2, T=1.0,
+                                        grid=g, seed=3, threads=n).per_seed
+                      for n in (1, 2))
+    assert np.array_equal(serial, pooled)
+
+
 def test_bilinear_mu_precondition():
     g = GridSpec(64, 16, 16, 8 * np.pi, 8 * np.pi, 8 * np.pi)
     with pytest.raises(PreconditionError):

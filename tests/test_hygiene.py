@@ -1,8 +1,11 @@
 """Static hygiene of the package source: no unused imports, no dead private
-module-level names."""
+module-level names, no value no caller sets, no scipy outside spaces-lab."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +112,20 @@ def test_every_default_is_overridden_somewhere():
             if not (star or param in keys or (index is not None and n_pos > index)):
                 never.append(f"{module}:{name}.{param}")
     assert never == []
+
+
+def test_cli_and_benchmark_imports_leave_scipy_unloaded():
+    # only `run spaces-lab` needs scipy.special, and it imports it on demand
+    workloads = ast.parse((_SRC.parents[1] / "bench" / "workloads.py").read_text())
+    modules = ["kplab.cli"] + [f"kplab.{a.name}" for node in ast.walk(workloads)
+                               if isinstance(node, ast.ImportFrom)
+                               and node.module == "kplab" for a in node.names]
+    code = ("import importlib, sys\n"
+            f"for m in {modules!r}: importlib.import_module(m)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(_SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(modules) > 1 and proc.stdout.strip() == "[]"

@@ -172,13 +172,6 @@ def test_evolve_blowup_diagnostic(grid_solver):
     assert exc.value.t is not None
 
 
-def test_simconfig_requires_dealias_for_nonlinear():
-    g = GridSpec(16, 16, 16, 2 * np.pi, 2 * np.pi, 2 * np.pi, dealias=False)
-    with pytest.raises(ConfigurationError):
-        SimConfig(g, dt=0.1, T=1.0)
-    SimConfig(g, dt=0.1, T=1.0, nonlinear_scale=0.0)   # linear runs are fine
-
-
 # ----------------------------------------------------------------------
 # Duhamel
 # ----------------------------------------------------------------------

@@ -92,6 +92,25 @@ def test_propagator_identity_and_single_mode(grid_small):
     assert got == pytest.approx(np.exp(1j * t * w), abs=1e-14)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0))
+def test_omega_is_exactly_odd(hx, h1, h2, lx, l1, l2):
+    # omega(-k) = -omega(k) to the bit, so the flow keeps real fields Hermitian
+    g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                 2 * np.pi * l2)
+    geo = grid_geometry(g)
+    assert np.all((geo.omega + geo.omega[geo.reverse])[geo.structural] == 0)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
+def test_propagated_real_field_stays_hermitian(t):
+    # a non-dyadic box, where numpy's xi ** 3 is not odd in the last digit
+    g = GridSpec(14, 8, 8, 0.7 * np.pi, 2 * np.pi, 2 * np.pi)
+    u0 = random_band_field(g, np.random.default_rng(0), 0.5 * g.dxi, 6.5 * g.dxi)
+    apply_linear_propagator(u0, t).validate()
+
+
 def test_propagator_unitary_group(grid_small, rng):
     u = random_band_field(grid_small, rng, 0.0, 6.0, eta_max=6.0)
     ut = apply_linear_propagator(u, 0.37)
