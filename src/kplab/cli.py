@@ -29,7 +29,7 @@ from .estimates import (bilinear_mu_sweep, circle_measure_closed_form,
                         random_measure_config, random_resonance_point,
                         resonance_identity_defect, sector_gamma_sweep,
                         strichartz_ratio)
-from .illposedness import IllposedParams, growth_sweep
+from .illposedness import IllposedParams, growth_sweep, two_bump_datum
 from .reporting import config_hash, json_dumps, write_csv, write_json
 from .scattering import asymptotic_state
 from .solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
@@ -104,7 +104,7 @@ def cmd_make_data(args) -> int:
     elif args.kind == "sector":
         field = sector_indicator_datum(grid, args.lam, args.k, args.amplitude)
     elif args.kind == "illposed":
-        ip = IllposedParams(args.mu, args.lam, args.p, coupling=False)
+        ip = IllposedParams(args.mu, args.lam, coupling=False)
         mu, lam = ip.mu, ip.lam
         # dedicated fine-x grid hosting both bumps at resolution mu/4, lam*mu/4
         nx = args.illposed_modes_x
@@ -116,7 +116,7 @@ def cmd_make_data(args) -> int:
             print(f"error: grid of {nx} x-modes cannot host xi up to {lam + mu}",
                   file=sys.stderr)
             return 2
-        field = two_bump_lattice_datum(grid, ip)
+        field = two_bump_lattice_datum(grid, ip, args.p)
     else:  # random-band
         rng = member_rng(args.seed, 0)
         field = random_band_field(grid, rng, args.band_lo, args.band_hi,
@@ -299,8 +299,8 @@ def _run_setup(args, cfg):
     if experiment == "illposed-sweep":
         if len(args.lams) < 3:
             raise ConfigurationError("growth sweep needs at least 3 lam values")
-        for lam in args.lams:   # the sweep's parameters, checked by their own rule
-            IllposedParams(lam ** -2.0, lam, args.p)
+        for lam in args.lams:   # the sweep's data, checked by their own rules
+            two_bump_datum(IllposedParams(lam ** -2.0, lam), args.p)
     if experiment == "sim":
         grid = _grid_from(cfg)
         return grid, SimConfig(grid, cfg.get("dt", 0.01), cfg.get("T", 1.0),

@@ -102,14 +102,14 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
     return SpectralField(grid, f.coeff * (lqlp_target / n), real_flag=True)
 
 
-def two_bump_lattice_datum(grid: GridSpec, ip: IllposedParams) -> SpectralField:
-    """Lattice rendition of the boxes of `two_bump_datum(ip)`: each box's
+def two_bump_lattice_datum(grid: GridSpec, ip: IllposedParams, p: float) -> SpectralField:
+    """Lattice rendition of the boxes of `two_bump_datum(ip, p)`: each box's
     amplitude on the modes inside it (Hermitian mirror added)."""
     xi = grid.xi_axis()[:, None, None]
     e1 = grid.eta1_axis()[None, :, None]
     e2 = grid.eta2_axis()[None, None, :]
     coeff = np.zeros(grid.shape, dtype=np.complex128)
-    for box in two_bump_datum(ip):
+    for box in two_bump_datum(ip, p):
         (xlo, xhi), (elo, ehi) = box.xi_range, box.eta_range
         inside = ((xi >= xlo) & (xi <= xhi) & (e1 >= elo) & (e1 <= ehi)
                   & (e2 >= elo) & (e2 <= ehi))

@@ -30,7 +30,6 @@ from .spectral import (dispersion_symbol, dyadic_exponent, require_power_of_two,
 class IllposedParams:
     mu: float
     lam: float
-    p: float
     coupling: bool = True
 
     def __post_init__(self):
@@ -38,8 +37,8 @@ class IllposedParams:
         require_power_of_two(self.lam, "lam")
         if not (self.mu < 1 < self.lam):
             raise ConfigurationError("need mu << 1 << lam")
-        if not (1.0 < self.p < math.inf):
-            raise ConfigurationError("p must lie in (1, inf)")
+        if self.lam + self.mu > 2.0 ** 20:
+            raise ConfigurationError("boxes off the admissible frequency window")
         if self.coupling and not (0.5 <= self.mu * self.lam ** 2 <= 2.0):
             raise ConfigurationError(
                 f"coupling requires mu*lam^2 in [1/2, 2], got {self.mu * self.lam ** 2}")
@@ -67,14 +66,11 @@ class FrequencyBox:
         return self.amplitude * math.sqrt(self.volume())
 
 
-_MAX_FREQUENCY = 2.0 ** 20
-
-
-def two_bump_datum(ip: IllposedParams) -> tuple:
-    """The two characteristic-function bumps of the ill-posedness datum."""
-    mu, lam, p = ip.mu, ip.lam, ip.p
-    if lam + mu > _MAX_FREQUENCY:
-        raise ConfigurationError("boxes off the admissible frequency window")
+def two_bump_datum(ip: IllposedParams, p: float) -> tuple:
+    """The two bumps of the ill-posedness datum; p sets the first amplitude."""
+    if not (1.0 < p < math.inf):
+        raise ConfigurationError("p must lie in (1, inf)")
+    mu, lam = ip.mu, ip.lam
     eta = (lam * mu / 2, 2 * lam * mu)
     box1 = FrequencyBox((mu / 2, mu), eta, mu ** -3 * (lam / mu) ** (-2.0 / p))
     box2 = FrequencyBox((lam + mu / 2, lam + mu), eta, mu ** -1.5 * lam ** -1.5)
@@ -194,9 +190,8 @@ def cross_term_support(ip: IllposedParams):
 class CrossTermResult:
     xi_nodes: np.ndarray
     eta_nodes: np.ndarray
-    weights: tuple                  # (w_xi, w_eta)
+    weights: np.ndarray             # Gauss-Legendre cell weights of the nodes
     closed: np.ndarray              # (n_xi, n_eta, n_eta) complex
-    direct: np.ndarray
     rel_l2_gap: float
     integrand_real_mean: float      # stats of Re (e^{iR}-1)/(iR) over A
     integrand_real_min: float
@@ -209,7 +204,8 @@ _N_OUT, _N_PAIR, _N_PAIR_DIRECT, _N_SIMPSON = 8, 24, 18, 33
 
 def second_picard_cross_term(ip: IllposedParams,
                              rel_tol: float = 0.05) -> CrossTermResult:
-    """Sampled cross-term coefficient F3-hat(1, xi, eta) by two routes.
+    """Sampled cross-term coefficient F3-hat(1, xi, eta) of unit-amplitude
+    bumps by two routes.
 
     closed: analytic time factor (e^{iR}-1)/(iR), tensor Gauss-Legendre over
     the pair set A.  direct: composite-Simpson quadrature in s of the
@@ -220,10 +216,6 @@ def second_picard_cross_term(ip: IllposedParams,
     if not ip.coupling:
         raise PreconditionError("cross-term experiment requires the coupling flag")
     mu, lam = ip.mu, ip.lam
-    box1, box2 = two_bump_datum(ip)
-    # -2 (second Gateaux derivative) * 2 (cross term) * i (d/dx)/i
-    pref = -4j * box1.amplitude * box2.amplitude
-
     out_rule = np.polynomial.legendre.leggauss(_N_OUT)
     xi_out, w_xi = _gl_nodes(out_rule, lam + mu, lam + 2 * mu)
     eta_out, w_eta = _gl_nodes(out_rule, lam * mu, 4 * lam * mu)
@@ -291,15 +283,18 @@ def second_picard_cross_term(ip: IllposedParams,
         return vals
 
     def finish(vals):
+        # -2 (second Gateaux derivative) * 2 (cross term) * i (d/dx)/i, at unit
+        # bump amplitudes: the cross term is bilinear in them (cross_term_norm)
         xo = xi_out[:, None, None]
-        return pref * xo * np.exp(1j * dispersion_symbol(
+        return -4j * xo * np.exp(1j * dispersion_symbol(
             xo, (eta_out[None, :, None], eta_out[None, None, :]))) * vals
 
     closed = finish(closed_route(_N_PAIR, collect=True))
     direct = finish(direct_route(_N_PAIR_DIRECT))
 
+    W = w_xi[:, None, None] * w_eta[None, :, None] * w_eta[None, None, :]
+
     def l2(arr):
-        W = (w_xi[:, None, None] * w_eta[None, :, None] * w_eta[None, None, :])
         return math.sqrt(float(np.sum(W * np.abs(arr) ** 2)))
 
     gap = l2(closed - direct) / max(l2(closed), 1e-300)
@@ -310,26 +305,26 @@ def second_picard_cross_term(ip: IllposedParams,
         if gap > rel_tol:
             raise ConfigurationError(
                 f"cross-term quadratures disagree by {gap:.2%} after refinement")
-    return CrossTermResult(xi_out, eta_out, (w_xi, w_eta), closed, direct, gap,
+    return CrossTermResult(xi_out, eta_out, W, closed, gap,
                            integrand_real_mean=rsum / max(rcount, 1),
                            integrand_real_min=rmin)
 
 
-def cross_term_norm(ip: IllposedParams, result: CrossTermResult) -> float:
-    """l^infty l^p L^2 norm of the sampled cross term.
+def cross_term_norm(ip: IllposedParams, result: CrossTermResult, p: float) -> float:
+    """l^infty l^p L^2 norm of the sampled cross term of the datum
+    `two_bump_datum(ip, p)`: the unit-amplitude norm times amp1 * amp2.
 
     Sector addressing per quadrature node; for the sweep parameters the
     support lies in one shell and one sector, so this reduces to the
     lam^{1/2}-weighted L^2 mass, but mixed-sector supports are handled.
     """
-    w_xi, w_eta = result.weights
     xo = result.xi_nodes[:, None, None]
     key = sector_key(xo, result.eta_nodes[None, :, None] / xo,
                      result.eta_nodes[None, None, :] / xo)
-    mass = (w_xi[:, None, None] * w_eta[None, :, None] * w_eta[None, None, :]
-            * np.abs(result.closed) ** 2)
-    keys, sums = sector_sums(*key, mass)
-    return float(_lqlp_reduce(keys[0], np.sqrt(sums), math.inf, ip.p)[0])
+    keys, sums = sector_sums(*key, result.weights * np.abs(result.closed) ** 2)
+    box1, box2 = two_bump_datum(ip, p)
+    return (box1.amplitude * box2.amplitude
+            * float(_lqlp_reduce(keys[0], np.sqrt(sums), math.inf, p)[0]))
 
 
 @dataclass
@@ -342,22 +337,24 @@ class GrowthReport:
     predicted: float
 
 
-def growth_sweep(lams, p: float) -> GrowthReport:
-    """Fitted log2 slope of ||F3(1)|| against lam with mu = lam^{-2}.
-
-    Predicted exponent 3 - 6/p: growth for p > 2, flat at p = 2.
-    """
+def growth_sweeps(lams, ps) -> list:
+    """One GrowthReport per p in ps: the fitted log2 slope of ||F3(1)||
+    against lam with mu = lam^{-2}, predicted 3 - 6/p (growth for p > 2,
+    flat at p = 2).  One quadrature per lam serves every p."""
     lams = sorted(lams)
     if len(lams) < 3:
         raise ConfigurationError("growth sweep needs at least 3 lam values")
-    norms, gaps, mus = [], [], []
-    for lam in lams:
-        mu = lam ** -2.0
-        ip = IllposedParams(mu, lam, p)
-        res = second_picard_cross_term(ip)
-        norms.append(cross_term_norm(ip, res))
-        gaps.append(res.rel_l2_gap)
-        mus.append(mu)
-    slope = fit_loglog_slope(np.asarray(lams), np.asarray(norms))
-    return GrowthReport(np.asarray(lams), np.asarray(mus), np.asarray(norms),
-                        np.asarray(gaps), slope, 3.0 - 6.0 / p)
+    ips = [IllposedParams(lam ** -2.0, lam) for lam in lams]
+    for p in ps:                       # refuse a bad p before any quadrature
+        two_bump_datum(ips[0], p)
+    results = [second_picard_cross_term(ip) for ip in ips]
+    norms = [np.array([cross_term_norm(ip, res, p) for ip, res in zip(ips, results)])
+             for p in ps]
+    return [GrowthReport(np.array(lams), np.array([ip.mu for ip in ips]), n,
+                         np.array([res.rel_l2_gap for res in results]),
+                         fit_loglog_slope(np.array(lams), n), 3.0 - 6.0 / p)
+            for p, n in zip(ps, norms)]
+
+
+def growth_sweep(lams, p: float) -> GrowthReport:
+    return growth_sweeps(lams, [p])[0]

@@ -124,8 +124,9 @@ class SimConfig:
             raise ConfigurationError("dt must be positive and finite")
         if not (self.dt <= self.T < math.inf):
             raise ConfigurationError("horizon T must be finite and at least one step")
-        if not (0 < self.samples_per_unit < math.inf):
-            raise ConfigurationError("samples_per_unit must be positive and finite")
+        n = self.T * self.samples_per_unit   # samples after t = 0; NaN, inf fail the range
+        if not (0.5 <= n < math.inf and abs(n - round(n)) <= 1e-9):
+            raise ConfigurationError(f"T * samples_per_unit = {n} is not a whole number >= 1")
 
 
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:

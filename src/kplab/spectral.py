@@ -227,16 +227,18 @@ class SpectralField:
     def validate(self) -> None:
         """Check the structural invariants; raises ConfigurationError."""
         c = self.coeff
+        scale = float(np.max(np.abs(c)))   # NaN or inf iff some coefficient is
+        if not math.isfinite(scale):
+            raise ConfigurationError("non-finite coefficient present")
         if np.any(c[0, :, :] != 0):
             raise ConfigurationError("zero-x-mean invariant violated")
         geo = grid_geometry(self.grid)
         if np.any(c[~geo.structural] != 0):
             raise ConfigurationError("Nyquist-plane content present")
         if self.real_flag:
-            scale = np.max(np.abs(c)) or 1.0
             defect = c[geo.reverse]   # c - conj(mirror), in one complex temporary
             np.subtract(c, np.conjugate(defect, out=defect), out=defect)
-            if np.max(np.abs(defect)) > 1e-12 * scale:
+            if np.max(np.abs(defect)) > 1e-12 * (scale or 1.0):
                 raise ConfigurationError("Hermitian symmetry violated for real field")
 
     def l2_norm(self) -> float:

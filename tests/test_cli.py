@@ -226,11 +226,18 @@ _MALFORMED = {
     "spaces-lab-p-zero": (["--config", "c.json", "run", "spaces-lab"], {"c.json": '{"p": 0}'}),
     "illposed-sweep-p-out-of-range": (["run", "illposed-sweep", "--p", "0.5"], {}),
     "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
+    "illposed-sweep-lam-off-window": (["run", "illposed-sweep", "--lams",
+                                       "2097152,4194304,8388608"], {}),
     "threads-not-a-count": (["--threads", "0", "verify", "resonance"], {}),
     "verify-lam-nan": (["verify", "bilinear", "--lam", "nan"], {}),
     "make-data-amplitude-nan": (["make-data", "gaussian", "--amplitude", "nan"], {}),
     "make-data-center-xi-nan": (["make-data", "gaussian", "--center-xi", "nan"], {}),
     "make-data-illposed-lam-below-one": (["make-data", "illposed", "--lam", "0.5"], {}),
+    "make-data-illposed-p-out-of-range": (["make-data", "illposed", "--p", "1"], {}),
+    "snapshot-nan-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.nan}),
+    "snapshot-inf-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.inf}),
+    "sim-horizon-without-samples": (["--config", "c.json", "run", "sim"],
+                                    {"c.json": '{"samples_per_unit": 0.4, "T": 1}'}),
 }
 
 
@@ -242,6 +249,10 @@ def test_malformed_input_exits_2(tmp_path, case):
             write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)),
                            tmp_path / "full.kp3f")
             (tmp_path / name).write_bytes((tmp_path / "full.kp3f").read_bytes()[:content])
+        elif isinstance(content, float):   # a snapshot holding this value at mode (1, 1, 1)
+            u = gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0))
+            u.coeff[1, 1, 1] = content
+            write_snapshot(u, tmp_path / name)
         else:
             (tmp_path / name).write_text(content)
     proc = run_module(args, cwd=tmp_path)

@@ -108,6 +108,17 @@ def test_picard_iterate_requires_real():
         picard_iterate(_non_real_datum(g), SimConfig(g, dt=0.05, T=0.5))
 
 
+def test_simconfig_requires_whole_number_of_samples():
+    g = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    # 0.4 samples would return only t = 0; 0.7 would run the trace past T;
+    # a rate that is not positive and finite gives no whole count either
+    for spu in (0.4, 0.7, 2.5, 0.0, -8.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="not a whole number"):
+            SimConfig(g, dt=0.05, T=1.0, samples_per_unit=spu)
+    SimConfig(g, dt=0.05, T=2.0, samples_per_unit=2.5)              # 5 samples
+    SimConfig(g, dt=1 / 64 / 8, T=0.25 / 8, samples_per_unit=32)   # criterion 05's scaled run
+
+
 def test_evolve_zero_datum(grid_solver):
     tr = evolve(zero_field(grid_solver), SimConfig(grid_solver, dt=0.05, T=0.5))
     assert all(s.l2_norm() == 0.0 for s in tr.states)

@@ -184,8 +184,8 @@ def test_power_of_two_refusals(grid_small, value):
     for check in (lambda: require_power_of_two(value, "lam"),
                   lambda: scaling_transform(u, value),
                   lambda: SectorIndex(value, (0, 0)),
-                  lambda: IllposedParams(value, 8.0, 3.0),
-                  lambda: IllposedParams(1 / 64, value, 3.0, coupling=False)):
+                  lambda: IllposedParams(value, 8.0),
+                  lambda: IllposedParams(1 / 64, value, coupling=False)):
         with pytest.raises(ConfigurationError):
             check()
 
