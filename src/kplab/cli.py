@@ -39,18 +39,78 @@ from .spectral import (GridSpec, SpectralField, read_snapshot, require_number,
                        scaling_transform, trilinear_pairing, write_snapshot)
 
 
-_GRID_DEFAULTS = {"modes_x": 64, "modes_y1": 32, "modes_y2": 32, "length_x": 8 * math.pi,
-                  "length_y1": 8 * math.pi, "length_y2": 8 * math.pi}
+_GRID_KEYS = ("modes_x", "modes_y1", "modes_y2", "length_x", "length_y1", "length_y2")
 
 
-def _grid_from(cfgdict) -> GridSpec:
-    gd = cfgdict.get("grid", {})
-    if not isinstance(gd, dict):
-        raise ConfigurationError("config value 'grid' must be a JSON object")
-    unknown = sorted(set(gd) - set(_GRID_DEFAULTS))
+def _grid(*values) -> dict:
+    return dict(zip(_GRID_KEYS, values))
+
+
+_SIM_GRID = _grid(64, 32, 32, 8 * math.pi, 8 * math.pi, 8 * math.pi)
+
+# Every config key each verb or `run` experiment reads, with its default.
+# `grid` is the full default grid; a partial config grid merges into it.
+_CONFIG_KEYS = {
+    "make-data": {"grid": _SIM_GRID},
+    "verify": {},
+    "norms": {},
+    "sim": {"grid": _SIM_GRID, "dt": 0.01, "T": 1.0, "samples_per_unit": 8,
+            "amplitude": 1e-3, "center_xi": 1.5},
+    "picard": {"grid": _grid(24, 12, 12, 4 * math.pi, 4 * math.pi, 4 * math.pi),
+               "dt": 1 / 64, "T": 1.0, "samples_per_unit": 64, "datum_norm": 1e-3},
+    "scatter": {"grid": _grid(192, 24, 24, 32 * math.pi, 8 * math.pi, 8 * math.pi),
+                "dt": 1 / 16, "T": 8.0, "datum_norm": 1e-3, "member": 0},
+    "illposed-sweep": {},
+    "spaces-lab": {"p": 2.0, "comb_p": 3.0},
+}
+
+
+def _load_config(path, name):
+    """(config as read, settings) of verb or experiment `name`: each key of
+    `_CONFIG_KEYS[name]`, checked and merged over its default, with `grid` a
+    GridSpec and a solver experiment's `sim` its SimConfig.  An unusable
+    config raises ConfigurationError here, before the verb runs."""
+    cfg = {}
+    if path:
+        with open(path) as fh:
+            try:
+                cfg = json.load(fh)
+            except ValueError as ex:   # malformed JSON or not text
+                raise ConfigurationError(f"config {path} is not valid JSON: {ex}") from ex
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(f"config {path} must hold a JSON object")
+    table = _CONFIG_KEYS[name]
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
-        raise ConfigurationError(f"unknown grid keys {unknown}; known: {list(_GRID_DEFAULTS)}")
-    return GridSpec(**{**_GRID_DEFAULTS, **gd})
+        raise ConfigurationError(f"unknown config keys {unknown} for {name}; "
+                                 f"known: {sorted(table)}")
+    for key, value in cfg.items():
+        if key != "grid":
+            require_number(value, key, numbers.Integral if key == "member" else numbers.Real)
+    s = {**table, **cfg}
+    if "member" in cfg and not 0 <= cfg["member"] < 2 ** 32:
+        raise ConfigurationError("config value 'member' must lie in [0, 2^32)")
+    for key in ("p", "comb_p"):
+        if key in cfg and not 1.0 <= cfg[key] < math.inf:
+            raise ConfigurationError(f"config value '{key}' must lie in [1, inf)")
+    if "grid" in table:
+        gd = cfg.get("grid", {})
+        if not isinstance(gd, dict):
+            raise ConfigurationError("config value 'grid' must be a JSON object")
+        unknown = sorted(set(gd) - set(_GRID_KEYS))
+        if unknown:
+            raise ConfigurationError(f"unknown grid keys {unknown}; known: {list(_GRID_KEYS)}")
+        s["grid"] = GridSpec(**{**table["grid"], **gd})
+    if "dt" in table:   # scatter has no samples_per_unit key: it samples whole times
+        s["sim"] = SimConfig(s["grid"], s["dt"], s["T"], s.get("samples_per_unit", 1))
+    return cfg, s
+
+
+def _seed(text):
+    value = int(text)
+    if not 0 <= value < 2 ** 32:
+        raise argparse.ArgumentTypeError(f"{text} is not a seed in [0, 2^32)")
+    return value
 
 
 def _count(text):
@@ -85,19 +145,17 @@ def _int_pair(text):
 
 def _emit(args, name, payload):
     if args.out:
-        path = os.path.join(args.out, f"{name}.json")
-        write_json(path, payload)
-        return path
-    sys.stdout.write(json_dumps(payload))
-    return None
+        write_json(os.path.join(args.out, f"{name}.json"), payload)
+    else:
+        sys.stdout.write(json_dumps(payload))
 
 
 # ----------------------------------------------------------------------
 # make-data
 # ----------------------------------------------------------------------
 
-def cmd_make_data(args) -> int:
-    grid = _grid_from(_load_config(args))
+def cmd_make_data(args, cfg, s) -> int:
+    grid = s["grid"]
     if args.kind == "gaussian":
         field = gaussian_datum(grid, amplitude=args.amplitude,
                                scale=args.width, center_xi=args.center_xi)
@@ -113,9 +171,7 @@ def cmd_make_data(args) -> int:
         grid = GridSpec(nx, 24, 24, 2 * math.pi / dxi,
                         2 * math.pi / deta, 2 * math.pi / deta)
         if (lam + mu) / dxi >= nx // 2 - 1:
-            print(f"error: grid of {nx} x-modes cannot host xi up to {lam + mu}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"grid of {nx} x-modes cannot host xi up to {lam + mu}")
         field = two_bump_lattice_datum(grid, ip, args.p)
     else:  # random-band
         rng = member_rng(args.seed, 0)
@@ -252,7 +308,7 @@ _VERIFY_CHECKS = {
     "tl-symmetry": _verify_tl_symmetry, "partition-of-unity": _verify_partition}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg, s) -> int:
     t0 = time.time()
     ok, detail = _VERIFY_CHECKS[args.check](args)
     payload = {"check": args.check, "passed": bool(ok), "seed": args.seed,
@@ -265,161 +321,96 @@ def cmd_verify(args) -> int:
 # run
 # ----------------------------------------------------------------------
 
-def _load_config(args) -> dict:
-    if not args.config:
-        return {}
-    with open(args.config) as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as ex:   # malformed JSON or not text
-            raise ConfigurationError(f"config {args.config} is not valid JSON: {ex}") from ex
-    if not isinstance(cfg, dict):
-        raise ConfigurationError(f"config {args.config} must hold a JSON object")
-    return cfg
+def _run_sim(args, s):
+    u0 = gaussian_datum(s["grid"], amplitude=s["amplitude"], center_xi=s["center_xi"])
+    tr = evolve(u0, s["sim"])
+    ms = mass_series(tr)
+    drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
+    if args.out:
+        for i, state in enumerate(tr.states):
+            write_snapshot(state, os.path.join(args.out, f"state_{i:04d}.kp3f"))
+    return drift <= 1e-6, {"times": list(tr.times), "mass_drift": drift, "mass_tol": 1e-6}
 
 
-def _manifest(cfg, seed, t0, extra):
-    return {"config": cfg, "config_hash": config_hash(cfg), "seed": seed,
-            "versions": {"kplab": __version__, "numpy": np.__version__},
-            "wall_clock_s": round(time.time() - t0, 3), **extra}
+def _run_picard(args, s):
+    npar = NormParams()
+    u0 = gaussian_datum(s["grid"], amplitude=1.0, center_xi=1.0,
+                        width_xi=0.4, width_eta=0.4)
+    u0 = SpectralField(s["grid"], u0.coeff * (s["datum_norm"] / lqlp_norm(u0, npar)), True)
+    _, rep = picard_iterate(u0, s["sim"])
+    ok = rep.converged and all(r <= 0.5 for r in rep.ratios)
+    return ok, {"iterates": rep.iterates, "diffs": rep.diffs, "ratios": rep.ratios,
+                "converged": rep.converged}
 
 
-def _run_setup(args, cfg):
-    """Grid and SimConfig of a solver experiment; (None, None) otherwise.
-    Every value outside its range is refused here, before the experiment runs."""
-    experiment = args.experiment
-    for key in ("amplitude", "center_xi", "datum_norm", "member", "p", "comb_p"):
-        if key in cfg:
-            require_number(cfg[key], key,
-                           numbers.Integral if key == "member" else numbers.Real)
-    if experiment == "spaces-lab":
-        for key in ("p", "comb_p"):
-            if key in cfg and not 1.0 <= cfg[key] < math.inf:
-                raise ConfigurationError(f"config value '{key}' must lie in [1, inf)")
-    if experiment == "illposed-sweep":
+def _run_scatter(args, s):
+    npar = NormParams()
+    u0 = scattering_datum(s["grid"], member_rng(args.seed, s["member"]),
+                          s["datum_norm"], npar)
+    rep = asymptotic_state(evolve(u0, s["sim"]), npar, strict=False)
+    if args.out and args.format == "csv":
+        write_csv(os.path.join(args.out, "residuals.csv"), ["t", "residual"],
+                  list(zip(rep.sample_times, rep.residuals)))
+    return rep.detected, {"checkpoints": list(rep.sample_times),
+                          "cauchy_gaps": list(rep.cauchy_gaps),
+                          "residuals": list(rep.residuals), "detected": rep.detected}
+
+
+def _run_illposed_sweep(args, s):
+    rep = growth_sweep(args.lams, args.p)
+    ok = abs(rep.slope - rep.predicted) <= 0.3 if args.p != 2.0 else rep.slope <= 0.3
+    if args.out:
+        write_csv(os.path.join(args.out, "growth.csv"),
+                  ["lam", "mu", "p", "norm", "fitted_slope"],
+                  [(l, m, args.p, n, rep.slope)
+                   for l, m, n in zip(rep.lams, rep.mus, rep.norms)])
+    return ok, {"lams": list(rep.lams), "mus": list(rep.mus), "norms": list(rep.norms),
+                "slope": rep.slope, "predicted": rep.predicted,
+                "quadrature_gaps": list(rep.gaps)}
+
+
+def _run_spaces_lab(args, s):
+    # imported here so that no other verb loads scipy.special
+    from .function_spaces import (AnalyticDatum, divergent_sequence_check,
+                                  sector_sum_decay, zero_mean_blowup)
+    d = AnalyticDatum()
+    tab = sector_sum_decay(d, s["p"])
+    dich = zero_mean_blowup(d, s["p"])
+    comb = divergent_sequence_check([2.0 ** -a for a in (2, 4, 8, 16, 32, 40)], s["comb_p"])
+    return True, {"decay_lams": list(tab.lams), "decay_values": list(tab.values),
+                  "low_slope": tab.low_slope, "partial_slope": dich.partial_slope,
+                  "divergent": dich.divergent, "comb_norms": list(comb.norms),
+                  "comb_pairings": list(comb.pairings),
+                  "comb_growth_exponent": comb.growth_exponent}
+
+
+_RUNS = {"sim": _run_sim, "picard": _run_picard, "scatter": _run_scatter,
+         "illposed-sweep": _run_illposed_sweep, "spaces-lab": _run_spaces_lab}
+
+
+def cmd_run(args, cfg, s) -> int:
+    if args.experiment == "illposed-sweep":   # its data, checked by their own rules
         if len(args.lams) < 3:
             raise ConfigurationError("growth sweep needs at least 3 lam values")
-        for lam in args.lams:   # the sweep's data, checked by their own rules
+        for lam in args.lams:
             two_bump_datum(IllposedParams(lam ** -2.0, lam), args.p)
-    if experiment == "sim":
-        grid = _grid_from(cfg)
-        return grid, SimConfig(grid, cfg.get("dt", 0.01), cfg.get("T", 1.0),
-                               cfg.get("samples_per_unit", 8))
-    if experiment == "picard":
-        grid = _grid_from(cfg) if "grid" in cfg else GridSpec(
-            24, 12, 12, 4 * math.pi, 4 * math.pi, 4 * math.pi)
-        return grid, SimConfig(grid, cfg.get("dt", 1 / 64), cfg.get("T", 1.0),
-                               cfg.get("samples_per_unit", 64))
-    if experiment == "scatter":
-        grid = _grid_from(cfg) if "grid" in cfg else GridSpec(
-            192, 24, 24, 32 * math.pi, 8 * math.pi, 8 * math.pi)
-        return grid, SimConfig(grid, cfg.get("dt", 1 / 16), cfg.get("T", 8.0), 1)
-    return None, None
-
-
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    # an unusable configuration raises here and exits 2; failures of the
-    # experiment itself are reported below as diagnostics with exit 1
-    grid, sim = _run_setup(args, cfg)
     t0 = time.time()
     try:
-        if args.experiment == "sim":
-            u0 = gaussian_datum(grid, amplitude=cfg.get("amplitude", 1e-3),
-                                center_xi=cfg.get("center_xi", 1.5))
-            tr = evolve(u0, sim)
-            ms = mass_series(tr)
-            drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
-            payload = _manifest(cfg, args.seed, t0, {
-                "times": list(tr.times), "mass_drift": drift,
-                "mass_tol": 1e-6, "passed": drift <= 1e-6})
-            if args.out:
-                for i, s in enumerate(tr.states):
-                    write_snapshot(s, os.path.join(args.out, f"state_{i:04d}.kp3f"))
-            _emit(args, "run-sim", payload)
-            return 0 if drift <= 1e-6 else 1
-
-        if args.experiment == "picard":
-            npar = NormParams()
-            u0 = gaussian_datum(grid, amplitude=1.0, center_xi=1.0,
-                                width_xi=0.4, width_eta=0.4)
-            u0 = SpectralField(grid, u0.coeff * (cfg.get("datum_norm", 1e-3)
-                                                 / lqlp_norm(u0, npar)), True)
-            tr, rep = picard_iterate(u0, sim)
-            ok = rep.converged and all(r <= 0.5 for r in rep.ratios)
-            payload = _manifest(cfg, args.seed, t0, {
-                "iterates": rep.iterates, "diffs": rep.diffs,
-                "ratios": rep.ratios, "converged": rep.converged, "passed": ok})
-            _emit(args, "run-picard", payload)
-            return 0 if ok else 1
-
-        if args.experiment == "scatter":
-            npar = NormParams()
-            rng = member_rng(args.seed, cfg.get("member", 0))
-            u0 = scattering_datum(grid, rng, cfg.get("datum_norm", 1e-3), npar)
-            tr = evolve(u0, sim)
-            rep = asymptotic_state(tr, npar, strict=False)
-            ok = rep.detected
-            payload = _manifest(cfg, args.seed, t0, {
-                "checkpoints": list(rep.sample_times),
-                "cauchy_gaps": list(rep.cauchy_gaps),
-                "residuals": list(rep.residuals), "detected": rep.detected,
-                "passed": ok})
-            if args.out and args.format == "csv":
-                write_csv(os.path.join(args.out, "residuals.csv"),
-                          ["t", "residual"],
-                          list(zip(rep.sample_times, rep.residuals)))
-            _emit(args, "run-scatter", payload)
-            return 0 if ok else 1
-
-        if args.experiment == "illposed-sweep":
-            rep = growth_sweep(args.lams, args.p)
-            ok = abs(rep.slope - rep.predicted) <= 0.3 if args.p != 2.0 \
-                else rep.slope <= 0.3
-            payload = _manifest(cfg, args.seed, t0, {
-                "lams": list(rep.lams), "mus": list(rep.mus),
-                "norms": list(rep.norms), "slope": rep.slope,
-                "predicted": rep.predicted, "quadrature_gaps": list(rep.gaps),
-                "passed": bool(ok)})
-            if args.out:
-                write_csv(os.path.join(args.out, "growth.csv"),
-                          ["lam", "mu", "p", "norm", "fitted_slope"],
-                          [(l, m, args.p, n, rep.slope)
-                           for l, m, n in zip(rep.lams, rep.mus, rep.norms)])
-            _emit(args, "run-illposed-sweep", payload)
-            return 0 if ok else 1
-
-        # spaces-lab; imported here so that no other verb loads scipy.special
-        from .function_spaces import (AnalyticDatum, divergent_sequence_check,
-                                      sector_sum_decay, zero_mean_blowup)
-        d = AnalyticDatum()
-        tab = sector_sum_decay(d, cfg.get("p", 2.0))
-        dich = zero_mean_blowup(d, cfg.get("p", 2.0))
-        comb = divergent_sequence_check(
-            [2.0 ** -a for a in (2, 4, 8, 16, 32, 40)], cfg.get("comb_p", 3.0))
-        payload = _manifest(cfg, args.seed, t0, {
-            "decay_lams": list(tab.lams), "decay_values": list(tab.values),
-            "low_slope": tab.low_slope,
-            "partial_slope": dich.partial_slope, "divergent": dich.divergent,
-            "comb_norms": list(comb.norms),
-            "comb_pairings": list(comb.pairings),
-            "comb_growth_exponent": comb.growth_exponent,
-            "passed": True})
-        _emit(args, "run-spaces-lab", payload)
-        return 0
-    except KplabError as ex:
-        payload = _manifest(cfg, args.seed, t0,
-                            {"passed": False, "diagnostic": str(ex),
-                             "cause": type(ex).__name__})
-        _emit(args, f"run-{args.experiment}", payload)
-        return 1
+        ok, extra = _RUNS[args.experiment](args, s)
+    except KplabError as ex:   # a failure of the experiment itself: exit 1
+        ok, extra = False, {"diagnostic": str(ex), "cause": type(ex).__name__}
+    _emit(args, f"run-{args.experiment}", {
+        "config": cfg, "config_hash": config_hash(cfg), "seed": args.seed,
+        "versions": {"kplab": __version__, "numpy": np.__version__},
+        "wall_clock_s": round(time.time() - t0, 3), **extra, "passed": bool(ok)})
+    return 0 if ok else 1
 
 
 # ----------------------------------------------------------------------
 # norms
 # ----------------------------------------------------------------------
 
-def cmd_norms(args) -> int:
+def cmd_norms(args, cfg, s) -> int:
     field = read_snapshot(args.file)
     npar = NormParams(q=args.q, p=args.p)
     records = [
@@ -444,7 +435,7 @@ def cmd_norms(args) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="kplab", description=__doc__)
     ap.add_argument("--config", default=None, help="JSON config file")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--out", default=None, help="output directory (created if missing)")
     ap.add_argument("--threads", type=_count, default=1, help="worker threads")
     ap.add_argument("--format", choices=("csv", "json"), default="json")
@@ -478,8 +469,7 @@ def main(argv=None) -> int:
     vf.set_defaults(func=cmd_verify)
 
     rn = sub.add_parser("run", help="run an experiment")
-    rn.add_argument("experiment", choices=("sim", "picard", "scatter",
-                                           "illposed-sweep", "spaces-lab"))
+    rn.add_argument("experiment", choices=_RUNS)
     rn.add_argument("--p", type=float, default=3.0)
     rn.add_argument("--lams", type=_positives, default="8,16,32,64")
     rn.set_defaults(func=cmd_run)
@@ -492,9 +482,10 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        cfg, settings = _load_config(args.config, getattr(args, "experiment", args.verb))
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        return args.func(args, cfg, settings)
     except (KplabError, OSError) as ex:   # OSError: a path that cannot be read or written
         print(f"error: {ex}", file=sys.stderr)
         return 2

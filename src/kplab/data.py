@@ -15,8 +15,11 @@ from .errors import ConfigurationError
 from .illposedness import IllposedParams, two_bump_datum
 from .spectral import GridSpec, SpectralField, grid_geometry, make_field
 
-# counter-based generator so ensembles are order-independent
+# counter-based generator so ensembles are order-independent; the key packs
+# seed and member into 32 bits each, so each must lie in [0, 2^32)
 def member_rng(run_seed: int, member: int) -> np.random.Generator:
+    if not (0 <= run_seed < 2 ** 32 and 0 <= member < 2 ** 32):
+        raise ConfigurationError(f"seed {run_seed} and member {member} must lie in [0, 2^32)")
     return np.random.Generator(np.random.Philox(key=(np.uint64(run_seed) << np.uint64(32))
                                                 + np.uint64(member)))
 

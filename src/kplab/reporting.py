@@ -47,17 +47,16 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Rows are emitted sorted; floats via repr (byte-stable)."""
+    """Rows are emitted sorted by value; floats via repr (byte-stable)."""
     def fmt(v):
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
         return str(v)
 
-    lines = sorted(",".join(fmt(v) for v in row) for row in rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        for row in sorted(rows):
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def config_hash(obj) -> str:

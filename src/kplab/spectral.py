@@ -288,8 +288,11 @@ def make_field(grid: GridSpec, coeff: np.ndarray, real_flag: bool = True,
     """
     geo = grid_geometry(grid)
     c = np.array(coeff, dtype=np.complex128)
-    if hermitize:
-        c = 0.5 * (c + np.conj(c[geo.reverse]))
+    if hermitize:   # 0.5 * (c + conj(mirror)), in one mirrored copy
+        m = c[geo.reverse]
+        np.conjugate(m, out=m)
+        c += m
+        c *= 0.5
     c[~geo.structural] = 0.0
     return SpectralField(grid, c, real_flag)
 

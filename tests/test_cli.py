@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import kplab
-from kplab.cli import main
-from kplab.data import gaussian_datum
+from kplab.cli import _load_config, main
+from kplab.data import gaussian_datum, member_rng
 from kplab.decomposition import NormParams, lqlp_norm, sector_masses
+from kplab.errors import ConfigurationError
+from kplab.reporting import write_csv
 from kplab.spectral import GridSpec, SpectralField, read_snapshot, write_snapshot
 
 
@@ -174,6 +176,28 @@ def test_run_spaces_lab_report(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_partial_grid_merges_into_the_experiment_default(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"grid": {"modes_x": 32}}')
+    raw, settings = _load_config(str(cfg), "scatter")
+    assert raw == {"grid": {"modes_x": 32}}
+    assert settings["grid"] == GridSpec(32, 24, 24, 32 * math.pi, 8 * math.pi, 8 * math.pi)
+    assert settings["sim"].grid == settings["grid"]
+
+
+@pytest.mark.parametrize("seed, member", [(-1, 0), (2 ** 32, 0), (0, -1), (0, 2 ** 32)])
+def test_member_rng_refuses_keys_outside_32_bits(seed, member):
+    with pytest.raises(ConfigurationError):
+        member_rng(seed, member)
+
+
+def test_csv_rows_sort_by_value(tmp_path):
+    write_csv(tmp_path / "g.csv", ["lam", "k1"],
+              [(64.0, 1), (8.0, -2), (32.0, 0), (16.0, 0), (8.0, -10)])
+    assert (tmp_path / "g.csv").read_text().splitlines() == [
+        "lam,k1", "8.0,-10", "8.0,-2", "16.0,0", "32.0,0", "64.0,1"]
+
+
 def test_run_unknown_experiment(capsys):
     with pytest.raises(SystemExit):
         main(["run", "warp-drive"])
@@ -238,6 +262,18 @@ _MALFORMED = {
     "snapshot-inf-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.inf}),
     "sim-horizon-without-samples": (["--config", "c.json", "run", "sim"],
                                     {"c.json": '{"samples_per_unit": 0.4, "T": 1}'}),
+    "config-unknown-key": (["--config", "c.json", "run", "picard"],
+                           {"c.json": '{"datum_nrom": 0.5}'}),
+    "config-key-of-other-experiment": (["--config", "c.json", "run", "scatter"],
+                                       {"c.json": '{"samples_per_unit": 4}'}),
+    "config-on-illposed-sweep": (["--config", "c.json", "run", "illposed-sweep"],
+                                 {"c.json": '{"p": 3}'}),
+    "verify-bad-json": (["--config", "c.json", "verify", "resonance"], {"c.json": "{bad"}),
+    "seed-negative": (["--seed", "-1", "verify", "resonance"], {}),
+    "seed-2-pow-32": (["--seed", "4294967296", "verify", "resonance"], {}),
+    "member-negative": (["--config", "c.json", "run", "scatter"], {"c.json": '{"member": -1}'}),
+    "member-2-pow-32": (["--config", "c.json", "run", "scatter"],
+                        {"c.json": '{"member": 4294967296}'}),
 }
 
 

@@ -267,5 +267,6 @@ def test_make_field_hermitize(grid_small):
     c[2, 1, 0] = 1.0 + 0.5j
     u = make_field(grid_small, c, real_flag=True, hermitize=True)
     u.validate()
+    assert np.count_nonzero(c) == 1 and c[2, 1, 0] == 1.0 + 0.5j   # input untouched
     p = inverse_transform(u)
     assert np.max(np.abs(p.samples.imag if np.iscomplexobj(p.samples) else 0)) == 0
