@@ -103,6 +103,23 @@ def test_omega_is_exactly_odd(hx, h1, h2, lx, l1, l2):
     assert np.all((geo.omega + geo.omega[geo.reverse])[geo.structural] == 0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0))
+def test_structural_mask_and_reverse_index(hx, h1, h2, lx, l1, l2):
+    # structural = xi != 0 and no Nyquist index on any axis; reverse maps
+    # mode number k to the index of -k, that is -k mod n, as an open mesh
+    g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                 2 * np.pi * l2)
+    geo = grid_geometry(g)
+    ix = np.indices(g.shape)
+    nyquist = (ix[0] == g.modes_x // 2) | (ix[1] == g.modes_y1 // 2) | (ix[2] == g.modes_y2 // 2)
+    assert np.array_equal(geo.structural, (g.mode_numbers(0)[ix[0]] != 0) & ~nyquist)
+    for a, n in enumerate(g.shape):
+        assert geo.reverse[a].shape == tuple(n if b == a else 1 for b in range(3))
+        assert np.array_equal(geo.reverse[a].ravel(), (-g.mode_numbers(a)) % n)
+
+
 @pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
 def test_propagated_real_field_stays_hermitian(t):
     # a non-dyadic box, where numpy's xi ** 3 is not odd in the last digit
