@@ -162,6 +162,9 @@ def cmd_make_data(args, cfg, s) -> int:
     elif args.kind == "sector":
         field = sector_indicator_datum(grid, args.lam, args.k, args.amplitude)
     elif args.kind == "illposed":
+        if "grid" in cfg:
+            raise ConfigurationError("make-data illposed builds its own grid from --mu, --lam "
+                                     "and --illposed-modes-x; remove the config 'grid'")
         ip = IllposedParams(args.mu, args.lam, coupling=False)
         mu, lam = ip.mu, ip.lam
         # dedicated fine-x grid hosting both bumps at resolution mu/4, lam*mu/4

@@ -35,9 +35,8 @@ def gaussian_datum(grid: GridSpec, amplitude: float = 1.0, scale: float = 1.0,
     if center_xi == 0.0:
         raise ConfigurationError("center_xi must be nonzero (zero-x-mean fields)")
     h = scale
-    xi = grid.xi_axis()[:, None, None] / h
-    e1 = grid.eta1_axis()[None, :, None] / h ** 2
-    e2 = grid.eta2_axis()[None, None, :] / h ** 2
+    geo = grid_geometry(grid)
+    xi, e1, e2 = geo.xi / h, geo.eta1 / h ** 2, geo.eta2 / h ** 2
     prof = (np.exp(-((xi - center_xi) ** 2) / (2 * width_xi ** 2))
             * np.exp(-(e1 ** 2 + e2 ** 2) / (2 * width_eta ** 2)))
     coeff = (amplitude / h ** 3) * prof
@@ -108,9 +107,8 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
 def two_bump_lattice_datum(grid: GridSpec, ip: IllposedParams, p: float) -> SpectralField:
     """Lattice rendition of the boxes of `two_bump_datum(ip, p)`: each box's
     amplitude on the modes inside it (Hermitian mirror added)."""
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
+    geo = grid_geometry(grid)
+    xi, e1, e2 = geo.xi, geo.eta1, geo.eta2
     coeff = np.zeros(grid.shape, dtype=np.complex128)
     for box in two_bump_datum(ip, p):
         (xlo, xhi), (elo, ehi) = box.xi_range, box.eta_range

@@ -103,12 +103,9 @@ def shell_scale(xi: float) -> float:
 
 def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
     """Keep coefficients with lam <= |xi| < 2 lam."""
-    g = u.grid
-    xi = g.xi_axis()
-    keep = (np.abs(xi) >= lam) & (np.abs(xi) < 2 * lam)
-    out = np.zeros_like(u.coeff)
-    out[keep, :, :] = u.coeff[keep, :, :]
-    return SpectralField(g, out, u.real_flag)
+    xi = np.abs(grid_geometry(u.grid).xi)
+    return SpectralField(u.grid, np.where((xi >= lam) & (xi < 2 * lam), u.coeff, 0.0),
+                         u.real_flag)
 
 
 def sector_projection(u: SpectralField, s: SectorIndex) -> SpectralField:

@@ -416,7 +416,7 @@ def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,
         raise PreconditionError("u0 must be nonzero")
     s = strichartz_exponent(p, q, family)
     g = u0.grid
-    xi = np.abs(g.xi_axis())[:, None, None]
+    xi = np.abs(grid_geometry(g).xi)
     wgt = np.where(xi > 0, xi, 1.0) ** s
     denom = math.sqrt(g.volume * float(np.sum((wgt * np.abs(u0.coeff)) ** 2)))
     dV = g.volume / u0.coeff.size

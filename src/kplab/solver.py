@@ -17,7 +17,7 @@ discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_norms,
                             v2_variation_norm)
 from .errors import (AccuracyError, BlowupError, ConfigurationError,
                      DivergenceError, PreconditionError)
-from .spectral import GridSpec, SpectralField, grid_geometry, require_number
+from .spectral import (GridSpec, SpectralField, grid_geometry, nonzero_modes,
+                       require_number)
 
 # ----------------------------------------------------------------------
 # Dealiasing and the quadratic term
@@ -61,18 +62,11 @@ def nonlinearity_direct(u: SpectralField) -> SpectralField:
     if np.prod(g.shape) > 40 ** 3:
         raise ConfigurationError("direct convolution oracle limited to small grids")
     geo = grid_geometry(g)
-    cin = np.where(geo.active, u.coeff, 0.0)
-    idx = np.nonzero(cin)
-    kx = g.mode_numbers(0)[idx[0]]
-    k1 = g.mode_numbers(1)[idx[1]]
-    k2 = g.mode_numbers(2)[idx[2]]
-    vals = cin[idx]
-    nx, n1, n2 = g.shape
+    kx, k1, k2, vals = nonzero_modes(g, np.where(geo.active, u.coeff, 0.0))
     out = np.zeros(g.shape, dtype=np.complex128)
     for a in range(vals.size):
-        tx, t1, t2 = kx[a] + kx, k1[a] + k1, k2[a] + k2
-        ok = ((np.abs(tx) < nx // 2) & (np.abs(t1) < n1 // 2) & (np.abs(t2) < n2 // 2))
-        np.add.at(out, (tx[ok] % nx, t1[ok] % n1, t2[ok] % n2), vals[a] * vals[ok])
+        index, ok = g.index(kx[a] + kx, k1[a] + k1, k2[a] + k2)
+        np.add.at(out, tuple(i[ok] for i in index), vals[a] * vals[ok])
     out = -1j * geo.xi * np.where(geo.active, out, 0.0)
     return SpectralField(g, out, real_flag=True)
 
@@ -86,19 +80,12 @@ def spectral_product(u: SpectralField, v: SpectralField) -> SpectralField:
     if u.grid != v.grid:
         raise ConfigurationError("product requires a shared grid")
     g = u.grid
-    nx, n1, n2 = g.shape
-    big = (2 * nx, 2 * n1, 2 * n2)
-
-    def embed(c):
-        out = np.zeros(big, dtype=np.complex128)
-        kx, k1, k2 = g.mode_numbers(0), g.mode_numbers(1), g.mode_numbers(2)
-        out[np.ix_(kx % big[0], k1 % big[1], k2 % big[2])] = c
-        return out
-
-    pu, pv = embed(u.coeff), embed(v.coeff)
+    big = replace(g, modes_x=2 * g.modes_x, modes_y1=2 * g.modes_y1, modes_y2=2 * g.modes_y2)
+    index, _ = big.index(*np.ix_(*map(g.mode_numbers, range(3))))
+    pu, pv = np.zeros((2,) + big.shape, dtype=np.complex128)
+    pu[index], pv[index] = u.coeff, v.coeff
     prod = np.fft.fftn(np.fft.ifftn(pu) * np.fft.ifftn(pv)) * pu.size
-    kx, k1, k2 = g.mode_numbers(0), g.mode_numbers(1), g.mode_numbers(2)
-    out = prod[np.ix_(kx % big[0], k1 % big[1], k2 % big[2])]
+    out = prod[index]
     out[~grid_geometry(g).structural] = 0.0
     return SpectralField(g, out, u.real_flag and v.real_flag)
 
@@ -385,12 +372,10 @@ _SLOPE_PRODUCT_LIMIT = 24 ** 3
 
 
 def _mode_list(u: SpectralField):
+    """Mode numbers, wavenumbers and values of the nonzero coefficients."""
     g = u.grid
-    idx = np.nonzero(u.coeff)
-    xi = g.mode_numbers(0)[idx[0]] * g.dxi
-    e1 = g.mode_numbers(1)[idx[1]] * g.deta1
-    e2 = g.mode_numbers(2)[idx[2]] * g.deta2
-    return xi, e1, e2, u.coeff[idx]
+    *k, c = nonzero_modes(g, u.coeff)
+    return k, (k[0] * g.dxi, k[1] * g.deta1, k[2] * g.deta2), c
 
 
 def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
@@ -407,9 +392,8 @@ def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
     g = u.grid
     if int(np.prod(g.shape)) > _SLOPE_PRODUCT_LIMIT:
         raise ConfigurationError("slope_filtered_product is restricted to <= 24^3 grids")
-    xu, e1u, e2u, cu = _mode_list(u)
-    xv, e1v, e2v, cv = _mode_list(v)
-    nx, n1, n2 = g.shape
+    ku, (xu, e1u, e2u), cu = _mode_list(u)
+    kv, (xv, e1v, e2v), cv = _mode_list(v)
     out = np.zeros(g.shape, dtype=np.complex128)
     dropped = 0.0
     s1v = e1v / xv
@@ -423,12 +407,9 @@ def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
         arg1 = (e1u[a] / xu[a] - s1v[ok]) / xsum[ok]
         arg2 = (e2u[a] / xu[a] - s2v[ok]) / xsum[ok]
         w = DEFAULT_PROFILE.band_weight(L, arg1, arg2)
-        tx = np.rint((xsum[ok]) / g.dxi).astype(int)
-        t1 = np.rint((e1u[a] + e1v[ok]) / g.deta1).astype(int)
-        t2 = np.rint((e2u[a] + e2v[ok]) / g.deta2).astype(int)
-        infl = ((np.abs(tx) < nx // 2) & (np.abs(t1) < n1 // 2) & (np.abs(t2) < n2 // 2))
+        index, infl = g.index(*(ka[a] + kb[ok] for ka, kb in zip(ku, kv)))
         vals = w * cu[a] * cv[ok]
-        np.add.at(out, (tx[infl] % nx, t1[infl] % n1, t2[infl] % n2), vals[infl])
+        np.add.at(out, tuple(i[infl] for i in index), vals[infl])
     fieldout = SpectralField(g, out, u.real_flag and v.real_flag)
     if return_report:
         return fieldout, {"dropped_zero_xi_mass": dropped}
@@ -437,6 +418,6 @@ def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
 
 def slope_band_extent(grid: GridSpec) -> float:
     """Largest |(s1-s2)/(xi1+xi2)| over grid mode pairs, for band coverage."""
-    smax = max(abs(grid.eta1_axis()).max() / grid.dxi,
-               abs(grid.eta2_axis()).max() / grid.dxi)
+    geo = grid_geometry(grid)
+    smax = max(abs(geo.eta1).max() / grid.dxi, abs(geo.eta2).max() / grid.dxi)
     return 2.0 * smax / grid.dxi

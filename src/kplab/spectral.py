@@ -104,14 +104,14 @@ class GridSpec:
         n = self.shape[axis]
         return np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
 
-    def xi_axis(self) -> np.ndarray:
-        return self.mode_numbers(0) * self.dxi
-
-    def eta1_axis(self) -> np.ndarray:
-        return self.mode_numbers(1) * self.deta1
-
-    def eta2_axis(self) -> np.ndarray:
-        return self.mode_numbers(2) * self.deta2
+    def index(self, kx, k1, k2):
+        """(index, inside): the FFT-order array index of mode numbers
+        (kx, k1, k2), one array per axis, and where all three are
+        representable, |k| < n/2 (never a Nyquist plane).  Only `inside`
+        broadcasts, so open-mesh inputs give open-mesh indices."""
+        inside = ((np.abs(kx) < self.modes_x // 2) & (np.abs(k1) < self.modes_y1 // 2)
+                  & (np.abs(k2) < self.modes_y2 // 2))
+        return tuple(k % n for k, n in zip((kx, k1, k2), self.shape)), inside
 
     def xi_max(self) -> float:
         # Nyquist planes are excluded from use.
@@ -191,23 +191,16 @@ class GridGeometry:
 @lru_cache(maxsize=8)
 def grid_geometry(grid: GridSpec) -> GridGeometry:
     """The geometry of `grid`, cached for the few most recent grids."""
-    xi = grid.xi_axis()[:, None, None]
-    e1 = grid.eta1_axis()[None, :, None]
-    e2 = grid.eta2_axis()[None, None, :]
+    kx, k1, k2 = np.ix_(*map(grid.mode_numbers, range(3)))
+    xi, e1, e2 = kx * grid.dxi, k1 * grid.deta1, k2 * grid.deta2
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = (e1 ** 2 + e2 ** 2) / xi     # in place: one full-grid array, not three
         np.subtract(xi * xi * xi, omega, out=omega)   # exactly odd in xi; xi ** 3 is not
         s1 = np.where(xi != 0, e1 / xi, 0.0)
         s2 = np.where(xi != 0, e2 / xi, 0.0)
     omega[xi[:, 0, 0] == 0] = 0.0
-
-    keep = np.ones(grid.shape, dtype=bool)
-    keep[grid.modes_x // 2, :, :] = False
-    keep[:, grid.modes_y1 // 2, :] = False
-    keep[:, :, grid.modes_y2 // 2] = False
-    keep[0, :, :] = False  # zero-x-mean plane
-    reverse = np.ix_(*((-np.arange(n)) % n for n in grid.shape))
-    return GridGeometry(grid, *map(_read_only, (xi, e1, e2, s1, s2, omega, keep)),
+    reverse, inside = grid.index(-kx, -k1, -k2)
+    return GridGeometry(grid, *map(_read_only, (xi, e1, e2, s1, s2, omega, inside & (kx != 0))),
                         tuple(map(_read_only, reverse)))
 
 
@@ -246,10 +239,12 @@ class SpectralField:
 
     def mode(self, xi: float, eta1: float, eta2: float) -> complex:
         """Coefficient at a physical wavenumber (must lie on the lattice)."""
-        i = _snap(xi, self.grid.dxi, self.grid.modes_x, "xi")
-        j = _snap(eta1, self.grid.deta1, self.grid.modes_y1, "eta1")
-        k = _snap(eta2, self.grid.deta2, self.grid.modes_y2, "eta2")
-        return complex(self.coeff[i, j, k])
+        g = self.grid
+        index, inside = g.index(_snap(xi, g.dxi, "xi"), _snap(eta1, g.deta1, "eta1"),
+                                _snap(eta2, g.deta2, "eta2"))
+        if not inside:
+            raise ConfigurationError(f"({xi}, {eta1}, {eta2}) outside representable range")
+        return complex(self.coeff[index])
 
 
 @dataclass(frozen=True)
@@ -269,14 +264,18 @@ class PhysicalField:
         return float(np.sqrt(self.grid.volume / n * np.sum(self.samples ** 2)))
 
 
-def _snap(value: float, delta: float, n: int, name: str) -> int:
+def _snap(value: float, delta: float, name: str) -> int:
     k = value / delta
     ki = int(np.rint(k))
     if abs(k - ki) > 1e-9 * max(1.0, abs(k)):
         raise ConfigurationError(f"{name}={value} is not on the lattice (spacing {delta})")
-    if not (-n // 2 < ki < n // 2):
-        raise ConfigurationError(f"{name}={value} outside representable range")
-    return ki % n
+    return ki
+
+
+def nonzero_modes(grid: GridSpec, coeff: np.ndarray):
+    """Mode numbers (kx, k1, k2) and values of the nonzero coefficients."""
+    idx = np.nonzero(coeff)
+    return (*(grid.mode_numbers(a)[i] for a, i in enumerate(idx)), coeff[idx])
 
 
 def make_field(grid: GridSpec, coeff: np.ndarray, real_flag: bool = True,
@@ -375,22 +374,9 @@ def galilean_shift(u: SpectralField, c, return_dropped: bool = False):
     """
     g = u.grid
     m1, m2 = _galilean_integers(g, c)
-    n1, n2 = g.modes_y1, g.modes_y2
-    k1 = g.mode_numbers(1)
-    k2 = g.mode_numbers(2)
-    out = np.zeros_like(u.coeff)
-    for ix, kx in enumerate(g.mode_numbers(0)):
-        if kx == 0 or abs(kx) == g.modes_x // 2:
-            continue
-        s1 = k1 + m1 * kx        # source eta1 mode feeding each target
-        s2 = k2 + m2 * kx
-        ok1 = np.abs(s1) < n1 // 2
-        ok2 = np.abs(s2) < n2 // 2
-        rows = np.where(ok1)[0]
-        cols = np.where(ok2)[0]
-        if rows.size == 0 or cols.size == 0:
-            continue
-        out[ix][np.ix_(rows, cols)] = u.coeff[ix][np.ix_(s1[rows] % n1, s2[cols] % n2)]
+    kx, k1, k2 = np.ix_(*map(g.mode_numbers, range(3)))
+    source, inside = g.index(kx, k1 + m1 * kx, k2 + m2 * kx)
+    out = np.where(inside & grid_geometry(g).structural, u.coeff[source], 0.0)
     total = g.volume * np.sum(np.abs(u.coeff) ** 2)
     kept = g.volume * np.sum(np.abs(out) ** 2)
     dropped = max(0.0, float(total - kept))
@@ -433,23 +419,19 @@ def scaling_transform(u: SpectralField, lam: float, same_grid: bool = False) -> 
                      length_y2=g.length_y2 / lam ** 2)
         return SpectralField(g2, lam ** 2 * u.coeff, u.real_flag)
 
-    rx = lam
-    ry = lam ** 2
-    out = np.zeros_like(u.coeff)
-    idx = np.nonzero(u.coeff)
-    kx = g.mode_numbers(0)[idx[0]].astype(float)
-    k1 = g.mode_numbers(1)[idx[1]].astype(float)
-    k2 = g.mode_numbers(2)[idx[2]].astype(float)
-    tx, t1, t2 = kx * rx, k1 * ry, k2 * ry
-    for t, name in ((tx, "x"), (t1, "y1"), (t2, "y2")):
+    kx, k1, k2, vals = nonzero_modes(g, u.coeff)
+    targets = []
+    for k, r, name in ((kx, lam, "x"), (k1, lam ** 2, "y1"), (k2, lam ** 2, "y2")):
+        t = k * r
         if np.any(np.abs(t - np.rint(t)) > 1e-9):
             raise ConfigurationError(
                 f"scaling by {lam} moves occupied {name}-modes off the integer lattice")
-    tx, t1, t2 = np.rint(tx).astype(int), np.rint(t1).astype(int), np.rint(t2).astype(int)
-    if (np.any(np.abs(tx) >= g.modes_x // 2) or np.any(np.abs(t1) >= g.modes_y1 // 2)
-            or np.any(np.abs(t2) >= g.modes_y2 // 2)):
+        targets.append(np.rint(t).astype(int))
+    index, inside = g.index(*targets)
+    if not np.all(inside):
         raise ConfigurationError(f"scaling by {lam} moves occupied modes out of range")
-    out[tx % g.modes_x, t1 % g.modes_y1, t2 % g.modes_y2] = lam ** 2 * u.coeff[idx]
+    out = np.zeros_like(u.coeff)
+    out[index] = lam ** 2 * vals
     return SpectralField(g, out, u.real_flag)
 
 

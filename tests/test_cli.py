@@ -258,6 +258,9 @@ _MALFORMED = {
     "make-data-center-xi-nan": (["make-data", "gaussian", "--center-xi", "nan"], {}),
     "make-data-illposed-lam-below-one": (["make-data", "illposed", "--lam", "0.5"], {}),
     "make-data-illposed-p-out-of-range": (["make-data", "illposed", "--p", "1"], {}),
+    "make-data-illposed-grid": (["--config", "c.json", "make-data", "illposed",
+                                 "--illposed-modes-x", "4224"],
+                                {"c.json": '{"grid": {"modes_x": 32}}'}),
     "snapshot-nan-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.nan}),
     "snapshot-inf-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.inf}),
     "sim-horizon-without-samples": (["--config", "c.json", "run", "sim"],

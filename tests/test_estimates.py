@@ -207,8 +207,9 @@ def test_strichartz_dilation_invariance(strich_grid):
 def _direct_flow(u0, times):
     """S(t) u0 sampled on the space grid, from the symbol written out here."""
     g = u0.grid
-    xi = g.xi_axis()[:, None, None]
-    eta2 = g.eta1_axis()[None, :, None] ** 2 + g.eta2_axis()[None, None, :] ** 2
+    xi = (g.mode_numbers(0) * g.dxi)[:, None, None]
+    eta2 = ((g.mode_numbers(1) * g.deta1)[None, :, None] ** 2
+            + (g.mode_numbers(2) * g.deta2)[None, None, :] ** 2)
     w = np.where(xi != 0, xi ** 3 - eta2 / np.where(xi != 0, xi, 1.0), 0.0)
     c = np.exp(1j * np.asarray(times)[:, None, None, None] * w) * u0.coeff
     return np.fft.ifftn(c, axes=(1, 2, 3)).real * u0.coeff.size
@@ -219,7 +220,7 @@ def test_linear_flow_ratios_match_direct_evaluation():
     u0 = random_band_field(g, member_rng(7, 0), 0.5, 3.0, eta_max=2.0)
     v0 = random_band_field(g, member_rng(7, 1), 0.5, 3.0, eta_max=2.0)
     dV, T = g.volume / u0.coeff.size, 0.5
-    xi = np.abs(g.xi_axis())[:, None, None]
+    xi = np.abs(g.mode_numbers(0) * g.dxi)[:, None, None]
     for p, q, s in ((4, 4, 0.5), (2, math.inf, 1.0)):
         n = 12
         ph = np.abs(_direct_flow(u0, (np.arange(n) + 0.5) * T / n))
@@ -273,7 +274,7 @@ def test_flow_samples_match_full_transform(hx, h1, h2, lx, l1, l2, seed, data):
     w0 = SpectralField(g, u0.coeff, real_flag=False)
     for got, want in zip(_flow_samples(w0, times), ref):
         assert np.array_equal(got, want)
-    one_sided = SpectralField(g, np.where(g.xi_axis()[:, None, None] > 0, u0.coeff, 0.0))
+    one_sided = SpectralField(g, np.where(g.mode_numbers(0)[:, None, None] > 0, u0.coeff, 0.0))
     with pytest.raises(ConfigurationError):
         next(_flow_samples(one_sided, times))
 

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kplab.data import gaussian_datum, random_band_field
+from kplab.data import gaussian_datum, member_rng, random_band_field
 from kplab.decomposition import SectorIndex
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.illposedness import IllposedParams
 from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
                             apply_linear_propagator, dispersion_symbol,
-                            forward_transform, galilean_boost, galilean_shift,
-                            grid_geometry, inverse_transform, make_field, read_snapshot,
+                            forward_transform, galilean_boost, galilean_lattice,
+                            galilean_shift, grid_geometry, inverse_transform, make_field,
+                            read_snapshot,
                             require_power_of_two, scaling_transform, write_snapshot,
                             zero_field)
 
@@ -51,6 +52,11 @@ def test_cosine_two_modes(grid_small):
     assert nz.sum() == 2
     assert u.mode(3.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert u.mode(-3.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+    # off the lattice, on a Nyquist plane, and beyond the grid
+    for xi, eta1, eta2 in ((3.5, 0.0, 0.0), (3.0, 0.0, 1e-3), (8.0, 0.0, 0.0),
+                           (-8.0, 0.0, 0.0), (3.0, -8.0, 0.0), (3.0, 0.0, 9.0)):
+        with pytest.raises(ConfigurationError):
+            u.mode(xi, eta1, eta2)
 
 
 def test_roundtrip_and_parseval(grid_small, rng):
@@ -108,7 +114,8 @@ def test_omega_is_exactly_odd(hx, h1, h2, lx, l1, l2):
        st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0))
 def test_structural_mask_and_reverse_index(hx, h1, h2, lx, l1, l2):
     # structural = xi != 0 and no Nyquist index on any axis; reverse maps
-    # mode number k to the index of -k, that is -k mod n, as an open mesh
+    # mode number k to the index of -k, that is -k mod n, as an open mesh;
+    # index inverts mode_numbers and marks the Nyquist indices outside
     g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
                  2 * np.pi * l2)
     geo = grid_geometry(g)
@@ -118,6 +125,11 @@ def test_structural_mask_and_reverse_index(hx, h1, h2, lx, l1, l2):
     for a, n in enumerate(g.shape):
         assert geo.reverse[a].shape == tuple(n if b == a else 1 for b in range(3))
         assert np.array_equal(geo.reverse[a].ravel(), (-g.mode_numbers(a)) % n)
+    index, inside = g.index(*np.ix_(*map(g.mode_numbers, range(3))))
+    assert np.array_equal(inside, ~nyquist)
+    for a, n in enumerate(g.shape):
+        assert geo.reverse[a].shape == index[a].shape
+        assert np.array_equal(index[a].ravel(), np.arange(n))
 
 
 @pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
@@ -233,10 +245,35 @@ def test_galilean_boost_matches_shift_at_zero(grid_small, rng):
 
 def test_zero_x_mean_preserved_everywhere(grid_small, rng):
     u = random_band_field(grid_small, rng, 0.0, 3.0, eta_max=1.0)
+    full_eta = random_band_field(grid_small, rng, 0.0, 3.0)   # shifts onto the eta Nyquist planes
+    with pytest.warns(UserWarning, match="dropped"):
+        full_eta_shifted = galilean_shift(full_eta, (1.0, 1.0))
     for v in (apply_linear_propagator(u, 0.4), galilean_shift(u, (1.0, 0.0)),
-              scaling_transform(u, 2.0, same_grid=True)):
+              scaling_transform(u, 2.0, same_grid=True), full_eta_shifted):
         assert np.all(v.coeff[0, :, :] == 0)
         v.validate()
+
+
+@pytest.mark.parametrize("m", [(1, 1), (-1, 2), (2, -2), (-2, -1)])
+def test_galilean_dropped_mass_is_the_mass_lost(m):
+    # the reported loss is all that leaves the representable modes: no mass
+    # may land on a Nyquist plane, where make_field would drop it unreported
+    g = GridSpec(16, 16, 16, 4 * np.pi, 4 * np.pi, 4 * np.pi)
+    u = random_band_field(g, member_rng(1, 0), 0.0, 3.0)
+    base = galilean_lattice(g)
+    with pytest.warns(UserWarning, match="dropped"):
+        shifted, dropped = galilean_shift(u, (m[0] * base[0], m[1] * base[1]),
+                                          return_dropped=True)
+    kept = make_field(g, shifted.coeff).l2_norm() ** 2
+    assert dropped == pytest.approx(u.l2_norm() ** 2 - kept, rel=1e-12, abs=0)
+    # mode by mode: a structural target takes its source when that is representable
+    expect = np.zeros_like(u.coeff)
+    kx, k1, k2 = (g.mode_numbers(a) for a in range(3))
+    for i, j, l in np.ndindex(g.shape):
+        s1, s2 = k1[j] + m[0] * kx[i], k2[l] + m[1] * kx[i]
+        if kx[i] != 0 and max(abs(kx[i]), abs(k1[j]), abs(k2[l]), abs(s1), abs(s2)) < 8:
+            expect[i, j, l] = u.coeff[i, s1 % 16, s2 % 16]
+    assert np.array_equal(shifted.coeff, expect)
 
 
 @settings(max_examples=25, deadline=None)
