@@ -13,9 +13,8 @@ from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
                             apply_linear_propagator, dispersion_symbol,
                             forward_transform, galilean_boost, galilean_lattice,
                             galilean_shift, grid_geometry, inverse_transform, make_field,
-                            read_snapshot,
-                            require_power_of_two, scaling_transform, write_snapshot,
-                            zero_field)
+                            read_snapshot, require_power_of_two, scaling_transform,
+                            write_snapshot, zero_field)
 
 
 def test_gridspec_invariants():
