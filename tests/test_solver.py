@@ -16,7 +16,10 @@ from kplab.solver import (MultiplierProfile, SimConfig, duhamel_integral,
                           spectral_product)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             dispersion_symbol, galilean_lattice, galilean_shift,
-                            scaling_transform, trilinear_pairing, zero_field)
+                            grid_geometry, scaling_transform, trilinear_pairing,
+                            zero_field)
+
+even_modes = st.integers(4, 16).map(lambda k: 2 * k)
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +175,56 @@ def test_evolve_linear_limit_first_order(grid_solver):
         gaps.append(np.sqrt(np.sum(np.abs(e.coeff - lin.coeff) ** 2)))
     slope = np.polyfit(np.log2([0.2, 0.1, 0.05]), np.log2(gaps), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
+
+
+def _reference_evolve(u0, cfg):
+    """IF-RK4 on the full spectrum with complex transforms and the 2/3 mask:
+    the oracle for evolve's state on the half-spectrum box."""
+    g = cfg.grid
+    geo = grid_geometry(g)
+    mask, xi, omega = geo.active, geo.xi, geo.omega
+    sample_dt = 1.0 / cfg.samples_per_unit
+    steps = max(1, math.ceil(sample_dt / cfg.dt))
+    h = sample_dt / steps
+    E = np.exp(1j * omega * h)
+    E2 = np.exp(1j * omega * h / 2)
+
+    def rhs(a):
+        phys = np.fft.ifftn(a * mask) * a.size
+        sq = np.fft.fftn(phys.real ** 2) / a.size
+        return -1j * xi * np.where(mask, sq, 0.0)
+
+    c = np.where(mask, u0.coeff, 0.0)
+    out = [c]
+    for _ in range(int(round(cfg.T / sample_dt))):
+        for _ in range(steps):
+            n1 = rhs(c)
+            n2 = rhs(E2 * (c + 0.5 * h * n1))
+            n3 = rhs(E2 * c + 0.5 * h * n2)
+            n4 = rhs(E * c + h * (E2 * n3))
+            c = E * c + (h / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
+        out.append(c)
+    return np.stack(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), even_modes, even_modes, even_modes,
+       st.floats(0.5, 2.0))
+def test_evolve_matches_full_spectrum_reference(seed, nx, n1, n2, ly):
+    # three steps per sample, and a datum whose nonlinear part is far above
+    # rounding: the box state, its mirror and the samples all agree with the
+    # full complex-transform step
+    g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi * ly, 2 * np.pi * ly)
+    u0 = random_band_field(g, np.random.default_rng(seed), 0.0, 3.0, eta_max=3.0,
+                           norm=2.0)
+    cfg = SimConfig(g, dt=0.05, T=0.25, samples_per_unit=8)
+    ref = _reference_evolve(u0, cfg)
+    got = evolve(u0, cfg).coeff
+    lin = evolve(u0, SimConfig(g, dt=0.05, T=0.25, samples_per_unit=8,
+                               nonlinear_scale=0.0)).coeff
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref - lin)) >= 1e-3 * scale
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
 def test_evolve_blowup_diagnostic(grid_solver):
