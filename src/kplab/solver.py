@@ -29,28 +29,70 @@ from .spectral import (GridSpec, SpectralField, grid_geometry, nonzero_modes,
                        require_number)
 
 # ----------------------------------------------------------------------
-# Dealiasing and the quadratic term
+# The active box and the quadratic term
 # ----------------------------------------------------------------------
 
-def _nonlinear_rhs(grid: GridSpec, coeff: np.ndarray, mask: np.ndarray,
+def _active_box(grid: GridSpec) -> tuple:
+    """Open-mesh FFT-order index of the solver state: the modes
+    0 < |kx| <= nx/3, |k1| <= n1/3, 0 <= k2 <= n2/3.  With its conjugate
+    mirror it is exactly `grid_geometry(grid).active`; the xi = 0 and Nyquist
+    planes lie outside it, so no mask is needed inside it."""
+    mx, m1, m2 = (n // 3 for n in grid.shape)
+    index, _ = grid.index(*np.ix_(np.r_[1:mx + 1, -mx:0], np.r_[0:m1 + 1, -m1:0],
+                                  np.arange(m2 + 1)))
+    return index
+
+
+def _expand(grid: GridSpec, a: np.ndarray, box: tuple) -> np.ndarray:
+    """Full Hermitian spectra of box coefficients a (any leading axes): the
+    box, and its conjugate mirror on k2 < 0."""
+    full = np.zeros(a.shape[:-3] + grid.shape, dtype=np.complex128)
+    full[(..., *box)] = a
+    neg = slice(grid.modes_y2 - box[2].size + 1, None)
+    rx, r1, r2 = grid_geometry(grid).reverse
+    full[..., neg] = np.conjugate(full[..., rx, r1, r2[..., neg]])
+    return full
+
+
+def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple,
                    xi: np.ndarray) -> np.ndarray:
-    """-i xi * mask * FFT( (IFFT coeff)^2 ): the coefficient-space N(u)."""
-    phys = np.fft.ifftn(coeff * mask) * coeff.size
-    sq = np.fft.fftn(phys.real ** 2) / coeff.size
-    return -1j * xi * np.where(mask, sq, 0.0)
+    """-i xi FFT((IFFT a)^2) on the box, for box coefficients a with any
+    leading axes: the coefficient-space N(u).
+
+    The transforms are pruned axis by axis: the eta1 transform runs on the
+    box's x-planes, the x transform on its k2 columns, and the real eta2
+    transform reads and keeps k2 <= n2/3 only.  norm="forward" leaves the
+    inverse transforms unscaled.
+    """
+    nx, n1, n2 = grid.shape
+    ix, i1 = box[0].ravel(), box[1].ravel()
+    m2 = box[2].size
+    lead = a.shape[:-3]
+    rows = np.zeros(lead + (ix.size, n1, m2), dtype=np.complex128)
+    rows[..., i1, :] = a
+    planes = np.zeros(lead + (nx, n1, m2), dtype=np.complex128)
+    planes[..., ix, :, :] = np.fft.ifft(rows, axis=-2, norm="forward")
+    phys = np.fft.irfft(np.fft.ifft(planes, axis=-3, norm="forward"), n=n2, axis=-1,
+                        norm="forward")
+    sq = np.fft.rfft(np.square(phys), axis=-1, norm="forward")[..., :m2]
+    sq = np.fft.fft(sq, axis=-3, norm="forward")[..., ix, :, :]
+    return -1j * xi * np.fft.fft(sq, axis=-2, norm="forward")[..., i1, :]
 
 
 def nonlinearity(u: SpectralField) -> SpectralField:
     """Spectral representation of -d/dx(u^2) with the 2/3-rule mask applied.
 
     The xi = 0 output plane is annihilated by the derivative, so the result
-    keeps the zero-x-mean invariant automatically.
+    keeps the zero-x-mean invariant automatically.  Only k2 >= 0 is read, so
+    the field is validated first.
     """
     if not u.real_flag:
         raise PreconditionError("nonlinearity requires a real field")
-    geo = grid_geometry(u.grid)
-    return SpectralField(u.grid, _nonlinear_rhs(u.grid, u.coeff, geo.active, geo.xi),
-                         real_flag=True)
+    u.validate()
+    g = u.grid
+    box = _active_box(g)
+    out = _nonlinear_rhs(g, u.coeff[box], box, grid_geometry(g).xi[box[0], 0, 0])
+    return SpectralField(g, _expand(g, out, box), real_flag=True)
 
 
 def nonlinearity_direct(u: SpectralField) -> SpectralField:
@@ -119,16 +161,20 @@ class SimConfig:
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     """Integrate the nonlinear flow; returns the sampled trajectory.
 
-    Raises BlowupError with a time stamp on NaN or norm explosion (the
-    small-data step guard).
+    The state lives on the active box (`_active_box`) and is expanded to the
+    full Hermitian spectrum at sample times only.  Raises BlowupError with a
+    time stamp on NaN or norm explosion (the small-data step guard).
     """
     if not u0.real_flag:
         raise PreconditionError("evolve requires a real field")
     g = cfg.grid
     if u0.grid != g:
         raise ConfigurationError("datum grid differs from SimConfig grid")
+    u0.validate()
+    box = _active_box(g)
     geo = grid_geometry(g)
-    mask, xi, omega = geo.active, geo.xi, geo.omega
+    xi, omega = geo.xi[box[0], 0, 0], geo.omega[box]
+    twice = np.where(box[2] > 0, 2.0, 1.0)   # a k2 > 0 mode stands for its mirror too
     alpha = cfg.nonlinear_scale
 
     sample_dt = 1.0 / cfg.samples_per_unit
@@ -138,15 +184,15 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     E = np.exp(1j * omega * h)
     E2 = np.exp(1j * omega * h / 2)
 
-    c = np.where(mask, u0.coeff, 0.0)
-    norm0 = np.sqrt(np.sum(np.abs(c) ** 2))
-    coeff = np.empty((n_samples + 1,) + g.shape, dtype=np.complex128)
-    coeff[0] = c
+    c = u0.coeff[box]
+    norm0 = np.sqrt(np.sum(twice * np.abs(c) ** 2))
+    states = np.empty((n_samples + 1,) + c.shape, dtype=np.complex128)
+    states[0] = c
 
     def rhs(a):
         if alpha == 0.0:
             return np.zeros_like(a)
-        return alpha * _nonlinear_rhs(g, a, mask, xi)
+        return alpha * _nonlinear_rhs(g, a, box, xi)
 
     t = 0.0
     for js in range(1, n_samples + 1):
@@ -160,12 +206,12 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
             n4 = rhs(u4)
             c = E * c + (h / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
             t += h
-            nn = np.sqrt(np.sum(np.abs(c) ** 2))
+            nn = np.sqrt(np.sum(twice * np.abs(c) ** 2))
             if not np.isfinite(nn) or (norm0 > 0 and nn > 1e3 * norm0):
                 raise BlowupError(f"step rejected at t={t:.6g} (norm {nn:.3e})", t=t)
-        coeff[js] = c
-    return SpaceTimeTrace(np.arange(n_samples + 1) * sample_dt, coeff, g, u0.real_flag,
-                          window="hann")
+        states[js] = c
+    return SpaceTimeTrace(np.arange(n_samples + 1) * sample_dt, _expand(g, states, box), g,
+                          True, window="hann")
 
 
 def mass_series(tr: SpaceTimeTrace) -> np.ndarray:
@@ -247,10 +293,9 @@ class PicardReport:
     converged: bool
 
 
-def _surrogate_diff_norm(grid: GridSpec, times: np.ndarray, a: np.ndarray,
-                         b: np.ndarray, np_: NormParams):
-    """sup-in-t lqlp norm plus the 2-variation of the difference trace."""
-    diff = a - b
+def _surrogate_diff_norm(grid: GridSpec, times: np.ndarray, diff: np.ndarray,
+                         np_: NormParams):
+    """sup-in-t lqlp norm plus the 2-variation of a difference trace."""
     return (float(np.max(lqlp_norms(diff, grid, np_))),
             v2_variation_norm(SpaceTimeTrace(times, diff, grid, real_flag=False,
                                              window="none")))
@@ -267,6 +312,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     """
     if not u0.real_flag:
         raise PreconditionError("picard_iterate requires a real field")
+    u0.validate()
     np_ = NormParams()
     datum_norm = lqlp_norm(u0, np_)
     if datum_norm > smallness_threshold:
@@ -274,14 +320,15 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
             f"datum norm {datum_norm:.3e} exceeds the small-data threshold "
             f"{smallness_threshold:.1e}")
     g = cfg.grid
+    box = _active_box(g)
     geo = grid_geometry(g)
-    mask, xi, omega = geo.active, geo.xi, geo.omega
+    xi, omega = geo.xi[box[0], 0, 0], geo.omega[box]
     alpha = cfg.nonlinear_scale
 
     n_t = int(round(cfg.T / cfg.dt)) + 1
     times = np.arange(n_t) * cfg.dt
     phases = np.exp(1j * omega[None, ...] * times[:, None, None, None])
-    base = np.where(mask, u0.coeff, 0.0)[None, ...] * phases  # S(t) u0
+    base = u0.coeff[box][None, ...] * phases  # S(t) u0 on the box
 
     # Prefix Simpson weight matrix W[j, i]: integral over [0, t_j].
     W = np.zeros((n_t, n_t))
@@ -291,10 +338,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         W[1, :2] = cfg.dt / 2.0  # trapezoid on the first interval only
 
     def apply_duhamel(warr):
-        forc = np.empty_like(warr)
-        for i in range(n_t):
-            forc[i] = alpha * _nonlinear_rhs(g, warr[i], mask, xi)
-        pull = forc * np.conj(phases)
+        pull = alpha * _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)
         integ = np.tensordot(W, pull.reshape(n_t, -1), axes=(1, 0))
         integ = integ.reshape(warr.shape) * phases
         return base + integ
@@ -306,7 +350,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     rising = 0
     for it in range(1, n_max + 1):
         w_next = apply_duhamel(w)
-        sl, sv = _surrogate_diff_norm(g, times, w_next, w, np_)
+        sl, sv = _surrogate_diff_norm(g, times, _expand(g, w_next - w, box), np_)
         d = sl + sv
         diffs.append(d)
         if len(diffs) >= 2 and diffs[-2] > 0:
@@ -322,7 +366,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         if d <= tol:
             converged = True
             break
-    trace = SpaceTimeTrace(times, w, g, u0.real_flag, window="hann")
+    trace = SpaceTimeTrace(times, _expand(g, w, box), g, True, window="hann")
     return trace, PicardReport(n_done, diffs, ratios, converged)
 
 

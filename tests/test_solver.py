@@ -9,9 +9,9 @@ from kplab.data import gaussian_datum, random_band_field
 from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm
 from kplab.errors import (AccuracyError, ConfigurationError, DivergenceError,
                           PreconditionError)
-from kplab.solver import (MultiplierProfile, SimConfig, duhamel_integral,
-                          evolve, mass_series, nonlinearity,
-                          nonlinearity_direct, picard_iterate,
+from kplab.solver import (MultiplierProfile, SimConfig, _active_box,
+                          _nonlinear_rhs, duhamel_integral, evolve, mass_series,
+                          nonlinearity, nonlinearity_direct, picard_iterate,
                           slope_band_extent, slope_filtered_product,
                           spectral_product)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
@@ -25,6 +25,48 @@ even_modes = st.integers(4, 16).map(lambda k: 2 * k)
 # ----------------------------------------------------------------------
 # quadratic term
 # ----------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(even_modes, even_modes, even_modes)
+def test_active_box_and_its_mirror_are_the_active_mask(nx, n1, n2):
+    g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    geo = grid_geometry(g)
+    box = np.zeros(g.shape, bool)
+    box[_active_box(g)] = True
+    assert not np.any(box & box[geo.reverse] & (np.arange(n2) > 0))   # one of each pair
+    assert np.array_equal(box | box[geo.reverse], geo.active)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), even_modes, even_modes, even_modes,
+       st.integers(1, 4))
+def test_nonlinear_rhs_on_a_stack_matches_row_by_row(seed, nx, n1, n2, rows):
+    g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    box = _active_box(g)
+    xi = grid_geometry(g).xi[box[0], 0, 0]
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_band_field(g, rng, 0.0, 4.0).coeff[box] for _ in range(rows)])
+    got = _nonlinear_rhs(g, stack, box, xi)
+    want = np.stack([_nonlinear_rhs(g, a, box, xi) for a in stack])
+    assert got.shape == stack.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+_G8 = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+
+
+@pytest.mark.parametrize("run", [
+    nonlinearity,
+    lambda u: evolve(u, SimConfig(_G8, dt=0.05, T=0.5)),
+    lambda u: picard_iterate(u, SimConfig(_G8, dt=0.05, T=0.5)),
+], ids=["nonlinearity", "evolve", "picard_iterate"])
+def test_half_spectrum_callers_refuse_an_unpaired_real_datum(run):
+    # they read k2 >= 0 only, so a field marked real must be Hermitian
+    c = np.zeros(_G8.shape, complex)
+    c[1, 1, 1] = 1e-5
+    with pytest.raises(ConfigurationError, match="Hermitian"):
+        run(SpectralField(_G8, c, real_flag=True))
+
 
 def test_nonlinearity_zero(grid_small):
     assert nonlinearity(zero_field(grid_small)).l2_norm() == 0.0
