@@ -65,6 +65,30 @@ _CONFIG_KEYS = {
 }
 
 
+# The `verify` and `run` flags: each one's default, and the checks or
+# experiments that read it.  Giving one to any other exits 2.
+_SUB_FLAGS = {
+    "samples": (10000, {"resonance"}),
+    "configs": (100, {"circle-measure", "g-rho"}),
+    "lam": (4.0, {"bilinear"}),
+    "ensemble": (4, {"bilinear", "sector-bilinear"}),
+    "mu_sweep": (False, {"bilinear"}),
+    "p": (3.0, {"illposed-sweep"}),
+    "lams": ([8.0, 16.0, 32.0, 64.0], {"illposed-sweep"}),
+}
+
+
+def _sub_flags(args, name) -> None:
+    """Give each of the verb's `_SUB_FLAGS` left unset its default; refuse
+    one that check or experiment `name` does not read."""
+    for flag, (default, readers) in _SUB_FLAGS.items():
+        if getattr(args, flag, default) is None:
+            setattr(args, flag, default)
+        elif hasattr(args, flag) and name not in readers:
+            raise ConfigurationError(f"{args.verb} {name} does not read "
+                                     f"--{flag.replace('_', '-')}")
+
+
 def _load_config(path, name):
     """(config as read, settings) of verb or experiment `name`: each key of
     `_CONFIG_KEYS[name]`, checked and merged over its default, with `grid` a
@@ -464,17 +488,17 @@ def main(argv=None) -> int:
 
     vf = sub.add_parser("verify", help="run one identity/estimate check")
     vf.add_argument("check", choices=_VERIFY_CHECKS)
-    vf.add_argument("--samples", type=_count, default=10000)
-    vf.add_argument("--configs", type=_count, default=100)
-    vf.add_argument("--lam", type=_positive, default=4.0)
-    vf.add_argument("--ensemble", type=_count, default=4)
-    vf.add_argument("--mu-sweep", dest="mu_sweep", action="store_true")
+    vf.add_argument("--samples", type=_count)
+    vf.add_argument("--configs", type=_count)
+    vf.add_argument("--lam", type=_positive)
+    vf.add_argument("--ensemble", type=_count)
+    vf.add_argument("--mu-sweep", dest="mu_sweep", action="store_true", default=None)
     vf.set_defaults(func=cmd_verify)
 
     rn = sub.add_parser("run", help="run an experiment")
     rn.add_argument("experiment", choices=_RUNS)
-    rn.add_argument("--p", type=float, default=3.0)
-    rn.add_argument("--lams", type=_positives, default="8,16,32,64")
+    rn.add_argument("--p", type=float)
+    rn.add_argument("--lams", type=_positives)
     rn.set_defaults(func=cmd_run)
 
     nm = sub.add_parser("norms", help="norm report for a snapshot")
@@ -485,6 +509,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if args.verb in ("verify", "run"):
+            _sub_flags(args, getattr(args, "check", getattr(args, "experiment", None)))
         cfg, settings = _load_config(args.config, getattr(args, "experiment", args.verb))
         if args.out:
             os.makedirs(args.out, exist_ok=True)

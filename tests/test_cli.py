@@ -277,6 +277,8 @@ _MALFORMED = {
     "member-negative": (["--config", "c.json", "run", "scatter"], {"c.json": '{"member": -1}'}),
     "member-2-pow-32": (["--config", "c.json", "run", "scatter"],
                         {"c.json": '{"member": 4294967296}'}),
+    "run-flag-the-experiment-does-not-read": (["run", "spaces-lab", "--p", "5"], {}),
+    "verify-flag-the-check-does-not-read": (["verify", "resonance", "--lam", "8"], {}),
 }
 
 
