@@ -78,9 +78,10 @@ _SUB_FLAGS = {
 }
 
 
-def _sub_flags(args, name) -> None:
-    """Give each of the verb's `_SUB_FLAGS` left unset its default; refuse
-    one that check or experiment `name` does not read."""
+def _sub_flags(args) -> None:
+    """Give each `_SUB_FLAGS` flag of a `verify` or `run` call left unset its
+    default; refuse one its check or experiment does not read."""
+    name = args.check if args.verb == "verify" else args.experiment
     for flag, (default, readers) in _SUB_FLAGS.items():
         if getattr(args, flag, default) is None:
             setattr(args, flag, default)
@@ -510,7 +511,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.verb in ("verify", "run"):
-            _sub_flags(args, getattr(args, "check", getattr(args, "experiment", None)))
+            _sub_flags(args)
         cfg, settings = _load_config(args.config, getattr(args, "experiment", args.verb))
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -173,12 +173,12 @@ def test_criterion_05_nonlinear_symmetry_covariance():
     scal = num / den
 
     dt = time.time() - t0
-    ok = gal <= 1e-8 and scal <= 1e-8 and dt < 120.0
+    ok = gal <= 1e-8 and scal <= 1e-8 and dt < 20.0
     _line(5, "nonlinear symmetry covariance", ok,
           f"galilean {gal:.2e}, scaling {scal:.2e} (tol 1e-8), "
-          f"{dt:.1f}s (cap 120s)")
+          f"{dt:.1f}s (cap 20s)")
     assert gal <= 1e-8 and scal <= 1e-8
-    assert dt < 120.0
+    assert dt < 20.0
 
 
 def test_criterion_06_mass_conservation():
@@ -190,11 +190,11 @@ def test_criterion_06_mass_conservation():
     ms = mass_series(tr)
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
     dt = time.time() - t0
-    ok = drift <= 1e-6 and dt < 120.0
+    ok = drift <= 1e-6 and dt < 5.0
     _line(6, "mass conservation", ok,
-          f"relative drift {drift:.2e} over T=1 (tol 1e-6), {dt:.1f}s (cap 120s)")
+          f"relative drift {drift:.2e} over T=1 (tol 1e-6), {dt:.1f}s (cap 5s)")
     assert drift <= 1e-6
-    assert dt < 120.0
+    assert dt < 5.0
 
 
 def test_criterion_07_strichartz():
@@ -331,12 +331,13 @@ def test_criterion_11_scattering():
         if rep.residuals[-2] <= rep.residuals[0] / 2:
             resid_ok += 1
     dt = time.time() - t0
-    ok = n_dec >= 0.9 * n_seeds and resid_ok == n_seeds
+    ok = n_dec >= 0.9 * n_seeds and resid_ok == n_seeds and dt < 150.0
     _line(11, "scattering", ok,
           f"strictly decreasing gaps {n_dec}/{n_seeds} (need >= 18); "
-          f"residual at t=4 <= first/2 in {resid_ok}/{n_seeds}; {dt:.0f}s")
+          f"residual at t=4 <= first/2 in {resid_ok}/{n_seeds}; {dt:.0f}s (cap 150s)")
     assert n_dec >= 0.9 * n_seeds
     assert resid_ok == n_seeds
+    assert dt < 150.0
 
 
 def test_criterion_12_illposedness_growth():
