@@ -57,37 +57,12 @@ _CONFIG_KEYS = {
     "sim": {"grid": _SIM_GRID, "dt": 0.01, "T": 1.0, "samples_per_unit": 8,
             "amplitude": 1e-3, "center_xi": 1.5},
     "picard": {"grid": _grid(24, 12, 12, 4 * math.pi, 4 * math.pi, 4 * math.pi),
-               "dt": 1 / 64, "T": 1.0, "samples_per_unit": 64, "datum_norm": 1e-3},
+               "T": 1.0, "samples_per_unit": 64, "datum_norm": 1e-3},
     "scatter": {"grid": _grid(192, 24, 24, 32 * math.pi, 8 * math.pi, 8 * math.pi),
                 "dt": 1 / 16, "T": 8.0, "datum_norm": 1e-3, "member": 0},
     "illposed-sweep": {},
     "spaces-lab": {"p": 2.0, "comb_p": 3.0},
 }
-
-
-# The `verify` and `run` flags: each one's default, and the checks or
-# experiments that read it.  Giving one to any other exits 2.
-_SUB_FLAGS = {
-    "samples": (10000, {"resonance"}),
-    "configs": (100, {"circle-measure", "g-rho"}),
-    "lam": (4.0, {"bilinear"}),
-    "ensemble": (4, {"bilinear", "sector-bilinear"}),
-    "mu_sweep": (False, {"bilinear"}),
-    "p": (3.0, {"illposed-sweep"}),
-    "lams": ([8.0, 16.0, 32.0, 64.0], {"illposed-sweep"}),
-}
-
-
-def _sub_flags(args) -> None:
-    """Give each `_SUB_FLAGS` flag of a `verify` or `run` call left unset its
-    default; refuse one its check or experiment does not read."""
-    name = args.check if args.verb == "verify" else args.experiment
-    for flag, (default, readers) in _SUB_FLAGS.items():
-        if getattr(args, flag, default) is None:
-            setattr(args, flag, default)
-        elif hasattr(args, flag) and name not in readers:
-            raise ConfigurationError(f"{args.verb} {name} does not read "
-                                     f"--{flag.replace('_', '-')}")
 
 
 def _load_config(path, name):
@@ -126,8 +101,11 @@ def _load_config(path, name):
         if unknown:
             raise ConfigurationError(f"unknown grid keys {unknown}; known: {list(_GRID_KEYS)}")
         s["grid"] = GridSpec(**{**table["grid"], **gd})
-    if "dt" in table:   # scatter has no samples_per_unit key: it samples whole times
-        s["sim"] = SimConfig(s["grid"], s["dt"], s["T"], s.get("samples_per_unit", 1))
+    if "T" in table:   # scatter samples whole times; picard reads no dt
+        spu = s.get("samples_per_unit", 1)
+        if not 0 < spu < math.inf:
+            raise ConfigurationError("config value 'samples_per_unit' must be positive and finite")
+        s["sim"] = SimConfig(s["grid"], s.get("dt", 1 / spu), s["T"], spu)
     return cfg, s
 
 
@@ -470,37 +448,45 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     mk = sub.add_parser("make-data", help="generate a datum snapshot")
-    mk.add_argument("kind", choices=("gaussian", "sector", "illposed", "random-band"))
-    mk.add_argument("--file", default="datum.kp3f")
-    mk.add_argument("--amplitude", type=_finite, default=1.0)
-    mk.add_argument("--width", type=_positive, default=1.0)
-    mk.add_argument("--center-xi", dest="center_xi", type=_finite, default=2.0)
-    mk.add_argument("--lam", type=_positive, default=2.0)
-    mk.add_argument("--k", type=_int_pair, default="0,0",
-                    help="sector index k1,k2; write a negative k1 as --k=-1,1")
-    mk.add_argument("--mu", type=_positive, default=1 / 64)
-    mk.add_argument("--p", type=_positive, default=3.0)
-    mk.add_argument("--band-lo", dest="band_lo", type=float, default=0.0)
-    mk.add_argument("--band-hi", dest="band_hi", type=float, default=2.0)
-    mk.add_argument("--eta-max", dest="eta_max", type=float, default=2.0)
-    mk.add_argument("--illposed-modes-x", dest="illposed_modes_x", type=int,
-                    default=8192)
     mk.set_defaults(func=cmd_make_data)
+    shared = argparse.ArgumentParser(add_help=False)   # every kind reports --p norms
+    shared.add_argument("--file", default="datum.kp3f")
+    shared.add_argument("--p", type=_positive, default=3.0)
+    kinds = mk.add_subparsers(dest="kind", required=True)
+    kind = {k: kinds.add_parser(k, parents=[shared])
+            for k in ("gaussian", "sector", "illposed", "random-band")}
+    for k in ("gaussian", "sector"):
+        kind[k].add_argument("--amplitude", type=_finite, default=1.0)
+    kind["gaussian"].add_argument("--width", type=_positive, default=1.0)
+    kind["gaussian"].add_argument("--center-xi", type=_finite, default=2.0)
+    for k in ("sector", "illposed"):
+        kind[k].add_argument("--lam", type=_positive, default=2.0)
+    kind["sector"].add_argument("--k", type=_int_pair, default="0,0",
+                                help="sector index k1,k2; write a negative k1 as --k=-1,1")
+    kind["illposed"].add_argument("--mu", type=_positive, default=1 / 64)
+    kind["illposed"].add_argument("--illposed-modes-x", type=int, default=8192)
+    kind["random-band"].add_argument("--band-lo", type=float, default=0.0)
+    kind["random-band"].add_argument("--band-hi", type=float, default=2.0)
+    kind["random-band"].add_argument("--eta-max", type=float, default=2.0)
 
     vf = sub.add_parser("verify", help="run one identity/estimate check")
-    vf.add_argument("check", choices=_VERIFY_CHECKS)
-    vf.add_argument("--samples", type=_count)
-    vf.add_argument("--configs", type=_count)
-    vf.add_argument("--lam", type=_positive)
-    vf.add_argument("--ensemble", type=_count)
-    vf.add_argument("--mu-sweep", dest="mu_sweep", action="store_true", default=None)
     vf.set_defaults(func=cmd_verify)
+    checks = vf.add_subparsers(dest="check", required=True)
+    check = {c: checks.add_parser(c) for c in _VERIFY_CHECKS}
+    check["resonance"].add_argument("--samples", type=_count, default=10000)
+    for c in ("circle-measure", "g-rho"):
+        check[c].add_argument("--configs", type=_count, default=100)
+    check["bilinear"].add_argument("--lam", type=_positive, default=4.0)
+    check["bilinear"].add_argument("--mu-sweep", action="store_true")
+    for c in ("bilinear", "sector-bilinear"):
+        check[c].add_argument("--ensemble", type=_count, default=4)
 
     rn = sub.add_parser("run", help="run an experiment")
-    rn.add_argument("experiment", choices=_RUNS)
-    rn.add_argument("--p", type=float)
-    rn.add_argument("--lams", type=_positives)
     rn.set_defaults(func=cmd_run)
+    experiments = rn.add_subparsers(dest="experiment", required=True)
+    sweep = {e: experiments.add_parser(e) for e in _RUNS}["illposed-sweep"]
+    sweep.add_argument("--p", type=float, default=3.0)
+    sweep.add_argument("--lams", type=_positives, default=[8.0, 16.0, 32.0, 64.0])
 
     nm = sub.add_parser("norms", help="norm report for a snapshot")
     nm.add_argument("file")
@@ -510,8 +496,6 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        if args.verb in ("verify", "run"):
-            _sub_flags(args)
         cfg, settings = _load_config(args.config, getattr(args, "experiment", args.verb))
         if args.out:
             os.makedirs(args.out, exist_ok=True)

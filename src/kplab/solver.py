@@ -79,19 +79,29 @@ def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple,
     return -1j * xi * np.fft.fft(sq, axis=-2, norm="forward")[..., i1, :]
 
 
+def _on_box(u: SpectralField, grid: GridSpec, caller: str) -> tuple:
+    """(box, box coefficients of u, xi, omega on the box) of a datum for a
+    solver on `grid`.  Only k2 >= 0 is read, so u must be marked real, lie
+    on `grid` and pass `validate()`."""
+    if not u.real_flag:
+        raise PreconditionError(f"{caller} requires a real field")
+    if u.grid != grid:
+        raise ConfigurationError("datum grid differs from SimConfig grid")
+    u.validate()
+    box = _active_box(grid)
+    geo = grid_geometry(grid)
+    return box, u.coeff[box], geo.xi[box[0], 0, 0], geo.omega[box]
+
+
 def nonlinearity(u: SpectralField) -> SpectralField:
     """Spectral representation of -d/dx(u^2) with the 2/3-rule mask applied.
 
     The xi = 0 output plane is annihilated by the derivative, so the result
-    keeps the zero-x-mean invariant automatically.  Only k2 >= 0 is read, so
-    the field is validated first.
+    keeps the zero-x-mean invariant automatically.
     """
-    if not u.real_flag:
-        raise PreconditionError("nonlinearity requires a real field")
-    u.validate()
     g = u.grid
-    box = _active_box(g)
-    out = _nonlinear_rhs(g, u.coeff[box], box, grid_geometry(g).xi[box[0], 0, 0])
+    box, c, xi, _ = _on_box(u, g, "nonlinearity")
+    out = _nonlinear_rhs(g, c, box, xi)
     return SpectralField(g, _expand(g, out, box), real_flag=True)
 
 
@@ -149,13 +159,13 @@ class SimConfig:
                         (self.samples_per_unit, "samples_per_unit"),
                         (self.nonlinear_scale, "nonlinear_scale")):
             require_number(v, name)
+        n = self.T * self.samples_per_unit   # samples after t = 0; NaN, inf fail the range
+        if not (0.5 <= n < math.inf and abs(n - round(n)) <= 1e-9):
+            raise ConfigurationError(f"T * samples_per_unit = {n} is not a whole number >= 1")
         if not (0 < self.dt < math.inf):
             raise ConfigurationError("dt must be positive and finite")
         if not (self.dt <= self.T < math.inf):
             raise ConfigurationError("horizon T must be finite and at least one step")
-        n = self.T * self.samples_per_unit   # samples after t = 0; NaN, inf fail the range
-        if not (0.5 <= n < math.inf and abs(n - round(n)) <= 1e-9):
-            raise ConfigurationError(f"T * samples_per_unit = {n} is not a whole number >= 1")
 
 
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
@@ -165,15 +175,8 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     full Hermitian spectrum at sample times only.  Raises BlowupError with a
     time stamp on NaN or norm explosion (the small-data step guard).
     """
-    if not u0.real_flag:
-        raise PreconditionError("evolve requires a real field")
     g = cfg.grid
-    if u0.grid != g:
-        raise ConfigurationError("datum grid differs from SimConfig grid")
-    u0.validate()
-    box = _active_box(g)
-    geo = grid_geometry(g)
-    xi, omega = geo.xi[box[0], 0, 0], geo.omega[box]
+    box, c, xi, omega = _on_box(u0, g, "evolve")
     twice = np.where(box[2] > 0, 2.0, 1.0)   # a k2 > 0 mode stands for its mirror too
     alpha = cfg.nonlinear_scale
 
@@ -184,7 +187,6 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     E = np.exp(1j * omega * h)
     E2 = np.exp(1j * omega * h / 2)
 
-    c = u0.coeff[box]
     norm0 = np.sqrt(np.sum(twice * np.abs(c) ** 2))
     states = np.empty((n_samples + 1,) + c.shape, dtype=np.complex128)
     states[0] = c
@@ -305,37 +307,34 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
                    tol: float = 1e-10, smallness_threshold: float = 0.05):
     """Duhamel fixed-point iteration w <- S(t)u0 + int_0^t S(t-s) N(w)(s) ds.
 
-    Returns (trace of the final iterate, PicardReport).  Successive
+    Returns (trace of the final iterate, PicardReport); the trace has the
+    sample times of `evolve`, T * samples_per_unit after t = 0.  Successive
     differences are measured in the composite surrogate norm (sup-in-t
     l^inf l^1.5 norm + 2-variation of the difference); three consecutive
     ratios >= 1 raise DivergenceError.
     """
-    if not u0.real_flag:
-        raise PreconditionError("picard_iterate requires a real field")
-    u0.validate()
+    g = cfg.grid
+    box, c0, xi, omega = _on_box(u0, g, "picard_iterate")
     np_ = NormParams()
     datum_norm = lqlp_norm(u0, np_)
     if datum_norm > smallness_threshold:
         raise PreconditionError(
             f"datum norm {datum_norm:.3e} exceeds the small-data threshold "
             f"{smallness_threshold:.1e}")
-    g = cfg.grid
-    box = _active_box(g)
-    geo = grid_geometry(g)
-    xi, omega = geo.xi[box[0], 0, 0], geo.omega[box]
     alpha = cfg.nonlinear_scale
 
-    n_t = int(round(cfg.T / cfg.dt)) + 1
-    times = np.arange(n_t) * cfg.dt
+    sample_dt = 1.0 / cfg.samples_per_unit   # evolve's sample grid; dt is not read
+    n_t = int(round(cfg.T / sample_dt)) + 1
+    times = np.arange(n_t) * sample_dt
     phases = np.exp(1j * omega[None, ...] * times[:, None, None, None])
-    base = u0.coeff[box][None, ...] * phases  # S(t) u0 on the box
+    base = c0[None, ...] * phases  # S(t) u0 on the box
 
     # Prefix Simpson weight matrix W[j, i]: integral over [0, t_j].
     W = np.zeros((n_t, n_t))
     for jj in range(2, n_t):
-        W[jj, : jj + 1] = _composite_weights(jj + 1, cfg.dt)
+        W[jj, : jj + 1] = _composite_weights(jj + 1, sample_dt)
     if n_t >= 2:
-        W[1, :2] = cfg.dt / 2.0  # trapezoid on the first interval only
+        W[1, :2] = sample_dt / 2.0  # trapezoid on the first interval only
 
     def apply_duhamel(warr):
         pull = alpha * _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import kplab
-from kplab.cli import _load_config, main
+from kplab.cli import _RUNS, _VERIFY_CHECKS, _load_config, main
 from kplab.data import gaussian_datum, member_rng
 from kplab.decomposition import NormParams, lqlp_norm, sector_masses
 from kplab.errors import ConfigurationError
@@ -218,6 +219,34 @@ def test_console_script_help():
     assert "make-data" in proc.stdout and "verify" in proc.stdout
 
 
+# The flags of each leaf sub-parser (a make-data kind, a check or an
+# experiment) besides --help; a check or experiment not listed reads none.
+_LEAF_FLAGS = {
+    ("make-data", "gaussian"): {"--file", "--p", "--amplitude", "--width", "--center-xi"},
+    ("make-data", "sector"): {"--file", "--p", "--amplitude", "--lam", "--k"},
+    ("make-data", "illposed"): {"--file", "--p", "--lam", "--mu", "--illposed-modes-x"},
+    ("make-data", "random-band"): {"--file", "--p", "--band-lo", "--band-hi", "--eta-max"},
+    ("verify", "resonance"): {"--samples"},
+    ("verify", "circle-measure"): {"--configs"},
+    ("verify", "g-rho"): {"--configs"},
+    ("verify", "bilinear"): {"--lam", "--mu-sweep", "--ensemble"},
+    ("verify", "sector-bilinear"): {"--ensemble"},
+    ("run", "illposed-sweep"): {"--p", "--lams"},
+}
+_LEAVES = [*(leaf for leaf in _LEAF_FLAGS if leaf[0] == "make-data"),
+           *(("verify", check) for check in _VERIFY_CHECKS),
+           *(("run", name) for name in _RUNS)]
+
+
+@pytest.mark.parametrize("leaf", _LEAVES, ids="/".join)
+def test_leaf_help_lists_only_its_own_flags(leaf, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([*leaf, "--help"])
+    assert stop.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == _LEAF_FLAGS.get(leaf, set()) | {"--help"}
+
+
 # Each malformed input is an unusable configuration: exit 2, no traceback.
 _MALFORMED = {
     "snapshot-short-header": (["norms", "cut.kp3f"], {"cut.kp3f": 20}),
@@ -234,7 +263,7 @@ _MALFORMED = {
                                 {"c.json": '{"grid": {"dealias": false}}'}),
     "config-grid-unknown-key": (["--config", "c.json", "run", "picard"],
                                 {"c.json": '{"grid": {"modes_X": 32}}'}),
-    "config-dt-not-number": (["--config", "c.json", "run", "picard"],
+    "config-dt-not-number": (["--config", "c.json", "run", "sim"],
                              {"c.json": '{"dt": "x"}'}),
     "config-modes-not-number": (["--config", "c.json", "run", "picard"],
                                 {"c.json": '{"grid": {"modes_x": "64"}}'}),
@@ -279,6 +308,11 @@ _MALFORMED = {
                         {"c.json": '{"member": 4294967296}'}),
     "run-flag-the-experiment-does-not-read": (["run", "spaces-lab", "--p", "5"], {}),
     "verify-flag-the-check-does-not-read": (["verify", "resonance", "--lam", "8"], {}),
+    "make-data-flag-of-another-kind": (["make-data", "gaussian", "--lam", "3"], {}),
+    "make-data-random-band-k": (["make-data", "random-band", "--k", "1,0"], {}),
+    "picard-dt": (["--config", "c.json", "run", "picard"], {"c.json": '{"dt": 0.3}'}),
+    "picard-samples-per-unit-zero": (["--config", "c.json", "run", "picard"],
+                                     {"c.json": '{"samples_per_unit": 0}'}),
 }
 
 

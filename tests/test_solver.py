@@ -153,6 +153,15 @@ def test_picard_iterate_requires_real():
         picard_iterate(_non_real_datum(g), SimConfig(g, dt=0.05, T=0.5))
 
 
+@pytest.mark.parametrize("run", [evolve, picard_iterate])
+def test_solvers_refuse_a_datum_from_another_grid(run):
+    u0 = gaussian_datum(GridSpec(32, 16, 16, 4 * np.pi, 4 * np.pi, 4 * np.pi), amplitude=1e-3)
+    cfg = SimConfig(GridSpec(24, 12, 12, 4 * np.pi, 4 * np.pi, 4 * np.pi), dt=1 / 64,
+                    T=1.0, samples_per_unit=64)
+    with pytest.raises(ConfigurationError, match="grid differs"):
+        run(u0, cfg)
+
+
 def test_simconfig_requires_whole_number_of_samples():
     g = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi, 2 * np.pi)
     # 0.4 samples would return only t = 0; 0.7 would run the trace past T;
@@ -346,7 +355,7 @@ def picard_setup():
 def test_picard_zero_datum(picard_setup):
     grid, npar, _ = picard_setup
     tr, rep = picard_iterate(zero_field(grid),
-                             SimConfig(grid, dt=1 / 32, T=0.5), n_max=3)
+                             SimConfig(grid, samples_per_unit=32, T=0.5), n_max=3)
     assert rep.converged
     assert all(s.l2_norm() == 0.0 for s in tr.states)
 
@@ -367,7 +376,7 @@ def test_picard_smallness_precondition(picard_setup):
     grid, npar, u0 = picard_setup
     big = SpectralField(grid, u0.coeff * 1e3, True)
     with pytest.raises(PreconditionError):
-        picard_iterate(big, SimConfig(grid, dt=1 / 32, T=0.5))
+        picard_iterate(big, SimConfig(grid, samples_per_unit=32, T=0.5))
 
 
 def test_picard_divergence_diagnostic(picard_setup):
@@ -376,7 +385,7 @@ def test_picard_divergence_diagnostic(picard_setup):
     # custom threshold to reach the divergence detector
     big = SpectralField(grid, u0.coeff * 4e4, True)
     with pytest.raises(DivergenceError):
-        picard_iterate(big, SimConfig(grid, dt=1 / 32, T=1.0), n_max=12,
+        picard_iterate(big, SimConfig(grid, samples_per_unit=32, T=1.0), n_max=12,
                        smallness_threshold=1e3)
 
 
