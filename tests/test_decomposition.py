@@ -17,7 +17,8 @@ from kplab.decomposition import (NormParams, SectorIndex, SpaceTimeTrace,
                                  windowed_trace)
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            dispersion_symbol, galilean_shift)
+                            dispersion_symbol, dyadic_exponent, galilean_shift,
+                            sector_key)
 
 
 def test_shell_membership(grid_small):
@@ -28,6 +29,32 @@ def test_shell_membership(grid_small):
     assert dyadic_projection(u, 1.0).coeff[3, 1, 0] == 0.0
     assert dyadic_projection(u, 4.0).coeff[3, 1, 0] == 0.0
     assert shell_scale(3.0) == 2.0
+
+
+_powers = st.integers(-20, 20).map(lambda e: 2.0 ** e)
+_frequencies = st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]),
+                         st.one_of(st.floats(1e-6, 1e6), _powers,
+                                   _powers.map(lambda x: math.nextafter(x, 0.0))))
+# slope / 2^j: anywhere, on a box edge m +- 1/2, or one ulp below an edge
+_scaled_slopes = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.builds(lambda m, e, below: math.nextafter(m + e, -math.inf) if below else m + e,
+              st.integers(-64, 64), st.sampled_from([-0.5, 0.5]), st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frequencies, _scaled_slopes, _scaled_slopes)
+@example(1.0, math.nextafter(0.5, -math.inf), -0.5)   # floor(t + 1/2) rounds up here
+def test_sector_key_brackets_frequency_and_slope(xi, t1, t2):
+    # 2^j <= |xi| < 2^(j+1), and s / 2^j - m in [-1/2, 1/2) for each slope s
+    j = math.frexp(abs(xi))[1] - 1     # exact
+    s = [math.ldexp(t, j) for t in (t1, t2)]
+    key = [int(a) for a in sector_key(xi, *s)]
+    assert math.ldexp(1.0, key[0]) <= abs(xi) < math.ldexp(1.0, key[0] + 1)
+    assert key[0] == j
+    for si, m in zip(s, key[1:]):   # compared exactly: s / 2^j - m may round
+        assert math.ldexp(m - 0.5, j) <= si < math.ldexp(m + 0.5, j)
+    assert dyadic_exponent(3.0) == 1
 
 
 def test_shell_partition_exact(grid_small, rng):
