@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomposition import NormParams, SectorIndex, lqlp_norm, sector_projection
+from .decomposition import NormParams, lqlp_norm, sector_projection
 from .errors import ConfigurationError
 from .illposedness import IllposedParams, two_bump_datum
-from .spectral import GridSpec, SpectralField, grid_geometry, make_field
+from .spectral import (GridSpec, SpectralField, grid_geometry, make_field,
+                       require_power_of_two)
 
 # counter-based generator so ensembles are order-independent; the key packs
 # seed and member into 32 bits each, so each must lie in [0, 2^32)
@@ -45,9 +46,11 @@ def gaussian_datum(grid: GridSpec, amplitude: float = 1.0, scale: float = 1.0,
 
 def sector_indicator_datum(grid: GridSpec, lam: float, k=(0, 0),
                            amplitude: float = 1.0) -> SpectralField:
-    """Indicator of one slope sector (both signs of xi, Hermitian)."""
+    """Indicator of one slope sector (both signs of xi, Hermitian): shell
+    lam <= |xi| < 2 lam, slope box centred at lam * k."""
+    j = require_power_of_two(lam, "sector scale lam")
     ones = SpectralField(grid, np.full(grid.shape, amplitude + 0.0j))
-    coeff = sector_projection(ones, SectorIndex(lam, tuple(k))).coeff
+    coeff = sector_projection(ones, (j, *k)).coeff
     if not coeff.any():
         raise ConfigurationError(f"sector (lam={lam}, k={k}) does not meet the grid")
     return make_field(grid, coeff, real_flag=True, hermitize=True)

@@ -3,8 +3,10 @@
 The frequency plane (xi != 0) is tiled twice over:
 
 * dyadic shells  lam <= |xi| < 2 lam,  lam a power of two;
-* inside each shell, slope sectors indexed by k in lam * Z^2 holding the
-  modes with eta/xi - lam*k in the half-open box [-lam/2, lam/2)^2.
+* inside each shell, slope sectors keyed by (j, k1, k2), lam = 2^j and k
+  in Z^2, holding the modes with eta/xi - lam*k in the half-open box
+  [-lam/2, lam/2)^2 (`sector_key`, labelled once per grid by
+  `grid_geometry`).
 
 Half-open membership makes both tilings exact partitions, so squared L^2
 masses are additive across shells and sectors to machine precision.
@@ -24,19 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                       dyadic_exponent, grid_geometry, require_power_of_two)
-
-
-@dataclass(frozen=True)
-class SectorIndex:
-    """Shell scale lam (power of two) and integer pair k; the slope-box
-    center is lam * k."""
-
-    lam: float
-    k: tuple[int, int]
-
-    def __post_init__(self):
-        require_power_of_two(self.lam, "sector scale lam")
+                       grid_geometry)
 
 
 @dataclass(frozen=True)
@@ -96,11 +86,6 @@ class SpaceTimeTrace:
 # Shell / sector addressing
 # ----------------------------------------------------------------------
 
-def shell_scale(xi: float) -> float:
-    """The dyadic lam with lam <= |xi| < 2 lam."""
-    return 2.0 ** dyadic_exponent(abs(xi))
-
-
 def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
     """Keep coefficients with lam <= |xi| < 2 lam."""
     xi = np.abs(grid_geometry(u.grid).xi)
@@ -108,12 +93,12 @@ def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
                          u.real_flag)
 
 
-def sector_projection(u: SpectralField, s: SectorIndex) -> SpectralField:
-    """Keep coefficients in the sector: shell lam, slope box lam*(k+[-1/2,1/2)^2),
-    as labelled by grid_geometry(grid).sector."""
+def sector_projection(u: SpectralField, key: tuple) -> SpectralField:
+    """Keep coefficients in sector key = (j, k1, k2) of grid_geometry(grid).sector:
+    shell 2^j <= |xi| < 2^(j+1), slope box 2^j (k + [-1/2, 1/2)^2)."""
     geo = grid_geometry(u.grid)
     j, m1, m2 = geo.sector
-    keep = (j == dyadic_exponent(s.lam)) & (m1 == s.k[0]) & (m2 == s.k[1]) & (geo.xi != 0)
+    keep = (j == key[0]) & (m1 == key[1]) & (m2 == key[2]) & (geo.xi != 0)
     out = np.where(keep, u.coeff, 0.0)
     return SpectralField(u.grid, out, u.real_flag)
 
@@ -149,7 +134,7 @@ def _sector_mass_rows(stack: np.ndarray, grid: GridSpec):
 
 
 def sector_masses(u: SpectralField) -> dict:
-    """Squared L^2 mass per occupied sector, keyed by (shell_exp, k1, k2); an
+    """Squared L^2 mass per occupied sector, keyed by (j, k1, k2); an
     exact partition, so the values sum to the squared L^2 norm of the field."""
     keys, sums = _sector_mass_rows(u.coeff, u.grid)
     return dict(zip(map(tuple, keys.T.tolist()), sums[0].tolist()))

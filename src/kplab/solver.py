@@ -32,17 +32,6 @@ from .spectral import (GridSpec, SpectralField, grid_geometry, nonzero_modes,
 # The active box and the quadratic term
 # ----------------------------------------------------------------------
 
-def _active_box(grid: GridSpec) -> tuple:
-    """Open-mesh FFT-order index of the solver state: the modes
-    0 < |kx| <= nx/3, |k1| <= n1/3, 0 <= k2 <= n2/3.  With its conjugate
-    mirror it is exactly `grid_geometry(grid).active`; the xi = 0 and Nyquist
-    planes lie outside it, so no mask is needed inside it."""
-    mx, m1, m2 = (n // 3 for n in grid.shape)
-    index, _ = grid.index(*np.ix_(np.r_[1:mx + 1, -mx:0], np.r_[0:m1 + 1, -m1:0],
-                                  np.arange(m2 + 1)))
-    return index
-
-
 def _expand(grid: GridSpec, a: np.ndarray, box: tuple) -> np.ndarray:
     """Full Hermitian spectra of box coefficients a (any leading axes): the
     box, and its conjugate mirror on k2 < 0."""
@@ -88,8 +77,8 @@ def _on_box(u: SpectralField, grid: GridSpec, caller: str) -> tuple:
     if u.grid != grid:
         raise ConfigurationError("datum grid differs from SimConfig grid")
     u.validate()
-    box = _active_box(grid)
     geo = grid_geometry(grid)
+    box = geo.box
     return box, u.coeff[box], geo.xi[box[0], 0, 0], geo.omega[box]
 
 
@@ -171,7 +160,7 @@ class SimConfig:
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     """Integrate the nonlinear flow; returns the sampled trajectory.
 
-    The state lives on the active box (`_active_box`) and is expanded to the
+    The state lives on the active box (`grid_geometry(grid).box`) and is expanded to the
     full Hermitian spectrum at sample times only.  Raises BlowupError with a
     time stamp on NaN or norm explosion (the small-data step guard).
     """

@@ -156,7 +156,7 @@ class GridGeometry:
 
     xi, eta1, eta2 broadcast as (nx,1,1), (1,n1,1), (1,1,n2); the slopes
     s1 = eta1/xi and s2 = eta2/xi as (nx,n1,1) and (nx,1,n2).  On the
-    excluded xi = 0 plane the slopes and omega are 0.  `active` and
+    excluded xi = 0 plane the slopes and omega are 0.  `box`, `active` and
     `sector` are built on first use: only the solver and the sector
     decomposition need them.
     """
@@ -172,13 +172,21 @@ class GridGeometry:
     reverse: tuple           # open-mesh index of the mirror mode -k
 
     @cached_property
+    def box(self) -> tuple:
+        """Open-mesh index of the solver state: the 2/3-rule modes
+        0 < |kx| <= nx/3, |k1| <= n1/3, 0 <= k2 <= n2/3 of the eta2 >= 0 half
+        spectrum.  The xi = 0 and Nyquist planes lie outside it."""
+        mx, m1, m2 = (n // 3 for n in self.grid.shape)
+        index, _ = self.grid.index(*np.ix_(np.r_[1:mx + 1, -mx:0], np.r_[0:m1 + 1, -m1:0],
+                                           np.arange(m2 + 1)))
+        return tuple(map(_read_only, index))
+
+    @cached_property
     def active(self) -> np.ndarray:
-        """Modes the solver evolves: structural and inside the 2/3 rule."""
-        g = self.grid
-        kx, k1, k2 = (np.abs(g.mode_numbers(a)) for a in range(3))
-        return _read_only((kx[:, None, None] <= g.modes_x // 3)
-                          & (k1[None, :, None] <= g.modes_y1 // 3)
-                          & (k2[None, None, :] <= g.modes_y2 // 3) & self.structural)
+        """Modes the solver evolves: the box and its conjugate mirror."""
+        active = np.zeros(self.grid.shape, dtype=bool)
+        active[self.box] = True
+        return _read_only(active | active[self.reverse])
 
     @cached_property
     def sector(self) -> tuple:

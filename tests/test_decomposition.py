@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from kplab.data import (gaussian_datum, random_band_field,
                         sector_indicator_datum)
-from kplab.decomposition import (NormParams, SectorIndex, SpaceTimeTrace,
+from kplab.decomposition import (NormParams, SpaceTimeTrace,
                                  _lqlp_reduce, dyadic_projection, lqlp_norm,
                                  lqlp_norms, modulation_projection,
                                  modulation_weighted_norm, sector_masses,
-                                 sector_projection, shell_scale,
+                                 sector_projection,
                                  u1_variation_norm, v2_variation_bruteforce,
                                  v2_variation_norm, window_bandwidth,
                                  windowed_trace)
@@ -28,7 +28,6 @@ def test_shell_membership(grid_small):
     assert dyadic_projection(u, 2.0).coeff[3, 1, 0] == 1.0
     assert dyadic_projection(u, 1.0).coeff[3, 1, 0] == 0.0
     assert dyadic_projection(u, 4.0).coeff[3, 1, 0] == 0.0
-    assert shell_scale(3.0) == 2.0
 
 
 _powers = st.integers(-20, 20).map(lambda e: 2.0 ** e)
@@ -73,7 +72,7 @@ def test_sector_membership_and_parseval(grid_small, rng):
     c = np.zeros(grid_small.shape, complex)
     c[1, 0, 0] = 1.0     # (xi, eta) = (1, 0): shell 1, sector k = (0, 0)
     u = SpectralField(grid_small, c, real_flag=False)
-    kept = sector_projection(u, SectorIndex(1.0, (0, 0)))
+    kept = sector_projection(u, (0, 0, 0))
     assert kept.coeff[1, 0, 0] == 1.0
 
     v = random_band_field(grid_small, rng, 0.0, 6.0, eta_max=6.0)
@@ -91,8 +90,8 @@ def test_sector_projection_partition_of_shell(grid_small, rng):
     lam = 2.0
     shell = dyadic_projection(v, lam)
     acc = 0.0
-    for (j, k1, k2), _ in sector_masses(shell).items():
-        proj = sector_projection(v, SectorIndex(2.0 ** j, (k1, k2)))
+    for key in sector_masses(shell):
+        proj = sector_projection(v, key)
         acc += proj.l2_norm() ** 2
     assert acc == pytest.approx(shell.l2_norm() ** 2, rel=1e-12)
 
@@ -152,8 +151,8 @@ def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
                     2 * np.pi * l2)
     u = random_band_field(grid, np.random.default_rng(seed), 0.0, grid.xi_max())
     masses = sector_masses(u)
-    for (j, k1, k2), m in masses.items():
-        proj = sector_projection(u, SectorIndex(2.0 ** j, (k1, k2)))
+    for key, m in masses.items():
+        proj = sector_projection(u, key)
         assert proj.l2_norm() ** 2 == pytest.approx(m, rel=1e-12)
     assert sum(masses.values()) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
     shells = np.array([j for (j, _, _) in masses])

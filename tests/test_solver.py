@@ -9,7 +9,7 @@ from kplab.data import gaussian_datum, random_band_field
 from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm
 from kplab.errors import (AccuracyError, ConfigurationError, DivergenceError,
                           PreconditionError)
-from kplab.solver import (MultiplierProfile, SimConfig, _active_box,
+from kplab.solver import (MultiplierProfile, SimConfig,
                           _nonlinear_rhs, duhamel_integral, evolve, mass_series,
                           nonlinearity, nonlinearity_direct, picard_iterate,
                           slope_band_extent, slope_filtered_product,
@@ -32,7 +32,7 @@ def test_active_box_and_its_mirror_are_the_active_mask(nx, n1, n2):
     g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
     geo = grid_geometry(g)
     box = np.zeros(g.shape, bool)
-    box[_active_box(g)] = True
+    box[geo.box] = True
     assert not np.any(box & box[geo.reverse] & (np.arange(n2) > 0))   # one of each pair
     assert np.array_equal(box | box[geo.reverse], geo.active)
 
@@ -42,7 +42,7 @@ def test_active_box_and_its_mirror_are_the_active_mask(nx, n1, n2):
        st.integers(1, 4))
 def test_nonlinear_rhs_on_a_stack_matches_row_by_row(seed, nx, n1, n2, rows):
     g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
-    box = _active_box(g)
+    box = grid_geometry(g).box
     xi = grid_geometry(g).xi[box[0], 0, 0]
     rng = np.random.default_rng(seed)
     stack = np.stack([random_band_field(g, rng, 0.0, 4.0).coeff[box] for _ in range(rows)])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kplab.data import gaussian_datum, member_rng, random_band_field
-from kplab.decomposition import SectorIndex
+from kplab.data import (gaussian_datum, member_rng, random_band_field,
+                        sector_indicator_datum)
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.illposedness import IllposedParams
 from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
@@ -211,7 +211,7 @@ def test_power_of_two_refusals(grid_small, value):
     u = gaussian_datum(grid_small)
     for check in (lambda: require_power_of_two(value, "lam"),
                   lambda: scaling_transform(u, value),
-                  lambda: SectorIndex(value, (0, 0)),
+                  lambda: sector_indicator_datum(grid_small, value),
                   lambda: IllposedParams(value, 8.0),
                   lambda: IllposedParams(1 / 64, value, coupling=False)):
         with pytest.raises(ConfigurationError):
