@@ -8,10 +8,11 @@ The evolution equation in coefficient form is
 integrated with an integrating-factor classical 4-stage Runge-Kutta scheme:
 the stiff oscillatory linear part is treated exactly by unit-modulus phase
 factors, so the scheme is exact for the linear flow and 4th order in the
-nonlinearity.  Quadratic products are dealiased with the 2/3 rule, which
-also makes the masked pointwise square equal to the exact truncated
-convolution, and keeps the discrete mass integral u^2 conserved up to time
-discretization error.
+nonlinearity.  Quadratic products are dealiased with the 2/3 rule: the
+state keeps |k| <= (n - 1)//3, that is |k| < n/3, on each axis of n modes.
+Then a sum of two kept modes never wraps onto a kept mode, so the masked
+pointwise square equals the exact truncated convolution, and the discrete
+mass integral u^2 is conserved up to time discretization error.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple,
 
     The transforms are pruned axis by axis: the eta1 transform runs on the
     box's x-planes, the x transform on its k2 columns, and the real eta2
-    transform reads and keeps k2 <= n2/3 only.  norm="forward" leaves the
-    inverse transforms unscaled.
+    transform reads and keeps the box's k2 columns only.  norm="forward"
+    leaves the inverse transforms unscaled.
     """
     nx, n1, n2 = grid.shape
     ix, i1 = box[0].ravel(), box[1].ravel()

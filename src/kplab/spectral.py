@@ -173,10 +173,11 @@ class GridGeometry:
 
     @cached_property
     def box(self) -> tuple:
-        """Open-mesh index of the solver state: the 2/3-rule modes
-        0 < |kx| <= nx/3, |k1| <= n1/3, 0 <= k2 <= n2/3 of the eta2 >= 0 half
-        spectrum.  The xi = 0 and Nyquist planes lie outside it."""
-        mx, m1, m2 = (n // 3 for n in self.grid.shape)
+        """Open-mesh index of the solver state: the 2/3-rule modes of the
+        eta2 >= 0 half spectrum, |k| < n/3 on each axis with kx != 0 and
+        k2 >= 0.  The bound is strict, so two kept modes never sum to an
+        alias of a kept mode.  The xi = 0 and Nyquist planes lie outside it."""
+        mx, m1, m2 = ((n - 1) // 3 for n in self.grid.shape)
         index, _ = self.grid.index(*np.ix_(np.r_[1:mx + 1, -mx:0], np.r_[0:m1 + 1, -m1:0],
                                            np.arange(m2 + 1)))
         return tuple(map(_read_only, index))

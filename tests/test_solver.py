@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kplab.data import gaussian_datum, random_band_field
@@ -28,13 +28,38 @@ even_modes = st.integers(4, 16).map(lambda k: 2 * k)
 
 @settings(max_examples=25, deadline=None)
 @given(even_modes, even_modes, even_modes)
-def test_active_box_and_its_mirror_are_the_active_mask(nx, n1, n2):
+@example(24, 12, 12)
+def test_active_box_is_the_alias_free_two_thirds_rule(nx, n1, n2):
+    # the box holds one mode of each mirror pair, and with its mirrors every
+    # structural mode |k| <= K on each axis, where K is the largest with
+    # 3K < n: then k + k' never wraps onto a kept mode
     g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
     geo = grid_geometry(g)
     box = np.zeros(g.shape, bool)
     box[geo.box] = True
     assert not np.any(box & box[geo.reverse] & (np.arange(n2) > 0))   # one of each pair
-    assert np.array_equal(box | box[geo.reverse], geo.active)
+    k = np.ix_(*(np.abs(g.mode_numbers(a)) for a in range(3)))
+    kept = box | box[geo.reverse]
+    rule = geo.structural.copy()
+    for n, ka in zip(g.shape, k):
+        K = int(np.max(np.where(kept, ka, 0)))
+        assert 3 * K < n <= 3 * (K + 1)
+        rule &= ka <= K
+    assert np.array_equal(kept, rule)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), even_modes, even_modes, even_modes)
+@example(0, 24, 24, 24)
+@example(0, 24, 12, 12)
+def test_nonlinearity_matches_direct_convolution_on_a_full_box(seed, nx, n1, n2):
+    # data on every mode of the box, so its edge modes meet: with 3 | n the
+    # pair k = +-n/3 sums to 2n/3, an alias of -n/3, unless the rule is strict
+    g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
+    u = random_band_field(g, np.random.default_rng(seed), 0.0, g.xi_max())
+    want = nonlinearity_direct(u).coeff
+    got = nonlinearity(u).coeff
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=15, deadline=None)
@@ -97,9 +122,9 @@ def test_nonlinearity_matches_direct_convolution(grid_small, rng):
        st.floats(0.5, 4.0), st.floats(0.5, 4.0))
 def test_nonlinearity_galilean_covariance(seed, m1, m2, lx, ly):
     # |kx|, |ky| <= 2 and a shear of at most one y-mode per x-mode keep u,
-    # u^2 and both their shears inside the 2/3 mask (|k| <= 8 on 24^3), so
+    # u^2 and both their shears inside the 2/3 mask (|k| <= 8 on 26^3), so
     # N(shift u) = shift N(u) holds up to FFT rounding
-    grid = GridSpec(24, 24, 24, 2 * np.pi * lx, 2 * np.pi * ly, 2 * np.pi * ly)
+    grid = GridSpec(26, 26, 26, 2 * np.pi * lx, 2 * np.pi * ly, 2 * np.pi * ly)
     u = random_band_field(grid, np.random.default_rng(seed), 0.0, 2 * grid.dxi,
                           eta_max=2 * grid.deta1)
     b1, b2 = galilean_lattice(grid)
