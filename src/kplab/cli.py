@@ -439,21 +439,20 @@ def cmd_norms(args, cfg, s) -> int:
 # ----------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="kplab", description=__doc__)
+    # allow_abbrev=False everywhere: a new flag must not change what another means
+    ap = argparse.ArgumentParser(prog="kplab", description=__doc__, allow_abbrev=False)
     ap.add_argument("--config", default=None, help="JSON config file")
     ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--out", default=None, help="output directory (created if missing)")
-    ap.add_argument("--threads", type=_count, default=1, help="worker threads")
-    ap.add_argument("--format", choices=("csv", "json"), default="json")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    mk = sub.add_parser("make-data", help="generate a datum snapshot")
+    mk = sub.add_parser("make-data", help="generate a datum snapshot", allow_abbrev=False)
     mk.set_defaults(func=cmd_make_data)
-    shared = argparse.ArgumentParser(add_help=False)   # every kind reports --p norms
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)   # --p norms
     shared.add_argument("--file", default="datum.kp3f")
     shared.add_argument("--p", type=_positive, default=3.0)
     kinds = mk.add_subparsers(dest="kind", required=True)
-    kind = {k: kinds.add_parser(k, parents=[shared])
+    kind = {k: kinds.add_parser(k, parents=[shared], allow_abbrev=False)
             for k in ("gaussian", "sector", "illposed", "random-band")}
     for k in ("gaussian", "sector"):
         kind[k].add_argument("--amplitude", type=_finite, default=1.0)
@@ -469,29 +468,33 @@ def main(argv=None) -> int:
     kind["random-band"].add_argument("--band-hi", type=float, default=2.0)
     kind["random-band"].add_argument("--eta-max", type=float, default=2.0)
 
-    vf = sub.add_parser("verify", help="run one identity/estimate check")
+    vf = sub.add_parser("verify", help="run one identity/estimate check", allow_abbrev=False)
     vf.set_defaults(func=cmd_verify)
     checks = vf.add_subparsers(dest="check", required=True)
-    check = {c: checks.add_parser(c) for c in _VERIFY_CHECKS}
+    check = {c: checks.add_parser(c, allow_abbrev=False) for c in _VERIFY_CHECKS}
     check["resonance"].add_argument("--samples", type=_count, default=10000)
     for c in ("circle-measure", "g-rho"):
         check[c].add_argument("--configs", type=_count, default=100)
     check["bilinear"].add_argument("--lam", type=_positive, default=4.0)
     check["bilinear"].add_argument("--mu-sweep", action="store_true")
+    check["bilinear"].add_argument("--threads", type=_count, default=1, help="worker threads")
     for c in ("bilinear", "sector-bilinear"):
         check[c].add_argument("--ensemble", type=_count, default=4)
 
-    rn = sub.add_parser("run", help="run an experiment")
+    rn = sub.add_parser("run", help="run an experiment", allow_abbrev=False)
     rn.set_defaults(func=cmd_run)
     experiments = rn.add_subparsers(dest="experiment", required=True)
-    sweep = {e: experiments.add_parser(e) for e in _RUNS}["illposed-sweep"]
-    sweep.add_argument("--p", type=float, default=3.0)
-    sweep.add_argument("--lams", type=_positives, default=[8.0, 16.0, 32.0, 64.0])
+    run = {e: experiments.add_parser(e, allow_abbrev=False) for e in _RUNS}
+    run["illposed-sweep"].add_argument("--p", type=float, default=3.0)
+    run["illposed-sweep"].add_argument("--lams", type=_positives,
+                                       default=[8.0, 16.0, 32.0, 64.0])
 
-    nm = sub.add_parser("norms", help="norm report for a snapshot")
+    nm = sub.add_parser("norms", help="norm report for a snapshot", allow_abbrev=False)
     nm.add_argument("file")
     nm.add_argument("--q", type=float, default=math.inf)
     nm.add_argument("--p", type=float, default=1.5)
+    for leaf in (run["scatter"], nm):   # the CSV tables they write
+        leaf.add_argument("--format", choices=("csv", "json"), default="json")
     nm.set_defaults(func=cmd_norms)
 
     args = ap.parse_args(argv)

@@ -137,8 +137,8 @@ def test_run_scatter_csv_into_new_directory(tmp_path, capsys):
         "modes_x": 32, "modes_y1": 8, "modes_y2": 8, "length_x": 8 * math.pi,
         "length_y1": 4 * math.pi, "length_y2": 4 * math.pi}}))
     out = tmp_path / "new" / "rep"
-    code = main(["--config", str(cfg), "--out", str(out), "--format", "csv",
-                 "run", "scatter"])
+    code = main(["--config", str(cfg), "--out", str(out), "run", "scatter",
+                 "--format", "csv"])
     capsys.readouterr()
     assert code != 2
     lines = (out / "residuals.csv").read_text().splitlines()
@@ -151,7 +151,7 @@ def test_norms_csv_sector_table(tmp_path, capsys):
     assert main(["make-data", "sector", "--lam", "2", "--k", "0,0",
                  "--file", f]) == 0
     out = str(tmp_path / "rep")
-    assert main(["--out", out, "--format", "csv", "norms", f]) == 0
+    assert main(["--out", out, "norms", f, "--format", "csv"]) == 0
     capsys.readouterr()
     lines = open(os.path.join(out, "sector_masses.csv")).read().splitlines()
     assert lines[0] == "lam,k1,k2,mass"
@@ -229,8 +229,9 @@ _LEAF_FLAGS = {
     ("verify", "resonance"): {"--samples"},
     ("verify", "circle-measure"): {"--configs"},
     ("verify", "g-rho"): {"--configs"},
-    ("verify", "bilinear"): {"--lam", "--mu-sweep", "--ensemble"},
+    ("verify", "bilinear"): {"--lam", "--mu-sweep", "--ensemble", "--threads"},
     ("verify", "sector-bilinear"): {"--ensemble"},
+    ("run", "scatter"): {"--format"},
     ("run", "illposed-sweep"): {"--p", "--lams"},
 }
 _LEAVES = [*(leaf for leaf in _LEAF_FLAGS if leaf[0] == "make-data"),
@@ -281,7 +282,7 @@ _MALFORMED = {
     "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
     "illposed-sweep-lam-off-window": (["run", "illposed-sweep", "--lams",
                                        "2097152,4194304,8388608"], {}),
-    "threads-not-a-count": (["--threads", "0", "verify", "resonance"], {}),
+    "threads-not-a-count": (["verify", "bilinear", "--threads", "0"], {}),
     "verify-lam-nan": (["verify", "bilinear", "--lam", "nan"], {}),
     "make-data-amplitude-nan": (["make-data", "gaussian", "--amplitude", "nan"], {}),
     "make-data-center-xi-nan": (["make-data", "gaussian", "--center-xi", "nan"], {}),
@@ -313,6 +314,10 @@ _MALFORMED = {
     "picard-dt": (["--config", "c.json", "run", "picard"], {"c.json": '{"dt": 0.3}'}),
     "picard-samples-per-unit-zero": (["--config", "c.json", "run", "picard"],
                                      {"c.json": '{"samples_per_unit": 0}'}),
+    "abbreviated-flag": (["verify", "resonance", "--s", "3"], {}),
+    "abbreviated-flag-of-a-longer-flag": (["verify", "bilinear", "--mu"], {}),
+    "threads-before-the-verb": (["--threads", "2", "run", "sim"], {}),
+    "format-on-a-leaf-without-tables": (["verify", "resonance", "--format", "csv"], {}),
 }
 
 
