@@ -448,7 +448,8 @@ def main(argv=None) -> int:
 
     mk = sub.add_parser("make-data", help="generate a datum snapshot", allow_abbrev=False)
     mk.set_defaults(func=cmd_make_data)
-    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)   # --p norms
+    # every kind reports --p norms
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--file", default="datum.kp3f")
     shared.add_argument("--p", type=_positive, default=3.0)
     kinds = mk.add_subparsers(dest="kind", required=True)

@@ -161,9 +161,10 @@ class SimConfig:
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     """Integrate the nonlinear flow; returns the sampled trajectory.
 
-    The state lives on the active box (`grid_geometry(grid).box`) and is expanded to the
-    full Hermitian spectrum at sample times only.  Raises BlowupError with a
-    time stamp on NaN or norm explosion (the small-data step guard).
+    The state lives on the active box (`grid_geometry(grid).box`) and is
+    expanded to the full Hermitian spectrum at sample times only.  Raises
+    BlowupError with a time stamp on NaN or norm explosion (the small-data
+    step guard).
     """
     g = cfg.grid
     box, c, xi, omega = _on_box(u0, g, "evolve")

@@ -317,7 +317,6 @@ _MALFORMED = {
     "abbreviated-flag": (["verify", "resonance", "--s", "3"], {}),
     "abbreviated-flag-of-a-longer-flag": (["verify", "bilinear", "--mu"], {}),
     "threads-before-the-verb": (["--threads", "2", "run", "sim"], {}),
-    "format-on-a-leaf-without-tables": (["verify", "resonance", "--format", "csv"], {}),
 }
 
 
