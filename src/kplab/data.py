@@ -83,7 +83,7 @@ def random_band_field(grid: GridSpec, rng: np.random.Generator,
 
 
 def scattering_datum(grid: GridSpec, rng: np.random.Generator,
-                     lqlp_target: float, norm_params=None) -> SpectralField:
+                     lqlp_target: float, norm_params: NormParams) -> SpectralField:
     """Coherent broadband datum for asymptotic-state experiments.
 
     Envelope |xi| exp(-xi^2/2) vanishes linearly at low x-frequency (the
@@ -91,7 +91,6 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
     pullback increments are dominated by interactions whose phase spread the
     grid resolves; amplitude jitter and the slope center are randomized.
     """
-    npar = norm_params or NormParams()
     geo = grid_geometry(grid)
     xi, s1, s2 = geo.xi, geo.s1, geo.s2
     cs = rng.uniform(-0.2, 0.2, 2)
@@ -101,7 +100,7 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
            * np.exp(-((s1 - cs[0]) ** 2 + (s2 - cs[1]) ** 2) / (2 * 0.5 ** 2)))
     env = np.where(xi != 0, env, 0.0)
     f = make_field(grid, env * jitter * phase, real_flag=True, hermitize=True)
-    n = lqlp_norm(f, npar)
+    n = lqlp_norm(f, norm_params)
     if n == 0.0:
         raise ConfigurationError("scattering datum degenerated to zero")
     return SpectralField(grid, f.coeff * (lqlp_target / n), real_flag=True)

@@ -352,32 +352,23 @@ def section_roots_by_scan(xi1, xi2, deta, rho, tau, interval=(-64.0, 64.0),
 # Strichartz ratios
 # ----------------------------------------------------------------------
 
-_LINE1 = "2/p + 3/q = 3/2 (x-derivative gain 1/(3p))"
-_LINE2 = "1/p + 1/q = 1/2 (x-derivative gain 2/p)"
-
-
-def strichartz_exponent(p: float, q: float, family: str | int = "auto") -> float:
+def strichartz_exponent(p: float, q: float, family: str = "auto") -> float:
     """The |D_x| exponent for an admissible space-time pair.
 
     family "auto" accepts pairs on either admissible line and raises for
     anything else; family "scaling" accepts any pair with the dilation-forced
     exponent s = 5/2 - 5/q - 3/p (which reduces to the line values).
     """
-    on1 = abs(2.0 / p + 3.0 / q - 1.5) < 1e-9
-    on2 = abs(1.0 / p + 1.0 / q - 0.5) < 1e-9
-    if family == 1 or (family == "auto" and on1):
-        if not on1:
-            raise PreconditionError(f"(p={p}, q={q}) is not on the line {_LINE1}")
-        return 1.0 / (3.0 * p)
-    if family == 2 or (family == "auto" and on2):
-        if not on2:
-            raise PreconditionError(f"(p={p}, q={q}) is not on the line {_LINE2}")
-        return 2.0 / p
     if family == "scaling":
         return 2.5 - 5.0 / q - 3.0 / p
+    if family == "auto" and abs(2.0 / p + 3.0 / q - 1.5) < 1e-9:
+        return 1.0 / (3.0 * p)
+    if family == "auto" and abs(1.0 / p + 1.0 / q - 0.5) < 1e-9:
+        return 2.0 / p
     raise PreconditionError(
         f"(p={p}, q={q}) is inadmissible; the two admissible lines are "
-        f"{_LINE1} and {_LINE2}")
+        "2/p + 3/q = 3/2 (x-derivative gain 1/(3p)) and "
+        "1/p + 1/q = 1/2 (x-derivative gain 2/p)")
 
 
 def _flow_samples(u0: SpectralField, times):
@@ -410,7 +401,7 @@ def _flow_samples(u0: SpectralField, times):
 
 
 def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,
-                     family: str | int = "auto", n_time: int = 96) -> float:
+                     family: str = "auto", n_time: int = 96) -> float:
     """|| S(t) u0 ||_{L^p_t L^q_{xy}} / || |D_x|^s u0 ||_{L^2} on [0, T]."""
     if u0.l2_norm() == 0.0:
         raise PreconditionError("u0 must be nonzero")
@@ -438,40 +429,26 @@ class SlopeReport:
     per_seed: np.ndarray | None = None
 
 
-def _product_ratio(u0: SpectralField, v0: SpectralField, times, integrate) -> float:
-    """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||) for the two linear waves;
-    integrate(vals) is the time rule over the squared L^2_{xy} norms at times."""
-    nu, nv = u0.l2_norm(), v0.l2_norm()
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    dV = u0.grid.volume / u0.coeff.size
-    # map, not a loop over zip: no sample of the previous time stays alive
-    # while the next pair is transformed
-    sq = map(lambda pu, pv: np.sum((pu * pv) ** 2) * dV,
-             _flow_samples(u0, times), _flow_samples(v0, times))
-    return math.sqrt(float(integrate(np.fromiter(sq, float, len(times))))) / (nu * nv)
-
-
-def bilinear_lowhigh_ratio(u0: SpectralField, v0: SpectralField, T: float,
-                           n_time: int = 32) -> float:
-    """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||), midpoint rule in t."""
-    dt = T / n_time
-    times = (np.arange(n_time) + 0.5) * dt
-    # a running sum, so the result does not depend on numpy's summation blocking
-    return _product_ratio(u0, v0, times, lambda vals: np.cumsum(vals * dt)[-1])
-
-
 def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
                                      T: float, n_time: int = 17,
                                      t_min: float = 2e-3) -> float:
-    """Same ratio with a log-spaced time grid resolving the overlap transient.
+    """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||) for the linear waves u, v of
+    u0, v0, on a log-spaced time grid resolving the overlap transient.
 
     The product of two coherent packets decays on a timescale set by their
     relative group velocity; geometric sampling captures every scale of the
     decay with few transforms (trapezoid rule on t = 0 and the geometric times).
     """
+    nu, nv = u0.l2_norm(), v0.l2_norm()
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
     ts = np.concatenate([[0.0], np.geomspace(t_min, T, n_time)])
-    return _product_ratio(u0, v0, ts, lambda vals: np.trapezoid(vals, ts))
+    dV = u0.grid.volume / u0.coeff.size
+    # map, not a loop over zip: no sample of the previous time stays alive
+    # while the next pair is transformed
+    sq = map(lambda pu, pv: np.sum((pu * pv) ** 2) * dV,
+             _flow_samples(u0, ts), _flow_samples(v0, ts))
+    return math.sqrt(float(np.trapezoid(np.fromiter(sq, float, ts.size), ts))) / (nu * nv)
 
 
 def coherent_low_cap(grid, mu: float, slope_center,
@@ -579,6 +556,13 @@ def weighted_pair_norm(u: SparseWave, v: SparseWave, lam: float, T: float) -> fl
         sum_pairs (lam + |s1 - s2|) u-hat v-hat e^{i t (w1 + w2)}
 
     computed by direct frequency-pair quadrature with 16 midpoint time samples.
+
+    Pairs whose sums coincide (after rounding to 1e-9) share one output, and
+    only there do the time phases interfere.  The continuous draws of
+    `sector_gamma_sweep` give every pair its own output (61440 outputs for
+    384 x 160 pairs at seed 108), so there this norm equals
+    sqrt(T * sum |amp|^2) to rounding and its |Gamma|-slope measures the
+    weight lam + |s1 - s2| alone.
     """
     wu, wv = u.omega(), v.omega()
     # group output by the pair sums; accumulate weighted amplitudes per time

@@ -47,7 +47,7 @@ def _dyadic_checkpoints(times: np.ndarray):
     return out
 
 
-def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams | None = None,
+def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams,
                      strict: bool = True) -> ScatterReport:
     """Extract u_plus from the pullback at dyadic checkpoints.
 
@@ -56,7 +56,6 @@ def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams | None = None,
     checkpoints.  With strict=True a non-decreasing tail raises
     ScatteringNotDetected (datum too large or horizon too short).
     """
-    np_ = np_ or NormParams()
     idxs = _dyadic_checkpoints(tr.times)
     if len(idxs) < 4:
         raise PreconditionError("trace must cover dyadic checkpoints up to T >= 8")

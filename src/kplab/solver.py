@@ -24,8 +24,8 @@ import numpy as np
 
 from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_norms,
                             v2_variation_norm)
-from .errors import (AccuracyError, BlowupError, ConfigurationError,
-                     DivergenceError, PreconditionError)
+from .errors import (BlowupError, ConfigurationError, DivergenceError,
+                     PreconditionError)
 from .spectral import (GridSpec, SpectralField, grid_geometry, nonzero_modes,
                        require_number)
 
@@ -183,8 +183,6 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     states[0] = c
 
     def rhs(a):
-        if alpha == 0.0:
-            return np.zeros_like(a)
         return alpha * _nonlinear_rhs(g, a, box, xi)
 
     t = 0.0
@@ -234,44 +232,16 @@ def _composite_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def duhamel_integral(forcing: SpaceTimeTrace, t: float) -> SpectralField:
-    """integral_0^t S(t-s) f(s) ds by interaction-picture composite Simpson.
-
-    A coarse/fine Richardson comparison guards the tolerance: if halving the
-    sampling changes the result by more than 1e-8 (relative to the forcing
-    scale), an AccuracyError reports the required density.
-    """
-    if not forcing.is_uniform():
-        raise PreconditionError("duhamel_integral requires a uniform forcing grid")
-    times = forcing.times
-    i_end = int(np.argmin(np.abs(times - t)))
-    if abs(times[i_end] - t) > 1e-9 * max(1.0, abs(t)):
-        raise PreconditionError(f"t={t} is not a forcing sample time")
-    if i_end < 2:
-        raise AccuracyError("forcing must be sampled at >= 3 points up to t")
-    n = i_end + 1
-    dt = forcing.dt()
-    g = forcing.grid
-    omega = grid_geometry(g).omega
-    pull = forcing.coeff[:n] * np.exp(-1j * omega[None, ...] * times[:n, None, None, None])
-
-    w = _composite_weights(n, dt)
-    integral = np.tensordot(w, pull, axes=(0, 0))
-
-    if n >= 5 and n % 2 == 1:
-        sub = pull[::2]  # same endpoints, doubled spacing
-        wc = _composite_weights(sub.shape[0], 2 * dt)
-        coarse = np.tensordot(wc, sub, axes=(0, 0))
-        scale = np.sqrt(g.volume * np.sum(np.abs(integral) ** 2))
-        err = np.sqrt(g.volume * np.sum(np.abs(integral - coarse) ** 2)) / 15.0
-        tol = 1e-8
-        if scale > 0 and err > tol * max(scale, 1.0):
-            need = dt * (tol * max(scale, 1.0) / err) ** 0.25
-            raise AccuracyError(
-                f"Duhamel quadrature error {err:.3e} exceeds tol {tol:.1e}; "
-                f"sample spacing of about {need:.3e} required")
-    out = integral * np.exp(1j * omega * t)
-    return SpectralField(g, out, real_flag=forcing.real_flag)
+def _duhamel_weights(n: int, dt: float) -> np.ndarray:
+    """Prefix quadrature matrix W on n uniform samples of spacing dt: row j
+    integrates over [0, t_j], by composite Simpson from t_2 on and the
+    trapezoid rule on the first interval."""
+    W = np.zeros((n, n))
+    for jj in range(2, n):
+        W[jj, : jj + 1] = _composite_weights(jj + 1, dt)
+    if n >= 2:
+        W[1, :2] = dt / 2.0  # trapezoid on the first interval only
+    return W
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +290,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     phases = np.exp(1j * omega[None, ...] * times[:, None, None, None])
     base = c0[None, ...] * phases  # S(t) u0 on the box
 
-    # Prefix Simpson weight matrix W[j, i]: integral over [0, t_j].
-    W = np.zeros((n_t, n_t))
-    for jj in range(2, n_t):
-        W[jj, : jj + 1] = _composite_weights(jj + 1, sample_dt)
-    if n_t >= 2:
-        W[1, :2] = sample_dt / 2.0  # trapezoid on the first interval only
+    W = _duhamel_weights(n_t, sample_dt)
 
     def apply_duhamel(warr):
         pull = alpha * _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)

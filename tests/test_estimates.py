@@ -9,8 +9,7 @@ from kplab.data import gaussian_datum, member_rng, random_band_field
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.decomposition import _lp_reduce
 from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
-                             bilinear_lowhigh_ratio, bilinear_lowhigh_ratio_transient,
-                             bilinear_mu_sweep,
+                             bilinear_lowhigh_ratio_transient, bilinear_mu_sweep,
                              check_sector_hypotheses,
                              circle_measure_closed_form,
                              circle_measure_integral, circle_level_set,
@@ -236,9 +235,6 @@ def test_linear_flow_ratios_match_direct_evaluation():
         return dV * np.sum((_direct_flow(u0, times) * _direct_flow(v0, times)) ** 2,
                            axis=(1, 2, 3))
 
-    mid = (np.arange(10) + 0.5) * T / 10
-    expect = math.sqrt(T / 10 * np.sum(product_l2(mid))) / norms
-    assert bilinear_lowhigh_ratio(u0, v0, T, n_time=10) == pytest.approx(expect, rel=1e-12)
     ts = np.concatenate([[0.0], np.geomspace(1e-3, T, 9)])
     pl = product_l2(ts)
     expect = math.sqrt(np.sum(np.diff(ts) * (pl[1:] + pl[:-1]) / 2)) / norms
@@ -295,7 +291,7 @@ def test_strichartz_rejects_zero(strich_grid):
 def test_bilinear_zero_factor(strich_grid):
     from kplab.spectral import zero_field
     u0 = gaussian_datum(strich_grid, center_xi=1.0)
-    assert bilinear_lowhigh_ratio(zero_field(strich_grid), u0, T=1.0) == 0.0
+    assert bilinear_lowhigh_ratio_transient(zero_field(strich_grid), u0, T=1.0) == 0.0
 
 
 def test_bilinear_ratio_scale_covariance():
@@ -304,10 +300,12 @@ def test_bilinear_ratio_scale_covariance():
     g = GridSpec(64, 32, 32, 16 * np.pi, 16 * np.pi, 16 * np.pi)
     u0 = coherent_low_cap(g, 0.5, (0.0, 0.0))
     v0 = coherent_high_cap(g, 2.0, 1.0, (0.0, 0.0), eta_halfwidth=0.5)
-    base = bilinear_lowhigh_ratio(u0, v0, T=2.0, n_time=48)
+    base = bilinear_lowhigh_ratio_transient(u0, v0, T=2.0, n_time=48)
     lam = 2.0
     uh, vh = scaling_transform(u0, lam), scaling_transform(v0, lam)
-    scaled = bilinear_lowhigh_ratio(uh, vh, T=2.0 / lam ** 3, n_time=48)
+    # the time grid is dilated with the data
+    scaled = bilinear_lowhigh_ratio_transient(uh, vh, T=2.0 / lam ** 3, n_time=48,
+                                              t_min=2e-3 / lam ** 3)
     assert scaled / base == pytest.approx(lam, rel=0.05)
 
 

@@ -6,18 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kplab.data import gaussian_datum, random_band_field
-from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm
-from kplab.errors import (AccuracyError, ConfigurationError, DivergenceError,
-                          PreconditionError)
+from kplab.decomposition import NormParams, lqlp_norm
+from kplab.errors import ConfigurationError, DivergenceError, PreconditionError
 from kplab.solver import (MultiplierProfile, SimConfig,
-                          _nonlinear_rhs, duhamel_integral, evolve, mass_series,
+                          _duhamel_weights, _nonlinear_rhs, evolve, mass_series,
                           nonlinearity, nonlinearity_direct, picard_iterate,
                           slope_band_extent, slope_filtered_product,
                           spectral_product)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            dispersion_symbol, galilean_lattice, galilean_shift,
-                            grid_geometry, scaling_transform, trilinear_pairing,
-                            zero_field)
+                            galilean_lattice, galilean_shift, grid_geometry,
+                            scaling_transform, trilinear_pairing, zero_field)
 
 even_modes = st.integers(4, 16).map(lambda k: 2 * k)
 
@@ -316,51 +314,26 @@ def test_evolve_blowup_diagnostic(grid_solver):
 # Duhamel
 # ----------------------------------------------------------------------
 
-def _const_pullback_trace(grid, gdat, n=33, T=1.0):
-    times = np.arange(n) * (T / (n - 1))
-    coeff = np.stack([apply_linear_propagator(gdat, t).coeff for t in times])
-    return SpaceTimeTrace(times, coeff, grid, gdat.real_flag, window="none")
+def test_duhamel_weights_integrate_constants_and_lines():
+    # every row j of picard_iterate's prefix matrix is a rule on [0, t_j],
+    # exact on 1 and t (row 0 is the empty integral)
+    dt = 0.1
+    for n in (3, 4, 5, 8, 33):
+        t = np.arange(n) * dt
+        W = _duhamel_weights(n, dt)
+        assert np.max(np.abs(W @ np.ones(n) - t)) <= 1e-14 * t[-1]
+        assert np.max(np.abs(W @ t - t ** 2 / 2)) <= 1e-14 * t[-1] ** 2
 
 
-def test_duhamel_zero(grid_solver):
-    tr = _const_pullback_trace(grid_solver, zero_field(grid_solver))
-    assert duhamel_integral(tr, 1.0).l2_norm() == 0.0
-
-
-def test_duhamel_constant_pullback(grid_solver):
-    gdat = gaussian_datum(grid_solver, center_xi=1.0, width_xi=0.4, width_eta=0.4)
-    tr = _const_pullback_trace(grid_solver, gdat)
-    out = duhamel_integral(tr, 1.0)
-    expect = apply_linear_propagator(gdat, 1.0)
-    assert np.max(np.abs(out.coeff - expect.coeff)) <= 1e-8
-    half = duhamel_integral(tr, 0.5)
-    expect_half = apply_linear_propagator(gdat, 0.5)
-    assert np.max(np.abs(half.coeff - 0.5 * expect_half.coeff)) <= 1e-8
-
-
-def test_duhamel_offset_mode_closed_form(grid_solver):
-    c = np.zeros(grid_solver.shape, complex)
-    c[2, 1, 0] = 1.0
-    w = dispersion_symbol(2 * grid_solver.dxi, (grid_solver.deta1, 0.0))
-    delta = 3.0
-    n = 257
-    times = np.arange(n) / (n - 1)
-    coeff = c * np.exp(1j * (w + delta) * times)[:, None, None, None]
-    tr = SpaceTimeTrace(times, coeff, grid_solver, real_flag=False, window="none")
-    out = duhamel_integral(tr, 1.0)
-    closed = np.exp(1j * w) * (np.exp(1j * delta) - 1.0) / (1j * delta)
-    assert abs(out.coeff[2, 1, 0] - closed) <= 1e-8
-
-
-def test_duhamel_insufficient_density_raises(grid_solver):
-    c = np.zeros(grid_solver.shape, complex)
-    c[2, 1, 0] = 1.0
-    w = dispersion_symbol(2 * grid_solver.dxi, (grid_solver.deta1, 0.0))
-    times = np.arange(33) / 32
-    coeff = c * np.exp(1j * (w + 3.0) * times)[:, None, None, None]
-    tr = SpaceTimeTrace(times, coeff, grid_solver, real_flag=False, window="none")
-    with pytest.raises(AccuracyError, match="required"):
-        duhamel_integral(tr, 1.0)
+def test_duhamel_offset_mode_closed_form():
+    # a mode off resonance by delta: the integral of e^{i delta s} over
+    # [0, t_j] is (e^{i delta t_j} - 1) / (i delta); the single trapezoid
+    # interval of row 1 is outside this tolerance
+    delta, n = 3.0, 257
+    t = np.arange(n) / (n - 1)
+    got = _duhamel_weights(n, 1.0 / (n - 1)) @ np.exp(1j * delta * t)
+    closed = (np.exp(1j * delta * t) - 1.0) / (1j * delta)
+    assert np.max(np.abs(got - closed)[2:]) <= 1e-8
 
 
 # ----------------------------------------------------------------------
