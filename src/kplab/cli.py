@@ -29,14 +29,15 @@ from .estimates import (bilinear_mu_sweep, circle_measure_closed_form,
                         random_measure_config, random_resonance_point,
                         resonance_identity_defect, sector_gamma_sweep,
                         strichartz_ratio)
-from .illposedness import IllposedParams, growth_sweep, two_bump_datum
+from .illposedness import IllposedParams, growth_sweep
 from .reporting import config_hash, json_dumps, write_csv, write_json
 from .scattering import asymptotic_state
 from .solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
                      picard_iterate, slope_filtered_product, spectral_product,
                      slope_band_extent)
-from .spectral import (GridSpec, SpectralField, read_snapshot, require_number,
-                       scaling_transform, trilinear_pairing, write_snapshot)
+from .spectral import (GridSpec, SpectralField, grid_geometry, read_snapshot,
+                       require_number, scaling_transform, trilinear_pairing,
+                       write_snapshot)
 
 
 _GRID_KEYS = ("modes_x", "modes_y1", "modes_y2", "length_x", "length_y1", "length_y2")
@@ -328,7 +329,12 @@ def cmd_verify(args, cfg, s) -> int:
 # ----------------------------------------------------------------------
 
 def _run_sim(args, s):
-    u0 = gaussian_datum(s["grid"], amplitude=s["amplitude"], center_xi=s["center_xi"])
+    g = s["grid"]
+    u0 = gaussian_datum(g, amplitude=s["amplitude"], center_xi=s["center_xi"])
+    on_box = SpectralField(g, np.where(grid_geometry(g).active, u0.coeff, 0.0), True)
+    if on_box.l2_norm() == 0.0:   # the mass drift is relative to this mass
+        raise ConfigurationError("run sim datum has zero mass on the solver box; "
+                                 "check amplitude and center_xi")
     tr = evolve(u0, s["sim"])
     ms = mass_series(tr)
     drift = float(np.max(np.abs(ms - ms[0])) / ms[0])
@@ -354,7 +360,7 @@ def _run_scatter(args, s):
     u0 = scattering_datum(s["grid"], member_rng(args.seed, s["member"]),
                           s["datum_norm"], npar)
     rep = asymptotic_state(evolve(u0, s["sim"]), npar, strict=False)
-    if args.out and args.format == "csv":
+    if args.format == "csv":
         write_csv(os.path.join(args.out, "residuals.csv"), ["t", "residual"],
                   list(zip(rep.sample_times, rep.residuals)))
     return rep.detected, {"checkpoints": list(rep.sample_times),
@@ -395,14 +401,11 @@ _RUNS = {"sim": _run_sim, "picard": _run_picard, "scatter": _run_scatter,
 
 
 def cmd_run(args, cfg, s) -> int:
-    if args.experiment == "illposed-sweep":   # its data, checked by their own rules
-        if len(args.lams) < 3:
-            raise ConfigurationError("growth sweep needs at least 3 lam values")
-        for lam in args.lams:
-            two_bump_datum(IllposedParams(lam ** -2.0, lam), args.p)
     t0 = time.time()
     try:
         ok, extra = _RUNS[args.experiment](args, s)
+    except ConfigurationError:   # an unusable configuration: exit 2 in main
+        raise
     except KplabError as ex:   # a failure of the experiment itself: exit 1
         ok, extra = False, {"diagnostic": str(ex), "cause": type(ex).__name__}
     _emit(args, f"run-{args.experiment}", {
@@ -425,7 +428,7 @@ def cmd_norms(args, cfg, s) -> int:
          "value": lqlp_norm(field, npar)},
     ]
     payload = {"file": args.file, "records": records}
-    if args.out and args.format == "csv":
+    if args.format == "csv":
         masses = sector_masses(field)
         write_csv(os.path.join(args.out, "sector_masses.csv"),
                   ["lam", "k1", "k2", "mass"],
@@ -500,6 +503,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "format", None) == "csv" and not args.out:
+            raise ConfigurationError("--format csv writes its table into --out; give --out")
         cfg, settings = _load_config(args.config, getattr(args, "experiment", args.verb))
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _gl_nodes, _lp_reduce, _lqlp_reduce, sector_sums
-from .errors import ConfigurationError, DomainError, PreconditionError
+from .errors import (AccuracyError, ConfigurationError, DomainError,
+                     PreconditionError)
 from .reporting import fit_loglog_slope
 from .solver import _composite_weights
 from .spectral import (dispersion_symbol, dyadic_exponent, require_power_of_two,
@@ -211,7 +212,7 @@ def second_picard_cross_term(ip: IllposedParams,
     the pair set A.  direct: composite-Simpson quadrature in s of the
     Duhamel integrand e^{i s R}, with factorized transverse sums on an
     independent pair quadrature.  One refinement pass on disagreement; a
-    residual disagreement beyond rel_tol raises ConfigurationError.
+    residual disagreement beyond rel_tol raises AccuracyError.
     """
     if not ip.coupling:
         raise PreconditionError("cross-term experiment requires the coupling flag")
@@ -303,7 +304,7 @@ def second_picard_cross_term(ip: IllposedParams,
         direct = finish(direct_route(int(_N_PAIR_DIRECT * 1.5)))
         gap = l2(closed - direct) / max(l2(closed), 1e-300)
         if gap > rel_tol:
-            raise ConfigurationError(
+            raise AccuracyError(
                 f"cross-term quadratures disagree by {gap:.2%} after refinement")
     return CrossTermResult(xi_out, eta_out, W, closed, gap,
                            integrand_real_mean=rsum / max(rcount, 1),

@@ -96,6 +96,17 @@ def test_run_picard_report(tmp_path, capsys):
     assert "config_hash" in payload and "versions" in payload
 
 
+def test_run_failure_exits_1_with_its_cause(tmp_path, capsys):
+    # a datum above the small-data threshold is a failed run, not a bad config
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"datum_norm": 1}')
+    code, out = run_cli(["--config", str(cfg), "run", "picard"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["cause"] == "PreconditionError"
+
+
 def test_run_determinism_byte_identical(tmp_path, capsys):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
@@ -317,6 +328,10 @@ _MALFORMED = {
     "abbreviated-flag": (["verify", "resonance", "--s", "3"], {}),
     "abbreviated-flag-of-a-longer-flag": (["verify", "bilinear", "--mu"], {}),
     "threads-before-the-verb": (["--threads", "2", "run", "sim"], {}),
+    "sim-center-xi-zero": (["--config", "c.json", "run", "sim"], {"c.json": '{"center_xi": 0}'}),
+    "sim-amplitude-zero": (["--config", "c.json", "run", "sim"], {"c.json": '{"amplitude": 0}'}),
+    "norms-csv-without-out": (["norms", "g.kp3f", "--format", "csv"], {"g.kp3f": None}),
+    "scatter-csv-without-out": (["run", "scatter", "--format", "csv"], {}),
 }
 
 
@@ -324,7 +339,9 @@ _MALFORMED = {
 def test_malformed_input_exits_2(tmp_path, case):
     args, files = _MALFORMED[case]
     for name, content in files.items():
-        if isinstance(content, int):   # a snapshot cut to this many bytes
+        if content is None:   # a valid snapshot
+            write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)), tmp_path / name)
+        elif isinstance(content, int):   # a snapshot cut to this many bytes
             write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)),
                            tmp_path / "full.kp3f")
             (tmp_path / name).write_bytes((tmp_path / "full.kp3f").read_bytes()[:content])

@@ -5,7 +5,7 @@ import pytest
 
 from kplab import illposedness as ill
 from kplab.data import two_bump_lattice_datum
-from kplab.errors import ConfigurationError, DomainError
+from kplab.errors import AccuracyError, ConfigurationError, DomainError
 from kplab.illposedness import (FrequencyBox, IllposedParams, box_lqlp_norm,
                                 cross_term_support, growth_sweeps,
                                 resonance_function, sample_interaction_set,
@@ -166,7 +166,7 @@ def test_cross_term_refinement_then_refusal():
     # the routes agree to about 1.9e-5; a tighter tolerance runs the
     # refinement pass and then refuses
     ip = IllposedParams(1 / 64, 8.0)
-    with pytest.raises(ConfigurationError, match="after refinement"):
+    with pytest.raises(AccuracyError, match="after refinement"):
         second_picard_cross_term(ip, rel_tol=1e-9)
 
 
