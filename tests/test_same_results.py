@@ -1,0 +1,42 @@
+"""tools/same_results.py must call an unchanged tree identical and must see
+one perturbed constant."""
+
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import kplab
+
+_SRC = pathlib.Path(kplab.__file__).parent
+_TOOL = _SRC.parents[1] / "tools" / "same_results.py"
+
+
+def _same_results(parent, corpus):
+    return subprocess.run([sys.executable, str(_TOOL), "--parent", str(parent),
+                           "--corpus", str(corpus)], capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_same_results_sees_one_perturbed_constant(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    # the report goes to a file whose wall_clock_s line must be masked
+    (corpus / "commands.txt").write_text("kplab --out rep verify resonance --samples 200\n")
+    parent = tmp_path / "parent"
+    shutil.copytree(_SRC, parent / "src" / "kplab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = _same_results(parent, corpus)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("identical ")
+
+    # a relative change of 1e-12 in one term of the resonance identity: the
+    # check still passes, so only the reported defect shows it
+    module = parent / "src" / "kplab" / "estimates.py"
+    text = module.read_text()
+    term = "rhs = -3.0 * x1 * x2 * x3"
+    assert text.count(term) == 1
+    module.write_text(text.replace(term, "rhs = -3.000000000003 * x1 * x2 * x3"))
+    proc = _same_results(parent, corpus)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("DIFFERS (rep/verify-resonance.json) ")
