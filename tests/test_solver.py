@@ -314,6 +314,38 @@ def test_evolve_blowup_diagnostic(grid_solver):
 # Duhamel
 # ----------------------------------------------------------------------
 
+def _duhamel_of_trace(gdat, n=33, T=1.0):
+    # picard_iterate's Duhamel step on the flow trace t -> S(t) gdat: pull
+    # each sample back by S(-t_j), integrate by the prefix matrix, push forward
+    dt = T / (n - 1)
+    times = np.arange(n) * dt
+    fwd = np.stack([apply_linear_propagator(gdat, t).coeff for t in times])
+    pull = np.stack([apply_linear_propagator(
+        SpectralField(gdat.grid, c, gdat.real_flag), -t).coeff
+        for t, c in zip(times, fwd)])
+    integ = np.tensordot(_duhamel_weights(n, dt), pull.reshape(n, -1),
+                         axes=(1, 0)).reshape(fwd.shape)
+    return times, np.stack([apply_linear_propagator(
+        SpectralField(gdat.grid, c, gdat.real_flag), t).coeff
+        for t, c in zip(times, integ)])
+
+
+def test_duhamel_zero(grid_solver):
+    _, out = _duhamel_of_trace(zero_field(grid_solver))
+    assert np.all(out == 0.0)
+
+
+def test_duhamel_constant_pullback(grid_solver):
+    # a constant pullback integrates to t_j S(t_j) gdat at every sample
+    gdat = gaussian_datum(grid_solver, center_xi=1.0, width_xi=0.4, width_eta=0.4)
+    times, out = _duhamel_of_trace(gdat)
+    expect = apply_linear_propagator(gdat, 1.0)
+    assert np.max(np.abs(out[-1] - expect.coeff)) <= 1e-8
+    expect_half = apply_linear_propagator(gdat, 0.5)
+    assert times[16] == 0.5
+    assert np.max(np.abs(out[16] - 0.5 * expect_half.coeff)) <= 1e-8
+
+
 def test_duhamel_weights_integrate_constants_and_lines():
     # every row j of picard_iterate's prefix matrix is a rule on [0, t_j],
     # exact on 1 and t (row 0 is the empty integral)
