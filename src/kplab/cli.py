@@ -9,6 +9,7 @@ Reruns with identical config and seed produce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import numbers
@@ -332,7 +333,9 @@ def _run_sim(args, s):
     g = s["grid"]
     u0 = gaussian_datum(g, amplitude=s["amplitude"], center_xi=s["center_xi"])
     on_box = SpectralField(g, np.where(grid_geometry(g).active, u0.coeff, 0.0), True)
-    if on_box.l2_norm() == 0.0:   # the mass drift is relative to this mass
+    with np.errstate(over="ignore"):   # evolve refuses a mass that overflows
+        mass = on_box.l2_norm()
+    if mass == 0.0:   # the mass drift is relative to this mass
         raise ConfigurationError("run sim datum has zero mass on the solver box; "
                                  "check amplitude and center_xi")
     tr = evolve(u0, s["sim"])
@@ -501,6 +504,13 @@ def main(argv=None) -> int:
         leaf.add_argument("--format", choices=("csv", "json"), default="json")
     nm.set_defaults(func=cmd_norms)
 
+    # a leaf flag before the verb: argparse would take its value for the verb
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in itertools.takewhile(lambda a: a not in sub.choices, argv):
+        flag = arg.partition("=")[0]
+        if flag.startswith("--") and flag not in ("--config", "--seed", "--out", "--help"):
+            ap.error(f"{flag} is not a flag of kplab itself; "
+                     "it goes after the subcommand that reads it")
     args = ap.parse_args(argv)
     try:
         if getattr(args, "format", None) == "csv" and not args.out:

@@ -237,7 +237,6 @@ def random_measure_config(rng: np.random.Generator) -> MeasureConfig:
 class SectionRootReport:
     roots: np.ndarray
     derivative_lhs: np.ndarray
-    derivative_rhs: np.ndarray
     defects: np.ndarray
 
     @property
@@ -275,7 +274,7 @@ def phase_difference_roots(xi1: float, xi2: float, deta, rho, tau: float,
     coeffs = poly.coef
     nz = np.nonzero(np.abs(coeffs) > 1e-13 * max(np.max(np.abs(coeffs)), 1e-300))[0]
     if nz.size == 0:
-        return SectionRootReport(np.array([]), np.array([]), np.array([]), np.array([]))
+        return SectionRootReport(np.array([]), np.array([]), np.array([]))
     poly = P(coeffs[: nz[-1] + 1])
     roots = poly.roots()
     real = roots[np.abs(roots.imag) < 1e-8 * np.maximum(1.0, np.abs(roots.real))].real
@@ -301,7 +300,7 @@ def phase_difference_roots(xi1: float, xi2: float, deta, rho, tau: float,
     rhs = np.abs([_g_rho_prime_slope_form(r, xi1, xi2, deta, rho) for r in roots])
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
     defects = np.abs(lhs - rhs) / scale
-    return SectionRootReport(roots, lhs, rhs, defects)
+    return SectionRootReport(roots, lhs, defects)
 
 
 def _g_rho_prime_raw(xi, xi1, xi2, deta, rho):

@@ -120,32 +120,27 @@ class DecayTable:
     lams: np.ndarray
     values: np.ndarray
     low_slope: float
-    sharp_exponent: float
-    classical_exponent: float
 
 
 def sector_sum_decay(d: AnalyticDatum, p: float, lam_lo: float = 2.0 ** -7,
                      lam_hi: float = 16.0) -> DecayTable:
     """Per-shell table of (sum_k mass^{p/2})^{1/p} with low-lambda slope fit.
 
-    The fit uses the 4 smallest shells.  sharp_exponent is the measured-law
-    prediction 5/2 - 4/p (+1 per x-derivative); classical_exponent is the
-    3/2 - 2/p shape, which agrees at p = 2.
+    The fit uses the 4 smallest shells; the measured law predicts the slope
+    5/2 - 4/p (+1 per x-derivative), which at p = 2 equals the classical
+    3/2 - 2/p.
     """
     jlo = round(math.log2(lam_lo))
     jhi = round(math.log2(lam_hi))
     lams = np.array([2.0 ** j for j in range(jlo, jhi + 1)])
     vals = np.array([gaussian_sector_sum(d, l, p) for l in lams])
     low = fit_loglog_slope(lams[:4], vals[:4])
-    return DecayTable(lams, vals, low,
-                      sharp_exponent=2.5 - 4.0 / p + d.deriv_x,
-                      classical_exponent=1.5 - 2.0 / p)
+    return DecayTable(lams, vals, low)
 
 
 @dataclass
 class DichotomyReport:
     lams: np.ndarray
-    partial_values: np.ndarray     # lam^{1/2} * sector sum
     sum_slope: float               # slope of the bare sector sum
     partial_slope: float           # slope of the partial value
     divergent: bool                # partial values blow up as lam -> 0
@@ -162,7 +157,7 @@ def zero_mean_blowup(d: AnalyticDatum, p: float) -> DichotomyReport:
     table = sector_sum_decay(d, p, 2.0 ** -7, 2.0 ** -1)
     partial = np.sqrt(table.lams) * table.values
     pslope = fit_loglog_slope(table.lams[:4], partial[:4])
-    return DichotomyReport(table.lams, partial, table.low_slope, pslope,
+    return DichotomyReport(table.lams, table.low_slope, pslope,
                            divergent=pslope < -0.05)
 
 
@@ -230,8 +225,7 @@ class CombReport:
     mus: np.ndarray
     norms: np.ndarray
     pairings: np.ndarray
-    growth_exponent: float
-    predicted_exponent: float
+    growth_exponent: float      # predicted 1 - 1/p
 
 
 def divergent_sequence_check(mu_list, p: float) -> CombReport:
@@ -250,5 +244,4 @@ def divergent_sequence_check(mu_list, p: float) -> CombReport:
             float(np.polyfit(np.log(logs), np.log(pairings), 1)[0])
     else:
         growth = float(np.polyfit(np.log(logs), np.log(pairings), 1)[0])
-    return CombReport(mus, np.asarray(norms), np.asarray(pairings), growth,
-                      predicted_exponent=1.0 - 1.0 / p)
+    return CombReport(mus, np.asarray(norms), np.asarray(pairings), growth)

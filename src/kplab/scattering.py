@@ -1,4 +1,4 @@
-"""Asymptotic-state extraction: pullback traces, Cauchy gaps at dyadic
+"""Asymptotic-state extraction: pullbacks and Cauchy gaps at dyadic
 checkpoints, and the wave-operator residual.
 
 "t -> infinity" is modeled by dyadic checkpoints {1, 2, 4, 8, ...} up to the
@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import NormParams, SpaceTimeTrace, lqlp_norm, pullback_states
+from .decomposition import NormParams, SpaceTimeTrace, lqlp_norm
 from .errors import PreconditionError, ScatteringNotDetected
 from .spectral import SpectralField, apply_linear_propagator
-
-
-def pullback_trace(tr: SpaceTimeTrace) -> SpaceTimeTrace:
-    """v(t_j) = S(-t_j) u(t_j) for each sample."""
-    return SpaceTimeTrace(tr.times.copy(), pullback_states(tr), tr.grid, tr.real_flag,
-                          tr.window)
 
 
 @dataclass
@@ -30,8 +24,7 @@ class ScatterReport:
     pullbacks: list
     cauchy_gaps: np.ndarray
     residuals: np.ndarray
-    u_plus: SpectralField | None
-    detected: bool
+    detected: bool          # u_plus = pullbacks[-1] is defined
 
 
 def _dyadic_checkpoints(times: np.ndarray):
@@ -49,7 +42,7 @@ def _dyadic_checkpoints(times: np.ndarray):
 
 def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams,
                      strict: bool = True) -> ScatterReport:
-    """Extract u_plus from the pullback at dyadic checkpoints.
+    """Pullbacks at dyadic checkpoints; the last is u_plus when detected.
 
     Cauchy gaps are ||pullback(t_{j+1}) - pullback(t_j)|| in the anisotropic
     norm; u_plus is defined only if the gaps decrease over the last three
@@ -66,7 +59,6 @@ def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams,
         lqlp_norm(SpectralField(tr.grid, b.coeff - a.coeff, real_flag=False), np_)
         for a, b in zip(pulls, pulls[1:])])
     decreasing = bool(np.all(np.diff(gaps[-3:]) < 0)) if gaps.size >= 3 else False
-    u_plus = pulls[-1] if decreasing else None
     residuals = np.array([
         lqlp_norm(SpectralField(tr.grid, p.coeff - pulls[-1].coeff, real_flag=False), np_)
         for p in pulls])
@@ -74,4 +66,4 @@ def asymptotic_state(tr: SpaceTimeTrace, np_: NormParams,
         raise ScatteringNotDetected(
             "no scattering detected: Cauchy gaps are not decreasing "
             f"(gaps {np.array2string(gaps, precision=3)}); datum too large or T too short")
-    return ScatterReport(times, pulls, gaps, residuals, u_plus, decreasing)
+    return ScatterReport(times, pulls, gaps, residuals, decreasing)

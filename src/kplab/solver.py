@@ -142,12 +142,10 @@ class SimConfig:
     dt: float = 0.01
     T: float = 1.0
     samples_per_unit: int = 8
-    nonlinear_scale: float = 1.0
 
     def __post_init__(self):
         for v, name in ((self.dt, "dt"), (self.T, "T"),
-                        (self.samples_per_unit, "samples_per_unit"),
-                        (self.nonlinear_scale, "nonlinear_scale")):
+                        (self.samples_per_unit, "samples_per_unit")):
             require_number(v, name)
         n = self.T * self.samples_per_unit   # samples after t = 0; NaN, inf fail the range
         if not (0.5 <= n < math.inf and abs(n - round(n)) <= 1e-9):
@@ -163,13 +161,12 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
 
     The state lives on the active box (`grid_geometry(grid).box`) and is
     expanded to the full Hermitian spectrum at sample times only.  Raises
-    BlowupError with a time stamp on NaN or norm explosion (the small-data
-    step guard).
+    ConfigurationError on a datum whose norm overflows, and BlowupError
+    with a time stamp on NaN or norm explosion (the small-data step guard).
     """
     g = cfg.grid
     box, c, xi, omega = _on_box(u0, g, "evolve")
     twice = np.where(box[2] > 0, 2.0, 1.0)   # a k2 > 0 mode stands for its mirror too
-    alpha = cfg.nonlinear_scale
 
     sample_dt = 1.0 / cfg.samples_per_unit
     n_samples = int(round(cfg.T / sample_dt))
@@ -178,23 +175,23 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     E = np.exp(1j * omega * h)
     E2 = np.exp(1j * omega * h / 2)
 
-    norm0 = np.sqrt(np.sum(twice * np.abs(c) ** 2))
+    with np.errstate(over="ignore"):
+        norm0 = np.sqrt(np.sum(twice * np.abs(c) ** 2))
+    if not np.isfinite(norm0):
+        raise ConfigurationError("evolve datum norm overflows double precision")
     states = np.empty((n_samples + 1,) + c.shape, dtype=np.complex128)
     states[0] = c
-
-    def rhs(a):
-        return alpha * _nonlinear_rhs(g, a, box, xi)
 
     t = 0.0
     for js in range(1, n_samples + 1):
         for _ in range(steps):
-            n1 = rhs(c)
+            n1 = _nonlinear_rhs(g, c, box, xi)
             u2 = E2 * (c + 0.5 * h * n1)
-            n2 = rhs(u2)
+            n2 = _nonlinear_rhs(g, u2, box, xi)
             u3 = E2 * c + 0.5 * h * n2
-            n3 = rhs(u3)
+            n3 = _nonlinear_rhs(g, u3, box, xi)
             u4 = E * c + h * (E2 * n3)
-            n4 = rhs(u4)
+            n4 = _nonlinear_rhs(g, u4, box, xi)
             c = E * c + (h / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
             t += h
             nn = np.sqrt(np.sum(twice * np.abs(c) ** 2))
@@ -282,7 +279,6 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         raise PreconditionError(
             f"datum norm {datum_norm:.3e} exceeds the small-data threshold "
             f"{smallness_threshold:.1e}")
-    alpha = cfg.nonlinear_scale
 
     sample_dt = 1.0 / cfg.samples_per_unit   # evolve's sample grid; dt is not read
     n_t = int(round(cfg.T / sample_dt)) + 1
@@ -293,7 +289,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     W = _duhamel_weights(n_t, sample_dt)
 
     def apply_duhamel(warr):
-        pull = alpha * _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)
+        pull = _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)
         integ = np.tensordot(W, pull.reshape(n_t, -1), axes=(1, 0))
         integ = integ.reshape(warr.shape) * phases
         return base + integ
@@ -377,14 +373,14 @@ def _mode_list(u: SpectralField):
     return k, (k[0] * g.dxi, k[1] * g.deta1, k[2] * g.deta2), c
 
 
-def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
-                           return_report: bool = False):
+def slope_filtered_product(u: SpectralField, v: SpectralField,
+                           L: float) -> SpectralField:
     """The band-L piece of the product:  weight rho_L((s1-s2)/(xi1+xi2))
     applied to each frequency pair of the convolution.
 
     Direct O(Nu * Nv) pair quadrature; verification-scale (grids <= 24^3).
-    Pairs with xi1 + xi2 = 0 feed the dropped xi = 0 plane; their mass is
-    counted and reported.
+    Pairs with xi1 + xi2 = 0 would feed the xi = 0 plane, which stays zero;
+    they are skipped.
     """
     if u.grid != v.grid:
         raise ConfigurationError("slope_filtered_product requires a shared grid")
@@ -394,25 +390,18 @@ def slope_filtered_product(u: SpectralField, v: SpectralField, L: float,
     ku, (xu, e1u, e2u), cu = _mode_list(u)
     kv, (xv, e1v, e2v), cv = _mode_list(v)
     out = np.zeros(g.shape, dtype=np.complex128)
-    dropped = 0.0
     s1v = e1v / xv
     s2v = e2v / xv
     for a in range(cu.size):
         xsum = xu[a] + xv
-        zero = xsum == 0.0
-        if np.any(zero):
-            dropped += float(np.sum(np.abs(cu[a] * cv[zero]) ** 2))
-        ok = ~zero
+        ok = xsum != 0.0
         arg1 = (e1u[a] / xu[a] - s1v[ok]) / xsum[ok]
         arg2 = (e2u[a] / xu[a] - s2v[ok]) / xsum[ok]
         w = DEFAULT_PROFILE.band_weight(L, arg1, arg2)
         index, infl = g.index(*(ka[a] + kb[ok] for ka, kb in zip(ku, kv)))
         vals = w * cu[a] * cv[ok]
         np.add.at(out, tuple(i[infl] for i in index), vals[infl])
-    fieldout = SpectralField(g, out, u.real_flag and v.real_flag)
-    if return_report:
-        return fieldout, {"dropped_zero_xi_mass": dropped}
-    return fieldout
+    return SpectralField(g, out, u.real_flag and v.real_flag)
 
 
 def slope_band_extent(grid: GridSpec) -> float:

@@ -375,7 +375,7 @@ def _galilean_integers(grid: GridSpec, c) -> tuple[int, int]:
     return ms[0], ms[1]
 
 
-def galilean_shift(u: SpectralField, c, return_dropped: bool = False):
+def galilean_shift(u: SpectralField, c) -> SpectralField:
     """Relocate coefficients per the Galilean action u-hat(xi, eta + c xi).
 
     Modes relocated off the representable grid are dropped; when the dropped
@@ -392,10 +392,7 @@ def galilean_shift(u: SpectralField, c, return_dropped: bool = False):
     if total > 0 and dropped > _DROPPED_MASS_WARN * total:
         warnings.warn(f"galilean_shift dropped off-grid mass {dropped:.3e} "
                       f"({dropped / total:.3e} of total)", stacklevel=2)
-    shifted = SpectralField(g, out, u.real_flag)
-    if return_dropped:
-        return shifted, dropped
-    return shifted
+    return SpectralField(g, out, u.real_flag)
 
 
 def galilean_boost(u: SpectralField, c, t: float) -> SpectralField:

@@ -293,6 +293,8 @@ _MALFORMED = {
     "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
     "illposed-sweep-lam-off-window": (["run", "illposed-sweep", "--lams",
                                        "2097152,4194304,8388608"], {}),
+    "illposed-sweep-lam-unresolvable": (["run", "illposed-sweep", "--lams",
+                                         "32768,65536,131072"], {}),
     "threads-not-a-count": (["verify", "bilinear", "--threads", "0"], {}),
     "verify-lam-nan": (["verify", "bilinear", "--lam", "nan"], {}),
     "make-data-amplitude-nan": (["make-data", "gaussian", "--amplitude", "nan"], {}),
@@ -328,10 +330,24 @@ _MALFORMED = {
     "abbreviated-flag": (["verify", "resonance", "--s", "3"], {}),
     "abbreviated-flag-of-a-longer-flag": (["verify", "bilinear", "--mu"], {}),
     "threads-before-the-verb": (["--threads", "2", "run", "sim"], {}),
+    "format-before-the-verb": (["--format", "csv", "norms", "g.kp3f"], {"g.kp3f": None}),
     "sim-center-xi-zero": (["--config", "c.json", "run", "sim"], {"c.json": '{"center_xi": 0}'}),
     "sim-amplitude-zero": (["--config", "c.json", "run", "sim"], {"c.json": '{"amplitude": 0}'}),
+    "sim-amplitude-overflow": (["--config", "c.json", "run", "sim"],
+                               {"c.json": '{"amplitude": 1e308}'}),
     "norms-csv-without-out": (["norms", "g.kp3f", "--format", "csv"], {"g.kp3f": None}),
     "scatter-csv-without-out": (["run", "scatter", "--format", "csv"], {}),
+}
+
+
+# What stderr must hold for some cases, beyond the absence of a traceback
+# and of a warning.
+_STDERR = {
+    "threads-before-the-verb": r"error: --threads is not a flag of kplab itself; "
+                               r"it goes after the subcommand",
+    "format-before-the-verb": r"error: --format is not a flag of kplab itself",
+    "sim-amplitude-overflow": r"\Aerror: evolve datum norm overflows[^\n]*\n\Z",
+    "illposed-sweep-lam-unresolvable": r"\Aerror: double precision cannot resolve",
 }
 
 
@@ -354,3 +370,5 @@ def test_malformed_input_exits_2(tmp_path, case):
     proc = run_module(args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert re.search(_STDERR.get(case, ""), proc.stderr), proc.stderr

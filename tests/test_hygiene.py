@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no unused imports, no dead private
-module-level names, no value no caller sets, no scipy outside spaces-lab."""
+module-level names, no value no caller sets, no field no caller reads, no
+scipy outside spaces-lab."""
 
 import ast
 import os
@@ -112,6 +113,21 @@ def test_every_default_is_overridden_somewhere():
             if not (star or param in keys or (index is not None and n_pos > index)):
                 never.append(f"{module}:{name}.{param}")
     assert never == []
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads as an attribute is computed for no caller
+    roots = (_SRC, _SRC.parents[1] / "tests", _SRC.parents[1] / "bench")
+    read = {node.attr for path in (p for root in roots for p in sorted(root.glob("*.py")))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}:{node.name}.{field.target.id}"
+              for module, tree in _TREES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+              for field in node.body if isinstance(field, ast.AnnAssign)
+              and field.target.id not in read]
+    assert unread == []
 
 
 def test_cli_and_benchmark_imports_leave_scipy_unloaded():

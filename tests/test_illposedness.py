@@ -21,10 +21,18 @@ def test_params_validation():
         IllposedParams(1 / 4, 8.0)               # coupling violated
     IllposedParams(1 / 4, 8.0, coupling=False)
     with pytest.raises(ConfigurationError):
-        IllposedParams(2.0 ** -42, 2.0 ** 21)    # off the frequency window
+        IllposedParams(2.0 ** -42, 2.0 ** 21)    # boxes finer than doubles at lam
     for p in (1.0, math.inf):                    # p out of range
         with pytest.raises(ConfigurationError):
             two_bump_datum(ip, p)
+
+
+def test_params_refuse_boxes_double_precision_cannot_resolve():
+    # ulp(lam) <= 2^-16 mu: on the ladder mu = lam^-2 the last admitted lam
+    # is 2^12, where ulp(lam) = 2^-40 = 2^-16 mu exactly
+    IllposedParams(2.0 ** -24, 2.0 ** 12)
+    with pytest.raises(ConfigurationError, match="cannot resolve"):
+        IllposedParams(2.0 ** -26, 2.0 ** 13)
 
 
 def test_two_bump_boxes():
@@ -155,18 +163,19 @@ def test_cross_term_two_routes_agree():
     ip = IllposedParams(1 / 64, 8.0)
     res = second_picard_cross_term(ip)
     assert res.rel_l2_gap <= 0.02
-    # time-integrand statistics frozen from the sampling oracle: the kernel
-    # (e^{iR}-1)/(iR) oscillates on A (|R| in [2.5, 17] here), so its real
-    # part has small mean; a pointwise 0.4 lower bound does not hold
-    assert -0.1 <= res.integrand_real_mean <= 0.1
-    assert res.integrand_real_min >= -1.0
+    # the time kernel (e^{iR}-1)/(iR) sampled over A: it oscillates there
+    # (|R| in [2.5, 17]), so its real part has small mean; a pointwise 0.4
+    # lower bound does not hold
+    R, _ = sample_interaction_set(ip, 100000)
+    ker = ((np.exp(1j * R) - 1.0) / (1j * R)).real
+    assert -0.1 <= ker.mean() <= 0.1
+    assert ker.min() >= -1.0
 
 
-def test_cross_term_refinement_then_refusal():
-    # the routes agree to about 1.9e-5; a tighter tolerance runs the
-    # refinement pass and then refuses
+def test_cross_term_route_disagreement_refused():
+    # the routes agree to about 1.9e-5; a tighter tolerance refuses
     ip = IllposedParams(1 / 64, 8.0)
-    with pytest.raises(AccuracyError, match="after refinement"):
+    with pytest.raises(AccuracyError, match="disagree"):
         second_picard_cross_term(ip, rel_tol=1e-9)
 
 

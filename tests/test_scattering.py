@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from kplab.data import gaussian_datum, member_rng, scattering_datum
-from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm
+from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm, pullback_states
 from kplab.errors import PreconditionError, ScatteringNotDetected
-from kplab.scattering import asymptotic_state, pullback_trace
+from kplab.scattering import asymptotic_state
 from kplab.solver import SimConfig, evolve
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             zero_field)
@@ -24,14 +24,13 @@ def _linear_trace(u0, times):
 def test_pullback_linear_is_constant(grid_scatter):
     u0 = gaussian_datum(grid_scatter, center_xi=1.0, width_xi=0.3, width_eta=0.4)
     tr = _linear_trace(u0, np.arange(9.0) + 1.0)
-    pb = pullback_trace(tr)
-    for s in pb.states:
-        assert np.max(np.abs(s.coeff - u0.coeff)) <= 1e-12
+    for s in pullback_states(tr):
+        assert np.max(np.abs(s - u0.coeff)) <= 1e-12
 
 
 def test_pullback_zero(grid_scatter):
     tr = _linear_trace(zero_field(grid_scatter), [0.0, 1.0, 2.0])
-    assert all(s.l2_norm() == 0.0 for s in pullback_trace(tr).states)
+    assert not pullback_states(tr).any()
 
 
 def test_asymptotic_state_linear_exact(grid_scatter):
@@ -83,7 +82,8 @@ def test_u_plus_norm_comparable_for_small_data(grid_scatter):
     u0 = scattering_datum(grid_scatter, rng, 1e-3, npar)
     tr = evolve(u0, SimConfig(grid_scatter, dt=1 / 16, T=8.0, samples_per_unit=1))
     rep = asymptotic_state(tr, npar)
-    n_plus = lqlp_norm(SpectralField(tr.grid, rep.u_plus.coeff, real_flag=False),
+    assert rep.detected   # so the last pullback is u_plus
+    n_plus = lqlp_norm(SpectralField(tr.grid, rep.pullbacks[-1].coeff, real_flag=False),
                        npar)
     n0 = lqlp_norm(u0, npar)
     assert 0.5 <= n_plus / n0 <= 2.0

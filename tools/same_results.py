@@ -11,8 +11,10 @@ directory and runs every command there in order, as `python -m kplab.cli`
 with PYTHONPATH set to that tree's `src`.  Relative paths, `--out`
 directories included, therefore land in that temporary directory.
 
-Per command the exit code, stdout and every file the command wrote are
-compared byte for byte, with each line holding "wall_clock_s" masked.
+Per command the exit code, stdout, stderr and every file the command wrote
+are compared byte for byte, with each line holding "wall_clock_s" masked
+and, in stderr, the paths of the temporary directory and of the tree
+masked.
 One line per command reports `identical` or `DIFFERS` with what differs,
 this tree's exit code and both wall times;
 the exit code is 1 on any difference and 2 on an unusable argument.
@@ -60,7 +62,8 @@ def _digests(work: pathlib.Path) -> dict:
 def run_tree(tree: pathlib.Path, corpus: pathlib.Path, commands: list,
              work: pathlib.Path) -> list:
     """Run every command in `work` against tree/src.  Per command:
-    (exit code, masked stdout, {written path: masked bytes}, wall seconds)."""
+    (exit code, masked stdout, masked stderr, {written path: masked bytes},
+    wall seconds)."""
     for item in corpus.iterdir():
         if item.name != "commands.txt":
             (shutil.copytree if item.is_dir() else shutil.copy)(item, work / item.name)
@@ -75,18 +78,21 @@ def run_tree(tree: pathlib.Path, corpus: pathlib.Path, commands: list,
         written = {name: _masked((work / name).read_bytes())
                    for name, digest in _digests(work).items()
                    if before.get(name) != digest}
-        results.append((proc.returncode, _masked(proc.stdout), written, wall))
+        stderr = proc.stderr.replace(bytes(work), b"<work>").replace(bytes(tree), b"<tree>")
+        results.append((proc.returncode, _masked(proc.stdout), stderr, written, wall))
     return results
 
 
 def compare(ours, theirs) -> list:
     """What differs between two results of one command (empty if nothing)."""
-    (code, out, files, _), (pcode, pout, pfiles, _) = ours, theirs
+    (code, out, err, files, _), (pcode, pout, perr, pfiles, _) = ours, theirs
     diffs = []
     if code != pcode:
         diffs.append(f"exit {pcode} -> {code}")
     if out != pout:
         diffs.append("stdout")
+    if err != perr:
+        diffs.append("stderr")
     diffs += [name for name in sorted(set(files) | set(pfiles))
               if files.get(name) != pfiles.get(name)]
     return diffs
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
         n_diff += bool(diffs)
         verdict = f"DIFFERS ({', '.join(diffs)})" if diffs else "identical"
         print(f"{verdict}  kplab {shlex.join(cmd)}  "
-              f"[exit {ours[0]}; {theirs[3]:.1f} s parent, {ours[3]:.1f} s here]")
+              f"[exit {ours[0]}; {theirs[-1]:.1f} s parent, {ours[-1]:.1f} s here]")
     print(f"{len(commands)} commands: {len(commands) - n_diff} identical, {n_diff} differ")
     return 1 if n_diff else 0
 
