@@ -58,12 +58,11 @@ def sector_indicator_datum(grid: GridSpec, lam: float, k=(0, 0),
 
 def random_band_field(grid: GridSpec, rng: np.random.Generator,
                       xi_lo: float, xi_hi: float,
-                      eta_max: float | None = None,
-                      norm: float = 1.0) -> SpectralField:
+                      eta_max: float | None = None) -> SpectralField:
     """Random real field with coefficients supported in xi_lo < |xi| <= xi_hi.
 
     Optional eta_max limits |eta_i|.  Coefficients are complex Gaussian,
-    normalized to the requested L^2 norm.
+    normalized to unit L^2 norm.
     """
     geo = grid_geometry(grid)
     xi = geo.xi
@@ -79,7 +78,7 @@ def random_band_field(grid: GridSpec, rng: np.random.Generator,
     cur = f.l2_norm()
     if cur == 0.0:
         raise ConfigurationError("random band field degenerated to zero")
-    return SpectralField(grid, f.coeff * (norm / cur), real_flag=True)
+    return SpectralField(grid, f.coeff * (1.0 / cur), real_flag=True)
 
 
 def scattering_datum(grid: GridSpec, rng: np.random.Generator,

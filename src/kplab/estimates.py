@@ -252,10 +252,15 @@ def _g_rho(xi, xi1, xi2, deta, rho, tau):
     return a ** 3 - (v0 * v0 + v1 * v1) / a - b ** 3 + b * (rho[0] ** 2 + rho[1] ** 2) - tau
 
 
-def phase_difference_roots(xi1: float, xi2: float, deta, rho, tau: float,
-                           interval=(-64.0, 64.0)) -> SectionRootReport:
-    """All real roots of the fixed-slope phase section g_rho(xi) = tau on the
-    interval (at most 4), with a two-sided evaluation of the derivative
+# The xi window of the section roots, and the scan oracle's point count on it
+_SECTION_WINDOW = (-64.0, 64.0)
+_SECTION_SCAN_POINTS = 200000
+
+
+def phase_difference_roots(xi1: float, xi2: float, deta, rho,
+                           tau: float) -> SectionRootReport:
+    """All real roots of the fixed-slope phase section g_rho(xi) = tau on
+    `_SECTION_WINDOW` (at most 4), with a two-sided evaluation of the derivative
     identity |g'| = |3(xi-xi1)^2 - 3(xi-xi2)^2 + |slope difference|^2| at
     each root.
 
@@ -278,7 +283,7 @@ def phase_difference_roots(xi1: float, xi2: float, deta, rho, tau: float,
     poly = P(coeffs[: nz[-1] + 1])
     roots = poly.roots()
     real = roots[np.abs(roots.imag) < 1e-8 * np.maximum(1.0, np.abs(roots.real))].real
-    lo, hi = interval
+    lo, hi = _SECTION_WINDOW
     real = real[(real >= lo) & (real <= hi)]
     real = real[np.abs(real - xi1) > 1e-6]   # clear of the pole
     real = np.unique(np.round(real, 10))
@@ -320,12 +325,11 @@ def _g_rho_prime_slope_form(xi, xi1, xi2, deta, rho):
     return 3 * a ** 2 - 3 * b ** 2 + w @ w
 
 
-def section_roots_by_scan(xi1, xi2, deta, rho, tau, interval=(-64.0, 64.0),
-                          n_scan: int = 200000):
+def section_roots_by_scan(xi1, xi2, deta, rho, tau):
     """Independent bracketing-scan oracle for the section roots."""
     deta = np.asarray(deta, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    xs = np.linspace(interval[0], interval[1], n_scan)
+    xs = np.linspace(*_SECTION_WINDOW, _SECTION_SCAN_POINTS)
     xs = xs[np.abs(xs - xi1) > 1e-4]   # clear of the pole
     vals = _g_rho(xs, xi1, xi2, deta, rho, tau)
     sign = np.sign(vals)
@@ -425,23 +429,46 @@ class SlopeReport:
     xs: np.ndarray
     values: np.ndarray
     slope: float
-    per_seed: np.ndarray | None = None
+    per_seed: np.ndarray
+
+
+def _ensemble_slope(xs, ensemble_size: int, seed: int, draw,
+                    threads: int) -> SlopeReport:
+    """Per sweep point i, the mean over members m of draw(i, rng) with the
+    member stream member_rng(seed, i * ensemble_size + m); and the fitted
+    log2-log2 slope of the means against xs.  threads > 1 draws the members
+    on a thread pool."""
+    jobs = [(i, m) for i in range(len(xs)) for m in range(ensemble_size)]
+
+    def member(job):
+        i, m = job
+        return draw(i, member_rng(seed, i * ensemble_size + m))
+
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            vals = list(pool.map(member, jobs))
+    else:
+        vals = [member(j) for j in jobs]
+    per_seed = np.array(vals, dtype=float).reshape(len(xs), ensemble_size)
+    means = per_seed.mean(axis=1)
+    return SlopeReport(xs, means, fit_loglog_slope(xs, means), per_seed)
 
 
 def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
-                                     T: float, n_time: int = 17,
-                                     t_min: float = 2e-3) -> float:
+                                     T: float) -> float:
     """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||) for the linear waves u, v of
     u0, v0, on a log-spaced time grid resolving the overlap transient.
 
     The product of two coherent packets decays on a timescale set by their
     relative group velocity; geometric sampling captures every scale of the
-    decay with few transforms (trapezoid rule on t = 0 and the geometric times).
+    decay with few transforms: the trapezoid rule on t = 0 and 17 geometric
+    times from 2e-3 T to T, a grid that dilates with T.
     """
     nu, nv = u0.l2_norm(), v0.l2_norm()
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    ts = np.concatenate([[0.0], np.geomspace(t_min, T, n_time)])
+    ts = np.concatenate([[0.0], np.geomspace(2e-3 * T, T, 17)])
     dV = u0.grid.volume / u0.coeff.size
     # map, not a loop over zip: no sample of the previous time stays alive
     # while the next pair is transformed
@@ -464,16 +491,16 @@ def coherent_low_cap(grid, mu: float, slope_center,
     return make_field(grid, prof * phase, real_flag=True, hermitize=True)
 
 
-def coherent_high_cap(grid, lam: float, width: float, eta_center,
-                      eta_halfwidth: float = 1.0) -> SpectralField:
-    """Smooth constant-phase cap supported in lam < xi <= lam + width."""
+def coherent_high_cap(grid, lam: float, width: float, eta_center) -> SpectralField:
+    """Smooth constant-phase cap supported in lam < xi <= lam + width, with
+    transverse half-width 1 about eta_center."""
     geo = grid_geometry(grid)
     xi = geo.xi
-    prof = (np.exp(-((xi - (lam + width / 2)) ** 2) / (2 * (0.3 * width) ** 2))
+    # the support cut acts on the x factor, before the product is full-grid
+    prof = (np.where((xi > lam) & (xi <= lam + width),
+                     np.exp(-((xi - (lam + width / 2)) ** 2) / (2 * (0.3 * width) ** 2)), 0.0)
             * np.exp(-((geo.eta1 - eta_center[0]) ** 2 + (geo.eta2 - eta_center[1]) ** 2)
-                     / (2 * (eta_halfwidth / 2) ** 2)))
-    prof = np.where((xi > lam) & (xi <= lam + width)
-                    & np.ones(grid.shape, bool), prof, 0.0)
+                     / (2 * (1.0 / 2) ** 2)))
     return make_field(grid, prof, real_flag=True, hermitize=True)
 
 
@@ -492,30 +519,16 @@ def bilinear_mu_sweep(mus, lam: float, ensemble_size: int, T: float,
         raise PreconditionError("mu sweep requires mu <= lam (low x high bands)")
     if lam + 2.0 + mus[-1] > grid.xi_max():
         raise ConfigurationError("high band plus products do not fit on this grid")
-    per_seed = np.zeros((len(mus), ensemble_size))
 
-    def member(job):
-        im, m = job
-        rng = member_rng(seed, im * ensemble_size + m)
+    def draw(im, rng):
         cs = rng.uniform(-0.2, 0.2, 2)
         ec = rng.uniform(-0.2, 0.2, 2)
         ph = np.exp(1j * rng.uniform(0, 2 * np.pi))
         u0 = coherent_low_cap(grid, mus[im], cs, phase=ph)
         v0 = coherent_high_cap(grid, lam, 2.0, ec)
-        return im, m, bilinear_lowhigh_ratio_transient(u0, v0, T)
+        return bilinear_lowhigh_ratio_transient(u0, v0, T)
 
-    jobs = [(im, m) for im in range(len(mus)) for m in range(ensemble_size)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(member, jobs))
-    else:
-        results = [member(j) for j in jobs]
-    for im, m, val in results:
-        per_seed[im, m] = val
-    means = per_seed.mean(axis=1)
-    slope = fit_loglog_slope(np.asarray(mus), means)
-    return SlopeReport(np.asarray(mus), means, slope, per_seed)
+    return _ensemble_slope(np.asarray(mus), ensemble_size, seed, draw, threads)
 
 
 # ----------------------------------------------------------------------
@@ -620,16 +633,12 @@ def sector_gamma_sweep(sides, mu: float, lam: float, ensemble_size: int,
     for side in sides:
         # the drawn high-frequency waves carry no modulation exclusion
         check_sector_hypotheses(mu, lam, (0.0, 0.0), side, 0.0)
+
+    def draw(i, rng):
+        u = random_sector_wave(rng, mu, (0.0, 0.0), sides[i], 384)
+        # xi in (lam, 2 lam]
+        v = random_sector_wave(rng, 2 * lam, (0.0, 0.0), 0.25, 160)
+        return weighted_pair_norm(u, v, lam, T) / (u.l2_norm() * v.l2_norm())
+
     areas = np.array([s * s for s in sides], dtype=float)
-    per_seed = np.zeros((len(sides), ensemble_size))
-    for i, side in enumerate(sides):
-        for m in range(ensemble_size):
-            rng = member_rng(seed, i * ensemble_size + m)
-            u = random_sector_wave(rng, mu, (0.0, 0.0), side, 384)
-            # xi in (lam, 2 lam]
-            v = random_sector_wave(rng, 2 * lam, (0.0, 0.0), 0.25, 160)
-            val = weighted_pair_norm(u, v, lam, T)
-            per_seed[i, m] = val / (u.l2_norm() * v.l2_norm())
-    means = per_seed.mean(axis=1)
-    slope = fit_loglog_slope(areas, means)
-    return SlopeReport(areas, means, slope, per_seed)
+    return _ensemble_slope(areas, ensemble_size, seed, draw, 1)

@@ -30,6 +30,7 @@ from scipy.special import erf
 from .decomposition import _gl_nodes, _lp_reduce
 from .errors import ConfigurationError
 from .reporting import fit_loglog_slope
+from .spectral import require_power_of_two
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,8 @@ def sector_sum_decay(d: AnalyticDatum, p: float, lam_lo: float = 2.0 ** -7,
     5/2 - 4/p (+1 per x-derivative), which at p = 2 equals the classical
     3/2 - 2/p.
     """
-    jlo = round(math.log2(lam_lo))
-    jhi = round(math.log2(lam_hi))
+    jlo = require_power_of_two(lam_lo, "lam_lo")
+    jhi = require_power_of_two(lam_hi, "lam_hi")
     lams = np.array([2.0 ** j for j in range(jlo, jhi + 1)])
     vals = np.array([gaussian_sector_sum(d, l, p) for l in lams])
     low = fit_loglog_slope(lams[:4], vals[:4])
@@ -179,12 +180,13 @@ def comb_shell_value(lam: float) -> float:
     return math.sqrt(lam) * (1.0 / lam) * math.sqrt(2.0 * lam) * math.sqrt(0.5)
 
 
-def comb_norm(mu: float, p: float, lam_floor: float = 2.0 ** -80) -> float:
-    """l^p l^2 L^2-analogue norm of the comb phi_mu (closed form)."""
-    a = round(-math.log2(mu))
-    if mu ** 2 < lam_floor:
+def comb_norm(mu: float, p: float) -> float:
+    """l^p l^2 L^2-analogue norm of the comb phi_mu (closed form); a comb
+    whose innermost shell mu^2 lies below 2^-80 is refused."""
+    a = -require_power_of_two(mu, "mu")
+    if mu ** 2 < 2.0 ** -80:
         raise ConfigurationError(
-            f"mu^2 = {mu**2:.3e} below the configured shell floor {lam_floor:.3e}")
+            f"mu^2 = {mu**2:.3e} below the shell floor {2.0 ** -80:.3e}")
     count = a + 1   # shells 2^-2a .. 2^-a
     weight = abs(math.log(mu)) ** (-1.0 / p)
     vals = np.full(count, comb_shell_value(1.0))    # scale-free: all equal 1
@@ -215,7 +217,7 @@ def comb_layer_pairing(lam: float) -> float:
 
 def comb_pairing(mu: float) -> float:
     """<psi, phi_mu> without the log normalization applied by the caller."""
-    a = round(-math.log2(mu))
+    a = -require_power_of_two(mu, "mu")
     lams = [2.0 ** (-j) for j in range(a, 2 * a + 1)]
     return float(sum(comb_layer_pairing(l) for l in lams))
 
@@ -239,9 +241,8 @@ def divergent_sequence_check(mu_list, p: float) -> CombReport:
         norms.append(comb_norm(mu, p))
         pairings.append(abs(math.log(mu)) ** (-1.0 / p) * comb_pairing(mu))
     logs = np.abs(np.log(mus))
-    if p == 1.0:
-        growth = 0.0 if np.ptp(pairings) < 1e-9 * max(pairings) else \
-            float(np.polyfit(np.log(logs), np.log(pairings), 1)[0])
+    if p == 1.0 and np.ptp(pairings) < 1e-9 * max(pairings):
+        growth = 0.0
     else:
         growth = float(np.polyfit(np.log(logs), np.log(pairings), 1)[0])
     return CombReport(mus, np.asarray(norms), np.asarray(pairings), growth)

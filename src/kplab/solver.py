@@ -27,7 +27,7 @@ from .decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_norms,
 from .errors import (BlowupError, ConfigurationError, DivergenceError,
                      PreconditionError)
 from .spectral import (GridSpec, SpectralField, grid_geometry, nonzero_modes,
-                       require_number)
+                       require_number, require_power_of_two)
 
 # ----------------------------------------------------------------------
 # The active box and the quadratic term
@@ -155,6 +155,15 @@ class SimConfig:
         if not (self.dt <= self.T < math.inf):
             raise ConfigurationError("horizon T must be finite and at least one step")
 
+    @property
+    def sample_dt(self) -> float:
+        return 1.0 / self.samples_per_unit
+
+    @property
+    def sample_times(self) -> np.ndarray:
+        """The sample times 0, sample_dt, ..., T of `evolve` and `picard_iterate`."""
+        return np.arange(int(round(self.T / self.sample_dt)) + 1) * self.sample_dt
+
 
 def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     """Integrate the nonlinear flow; returns the sampled trajectory.
@@ -168,10 +177,9 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     box, c, xi, omega = _on_box(u0, g, "evolve")
     twice = np.where(box[2] > 0, 2.0, 1.0)   # a k2 > 0 mode stands for its mirror too
 
-    sample_dt = 1.0 / cfg.samples_per_unit
-    n_samples = int(round(cfg.T / sample_dt))
-    steps = max(1, math.ceil(sample_dt / cfg.dt))
-    h = sample_dt / steps
+    times = cfg.sample_times
+    steps = max(1, math.ceil(cfg.sample_dt / cfg.dt))
+    h = cfg.sample_dt / steps
     E = np.exp(1j * omega * h)
     E2 = np.exp(1j * omega * h / 2)
 
@@ -179,11 +187,11 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
         norm0 = np.sqrt(np.sum(twice * np.abs(c) ** 2))
     if not np.isfinite(norm0):
         raise ConfigurationError("evolve datum norm overflows double precision")
-    states = np.empty((n_samples + 1,) + c.shape, dtype=np.complex128)
+    states = np.empty(times.shape + c.shape, dtype=np.complex128)
     states[0] = c
 
     t = 0.0
-    for js in range(1, n_samples + 1):
+    for js in range(1, times.size):
         for _ in range(steps):
             n1 = _nonlinear_rhs(g, c, box, xi)
             u2 = E2 * (c + 0.5 * h * n1)
@@ -198,8 +206,7 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
             if not np.isfinite(nn) or (norm0 > 0 and nn > 1e3 * norm0):
                 raise BlowupError(f"step rejected at t={t:.6g} (norm {nn:.3e})", t=t)
         states[js] = c
-    return SpaceTimeTrace(np.arange(n_samples + 1) * sample_dt, _expand(g, states, box), g,
-                          True, window="hann")
+    return SpaceTimeTrace(times, _expand(g, states, box), g, True, window="hann")
 
 
 def mass_series(tr: SpaceTimeTrace) -> np.ndarray:
@@ -280,13 +287,12 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
             f"datum norm {datum_norm:.3e} exceeds the small-data threshold "
             f"{smallness_threshold:.1e}")
 
-    sample_dt = 1.0 / cfg.samples_per_unit   # evolve's sample grid; dt is not read
-    n_t = int(round(cfg.T / sample_dt)) + 1
-    times = np.arange(n_t) * sample_dt
+    times = cfg.sample_times   # evolve's sample grid; dt is not read
+    n_t = times.size
     phases = np.exp(1j * omega[None, ...] * times[:, None, None, None])
     base = c0[None, ...] * phases  # S(t) u0 on the box
 
-    W = _duhamel_weights(n_t, sample_dt)
+    W = _duhamel_weights(n_t, cfg.sample_dt)
 
     def apply_duhamel(warr):
         pull = _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)
@@ -343,10 +349,11 @@ class MultiplierProfile:
 
     def band_weight(self, L: float, s1, s2) -> np.ndarray:
         """rho_L: phi1 at L=1, else psi_L(s) = phi1(s/L) - phi1(2s/L)."""
-        if L == 1:
+        j = require_power_of_two(L, "band index L")
+        if j < 0:
+            raise ConfigurationError(f"band index L={L} must be >= 1")
+        if j == 0:
             return self.phi1(s1, s2)
-        if L < 2 or abs(L - 2.0 ** round(math.log2(L))) > 1e-12 * L:
-            raise ConfigurationError("band index L must be a power of 2, >= 1")
         s1 = np.asarray(s1, dtype=float)
         s2 = np.asarray(s2, dtype=float)
         return self.phi1(s1 / L, s2 / L) - self.phi1(2 * s1 / L, 2 * s2 / L)

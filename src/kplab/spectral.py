@@ -409,36 +409,16 @@ def galilean_boost(u: SpectralField, c, t: float) -> SpectralField:
     return SpectralField(u.grid, shifted.coeff * phase, u.real_flag)
 
 
-def scaling_transform(u: SpectralField, lam: float, same_grid: bool = False) -> SpectralField:
-    """Realize u -> lam^2 u(lam x, lam^2 y, .) exactly.
-
-    Default: return the field on the rescaled (nested) grid with box lengths
-    (Lx/lam, Ly/lam^2); this is an exact relabeling for any dyadic lam.
-    With same_grid=True the modes are moved within the original lattice,
-    which requires (lam kx, lam^2 ky) to stay representable.
-    """
+def scaling_transform(u: SpectralField, lam: float) -> SpectralField:
+    """Realize u -> lam^2 u(lam x, lam^2 y, .) exactly: the field on the
+    rescaled (nested) grid with box lengths (Lx/lam, Ly/lam^2), an exact
+    relabeling for any dyadic lam."""
     require_power_of_two(lam, "lam")
     g = u.grid
-    if not same_grid:
-        g2 = replace(g, length_x=g.length_x / lam,
-                     length_y1=g.length_y1 / lam ** 2,
-                     length_y2=g.length_y2 / lam ** 2)
-        return SpectralField(g2, lam ** 2 * u.coeff, u.real_flag)
-
-    kx, k1, k2, vals = nonzero_modes(g, u.coeff)
-    targets = []
-    for k, r, name in ((kx, lam, "x"), (k1, lam ** 2, "y1"), (k2, lam ** 2, "y2")):
-        t = k * r
-        if np.any(np.abs(t - np.rint(t)) > 1e-9):
-            raise ConfigurationError(
-                f"scaling by {lam} moves occupied {name}-modes off the integer lattice")
-        targets.append(np.rint(t).astype(int))
-    index, inside = g.index(*targets)
-    if not np.all(inside):
-        raise ConfigurationError(f"scaling by {lam} moves occupied modes out of range")
-    out = np.zeros_like(u.coeff)
-    out[index] = lam ** 2 * vals
-    return SpectralField(g, out, u.real_flag)
+    g2 = replace(g, length_x=g.length_x / lam,
+                 length_y1=g.length_y1 / lam ** 2,
+                 length_y2=g.length_y2 / lam ** 2)
+    return SpectralField(g2, lam ** 2 * u.coeff, u.real_flag)
 
 
 # ----------------------------------------------------------------------

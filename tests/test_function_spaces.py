@@ -79,8 +79,9 @@ def test_comb_norm_uniformly_bounded():
 
 
 def test_comb_floor_guard():
+    comb_norm(2.0 ** -40, 2.0)   # innermost shell 2^-80, on the floor
     with pytest.raises(ConfigurationError):
-        comb_norm(2.0 ** -50, 2.0, lam_floor=2.0 ** -60)
+        comb_norm(2.0 ** -41, 2.0)
 
 
 def test_single_layer_pairing_closed_form():

@@ -1,6 +1,6 @@
 """Static hygiene of the package source: no unused imports, no dead private
-module-level names, no value no caller sets, no field no caller reads, no
-scipy outside spaces-lab."""
+module-level names, no value no production caller sets, no field no caller
+reads, no scipy outside spaces-lab."""
 
 import ast
 import os
@@ -86,12 +86,27 @@ def _defaulted(tree):
     return found
 
 
+# The production callers: the package, the benchmark, the tools and the
+# acceptance criteria.  A unit test that flips a switch does not count.
+_PRODUCTION = (*sorted(_SRC.glob("*.py")),
+               *sorted((_SRC.parents[1] / "bench").glob("*.py")),
+               *sorted((_SRC.parents[1] / "tools").glob("*.py")),
+               _SRC.parents[1] / "tests" / "test_acceptance.py")
+
+# Defaults only unit tests set, each a seam to a route no production call takes
+_SEAMS = {
+    "cli.py:main.argv",                                   # the CLI in-process
+    "solver.py:picard_iterate.smallness_threshold",       # DivergenceError
+    "illposedness.py:second_picard_cross_term.rel_tol",   # AccuracyError
+    "function_spaces.py:gaussian_sector_sum.enumeration_limit",  # enumeration as reference
+}
+
+
 def _call_settings():
     """Per callee name: [largest positional count, keywords passed, whether
-    some call passes *args or **kwargs]."""
+    some production call passes *args or **kwargs]."""
     calls = {}
-    roots = (_SRC, _SRC.parents[1] / "tests", _SRC.parents[1] / "bench")
-    for path in (p for root in roots for p in sorted(root.glob("*.py"))):
+    for path in _PRODUCTION:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -112,7 +127,7 @@ def test_every_default_is_overridden_somewhere():
             n_pos, keys, star = calls.get(name, (0, set(), False))
             if not (star or param in keys or (index is not None and n_pos > index)):
                 never.append(f"{module}:{name}.{param}")
-    assert never == []
+    assert sorted(never) == sorted(_SEAMS)
 
 
 def test_every_dataclass_field_is_read():

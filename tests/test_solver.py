@@ -110,7 +110,8 @@ def test_nonlinearity_single_cosine(grid_small):
 
 
 def test_nonlinearity_matches_direct_convolution(grid_small, rng):
-    u = random_band_field(grid_small, rng, 0.0, 4.0, eta_max=4.0, norm=0.7)
+    u = random_band_field(grid_small, rng, 0.0, 4.0, eta_max=4.0)
+    u = SpectralField(grid_small, 0.7 * u.coeff, real_flag=True)
     a = nonlinearity(u)
     b = nonlinearity_direct(u)
     assert np.max(np.abs(a.coeff - b.coeff)) <= 1e-10
@@ -297,8 +298,8 @@ def test_evolve_matches_full_spectrum_reference(seed, nx, n1, n2, ly):
     # rounding: the box state, its mirror and the samples all agree with the
     # full complex-transform step
     g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi * ly, 2 * np.pi * ly)
-    u0 = random_band_field(g, np.random.default_rng(seed), 0.0, 3.0, eta_max=3.0,
-                           norm=2.0)
+    u0 = random_band_field(g, np.random.default_rng(seed), 0.0, 3.0, eta_max=3.0)
+    u0 = SpectralField(g, 2.0 * u0.coeff, real_flag=True)
     cfg = SimConfig(g, dt=0.05, T=0.25, samples_per_unit=8)
     ref = _reference_evolve(u0, cfg)
     got = evolve(u0, cfg).coeff
@@ -456,6 +457,8 @@ def test_profile_shape_and_telescoping():
     bands = prof.bands_for_extent(5000.0)
     tot = sum(prof.band_weight(L, s, 0.3 * s) for L in bands)
     assert np.max(np.abs(tot - 1.0)) <= 1e-12
+    with pytest.raises(ConfigurationError):
+        prof.band_weight(0.5, s, s)   # a power of two below the first band
 
 
 def test_parallel_slopes_all_in_band_one(tl_grid):

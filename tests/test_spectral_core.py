@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from kplab.data import (gaussian_datum, member_rng, random_band_field,
                         sector_indicator_datum)
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
+from kplab.function_spaces import comb_norm
 from kplab.illposedness import IllposedParams
+from kplab.solver import DEFAULT_PROFILE
 from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
                             apply_linear_propagator, dispersion_symbol,
                             forward_transform, galilean_boost, galilean_lattice,
@@ -179,7 +181,7 @@ def test_galilean_dropped_mass_warning(grid_small):
     assert shifted.l2_norm() == 0.0
 
 
-def test_scaling_nested_grid_and_same_grid(grid_small):
+def test_scaling_nested_grid(grid_small):
     c = np.zeros(grid_small.shape, complex)
     c[2, 1, 1] = 1.0
     u = SpectralField(grid_small, c, real_flag=False)
@@ -187,13 +189,10 @@ def test_scaling_nested_grid_and_same_grid(grid_small):
     assert nested.grid.length_x == grid_small.length_x / 2
     assert nested.grid.length_y1 == grid_small.length_y1 / 4
     assert nested.coeff[2, 1, 1] == 4.0   # amplitude lam^2, same index
-    same = scaling_transform(u, 2.0, same_grid=True)
-    assert same.coeff[4, 4, 4] == 4.0     # (lam kx, lam^2 ky)
-    assert np.count_nonzero(same.coeff) == 1
-    with pytest.raises(ConfigurationError):
-        scaling_transform(u, 8.0, same_grid=True)   # ky -> 64 out of range
-    with pytest.raises(ConfigurationError):
-        scaling_transform(u, 0.5, same_grid=True)   # kx not divisible
+    assert np.count_nonzero(nested.coeff) == 1
+    # the wavenumbers at that index are (lam xi, lam^2 eta)
+    assert nested.grid.dxi == 2 * grid_small.dxi
+    assert nested.grid.deta1 == 4 * grid_small.deta1
     with pytest.raises(ConfigurationError):
         scaling_transform(u, 3.0)
 
@@ -207,32 +206,27 @@ def test_power_of_two_accepts_dyadic_values():
     assert require_power_of_two(8.0 * (1 + 1e-13), "lam") == 3
 
 
-@pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf, 3.0, 1.7e308, "2"])
+@pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf, 0.3, 3.0, 1.7e308, "2"])
 def test_power_of_two_refusals(grid_small, value):
     u = gaussian_datum(grid_small)
     for check in (lambda: require_power_of_two(value, "lam"),
                   lambda: scaling_transform(u, value),
                   lambda: sector_indicator_datum(grid_small, value),
                   lambda: IllposedParams(value, 8.0),
-                  lambda: IllposedParams(1 / 64, value, coupling=False)):
+                  lambda: IllposedParams(1 / 64, value, coupling=False),
+                  lambda: DEFAULT_PROFILE.band_weight(value, 0.0, 0.0),
+                  lambda: comb_norm(value, 2.0)):
         with pytest.raises(ConfigurationError):
             check()
 
 
 def test_scaling_linear_solution_property(grid_aniso):
     # rescaled linear solution equals linear evolution of rescaled datum
-    # with t -> lam^3 t, exactly on the same grid (relabeling).
+    # with t -> lam^3 t, exactly on the nested grid (relabeling).
     u0 = gaussian_datum(grid_aniso, center_xi=1.0, width_xi=0.3, width_eta=0.4)
-    keep = np.zeros(grid_aniso.shape, dtype=bool)
-    kx = np.abs(grid_aniso.mode_numbers(0))[:, None, None]
-    k1 = np.abs(grid_aniso.mode_numbers(1))[None, :, None]
-    k2 = np.abs(grid_aniso.mode_numbers(2))[None, None, :]
-    keep |= (kx <= 12) & (k1 <= 1) & (k2 <= 1)
-    u0 = SpectralField(grid_aniso, np.where(keep, u0.coeff, 0.0), real_flag=True)
     lam, t = 2.0, 0.31
-    path1 = scaling_transform(apply_linear_propagator(u0, lam ** 3 * t), lam,
-                              same_grid=True)
-    path2 = apply_linear_propagator(scaling_transform(u0, lam, same_grid=True), t)
+    path1 = scaling_transform(apply_linear_propagator(u0, lam ** 3 * t), lam)
+    path2 = apply_linear_propagator(scaling_transform(u0, lam), t)
     assert np.max(np.abs(path1.coeff - path2.coeff)) <= 1e-12
 
 
@@ -249,7 +243,7 @@ def test_zero_x_mean_preserved_everywhere(grid_small, rng):
     with pytest.warns(UserWarning, match="dropped"):
         full_eta_shifted = galilean_shift(full_eta, (1.0, 1.0))
     for v in (apply_linear_propagator(u, 0.4), galilean_shift(u, (1.0, 0.0)),
-              scaling_transform(u, 2.0, same_grid=True), full_eta_shifted):
+              scaling_transform(u, 2.0), full_eta_shifted):
         assert np.all(v.coeff[0, :, :] == 0)
         v.validate()
 
