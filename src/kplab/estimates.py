@@ -29,7 +29,7 @@ from .decomposition import _lp_reduce
 from .errors import (ConfigurationError, DomainError, KplabError,
                      PreconditionError)
 from .spectral import (SpectralField, apply_linear_propagator, dispersion_symbol,
-                       grid_geometry, inverse_transform, make_field)
+                       grid_geometry, inverse_transform)
 from .reporting import fit_loglog_slope
 
 
@@ -236,7 +236,6 @@ def random_measure_config(rng: np.random.Generator) -> MeasureConfig:
 @dataclass
 class SectionRootReport:
     roots: np.ndarray
-    derivative_lhs: np.ndarray
     defects: np.ndarray
 
     @property
@@ -279,7 +278,7 @@ def phase_difference_roots(xi1: float, xi2: float, deta, rho,
     coeffs = poly.coef
     nz = np.nonzero(np.abs(coeffs) > 1e-13 * max(np.max(np.abs(coeffs)), 1e-300))[0]
     if nz.size == 0:
-        return SectionRootReport(np.array([]), np.array([]), np.array([]))
+        return SectionRootReport(np.array([]), np.array([]))
     poly = P(coeffs[: nz[-1] + 1])
     roots = poly.roots()
     real = roots[np.abs(roots.imag) < 1e-8 * np.maximum(1.0, np.abs(roots.real))].real
@@ -305,7 +304,7 @@ def phase_difference_roots(xi1: float, xi2: float, deta, rho,
     rhs = np.abs([_g_rho_prime_slope_form(r, xi1, xi2, deta, rho) for r in roots])
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
     defects = np.abs(lhs - rhs) / scale
-    return SectionRootReport(roots, lhs, defects)
+    return SectionRootReport(roots, defects)
 
 
 def _g_rho_prime_raw(xi, xi1, xi2, deta, rho):
@@ -374,32 +373,46 @@ def strichartz_exponent(p: float, q: float, family: str = "auto") -> float:
         "1/p + 1/q = 1/2 (x-derivative gain 2/p)")
 
 
-def _flow_samples(u0: SpectralField, times):
-    """Physical samples of the linear flow S(t) u0, one array per time (lazy).
+def _flow_samples(u0: SpectralField, times, m: int, shift: int):
+    """Physical samples of the linear flow S(t) u0 on an m-point x-grid, one
+    array per time (lazy).
 
     A real field is checked for Hermitian symmetry once, on the call, so the
     two fields of a product are both checked before either holds a sample.
-    It is sampled from its eta2 half spectrum (k2 <= n2/2): the phase and
-    the eta1 transform run on the occupied x-planes only (FFT pruning),
-    which are scattered into one zero buffer for the x transform and the
-    real eta2 transform.  A field not marked real keeps the full complex
-    path and its real part.
+    The phase and the eta1 transform run on the occupied x-planes only (FFT
+    pruning); plane kx goes to row (kx - shift) mod m of one zero buffer for
+    the x transform.
+    - shift = 0 samples the whole real field from its eta2 half spectrum
+      (k2 <= n2/2), with a real eta2 transform after the x transform; it
+      needs m above twice the field's top |kx| (m = nx is the full grid).
+    - shift > 0 samples its one-sided part u0+ (the planes kx > 0, none below
+      shift) demodulated by shift, exp(-i shift dxi x) S(t) u0+, as complex
+      samples: a full complex eta2 transform, pruned like the eta1 one.
+    A field not marked real keeps the full complex path and its real part,
+    on the full grid.
     """
     if not u0.real_flag:
         return (inverse_transform(apply_linear_propagator(u0, t)).samples for t in times)
     u0.validate()
     n2 = u0.grid.modes_y2
-    half = u0.coeff[:, :, :n2 // 2 + 1]
-    planes = np.flatnonzero(half.any(axis=(1, 2)))
-    c = half[planes]
-    omega = grid_geometry(u0.grid).omega[planes, :, :n2 // 2 + 1]
-    buf = np.zeros(half.shape, complex)
+    k2 = n2 if shift else n2 // 2 + 1
+    kx = u0.grid.mode_numbers(0)
+    c = u0.coeff[:, :, :k2]
+    occupied = c.any(axis=(1, 2))
+    if shift:
+        occupied &= kx > 0
+    planes = np.flatnonzero(occupied)
+    c = c[planes]
+    omega = grid_geometry(u0.grid).omega[planes, :, :k2]
+    rows = (kx[planes] - shift) % m
+    buf = np.zeros((m, u0.grid.modes_y1, k2), complex)
+    axes = (1, 2) if shift else (1,)
 
     def sample(t):
         # norm="forward" leaves the inverse transforms unscaled: ifftn(coeff) * N
-        buf[planes] = np.fft.ifft(c * np.exp(1j * t * omega), axis=1, norm="forward")
-        return np.fft.irfft(np.fft.ifft(buf, axis=0, norm="forward"), n=n2, axis=2,
-                            norm="forward")
+        buf[rows] = np.fft.ifftn(c * np.exp(1j * t * omega), axes=axes, norm="forward")
+        x = np.fft.ifft(buf, axis=0, norm="forward")
+        return x if shift else np.fft.irfft(x, n=n2, axis=2, norm="forward")
     return map(sample, times)
 
 
@@ -416,7 +429,8 @@ def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,
     dV = g.volume / u0.coeff.size
     dt = T / n_time
     times = (np.arange(n_time) + 0.5) * dt  # midpoint rule in t
-    vals = np.array([_lp_reduce(np.abs(ph), q, dV) for ph in _flow_samples(u0, times)])
+    vals = np.array([_lp_reduce(np.abs(ph), q, dV)
+                     for ph in _flow_samples(u0, times, g.modes_x, 0)])
     return _lp_reduce(vals, p, dt) / denom
 
 
@@ -458,23 +472,63 @@ def _ensemble_slope(xs, ensemble_size: int, seed: int, draw,
 def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
                                      T: float) -> float:
     """|| u v ||_{L^2_{t,x,y}} / (||u0|| ||v0||) for the linear waves u, v of
-    u0, v0, on a log-spaced time grid resolving the overlap transient.
+    the real low and high data u0, v0, on a log-spaced time grid resolving
+    the overlap transient.
 
     The product of two coherent packets decays on a timescale set by their
     relative group velocity; geometric sampling captures every scale of the
     decay with few transforms: the trapezoid rule on t = 0 and 17 geometric
     times from 2e-3 T to T, a grid that dilates with T.
+
+    The product is computed on its own x-band.  With v+ the xi > 0 half of v,
+    uv = 2 Re(u v+); when u's top |xi| plane a lies below v's lowest xi plane
+    b, u v+ has a one-sided x-spectrum (the analytic signal; Gabor, J. IEE
+    93, 1946), so ||uv||^2 = 2 ||u v+||^2 exactly.  v+ demodulated by b makes
+    u v+ span the B = (top - b) + 2a + 1 planes from -a to top - b + a, which
+    an M = B point x-grid holds with no wrap (Parseval): the sum is
+    2 |u w|^2 V / (M n1 n2).  The eta axes are sampled, and wrap, as on the
+    full grid.  A pair with a >= b is refused, never approximated.
     """
     nu, nv = u0.l2_norm(), v0.l2_norm()
     if nu == 0.0 or nv == 0.0:
         return 0.0
+    if not (u0.real_flag and v0.real_flag):
+        raise PreconditionError("the low x high product needs real fields")
+    g = u0.grid
+    kx = g.mode_numbers(0)
+    a = np.abs(kx[u0.coeff.any(axis=(1, 2))]).max()
+    kv = kx[v0.coeff.any(axis=(1, 2)) & (kx > 0)]   # ascending: FFT order
+    if not kv.size or a >= kv[0]:
+        raise PreconditionError(
+            f"low x high bands overlap or touch: the low field's top |xi| plane ({a}) "
+            "must lie below the high field's lowest xi > 0 plane")
+    b, top = int(kv[0]), int(kv[-1])
+    m = int(top - b + 2 * a + 1)
     ts = np.concatenate([[0.0], np.geomspace(2e-3 * T, T, 17)])
-    dV = u0.grid.volume / u0.coeff.size
+    dV = 2.0 * g.volume / (m * g.modes_y1 * g.modes_y2)
+
+    def sq(pu, pw):
+        p = pu * pw
+        return np.sum(p.real ** 2 + p.imag ** 2) * dV
+
     # map, not a loop over zip: no sample of the previous time stays alive
     # while the next pair is transformed
-    sq = map(lambda pu, pv: np.sum((pu * pv) ** 2) * dV,
-             _flow_samples(u0, ts), _flow_samples(v0, ts))
-    return math.sqrt(float(np.trapezoid(np.fromiter(sq, float, ts.size), ts))) / (nu * nv)
+    vals = map(sq, _flow_samples(u0, ts, m, 0), _flow_samples(v0, ts, m, b))
+    return math.sqrt(float(np.trapezoid(np.fromiter(vals, float, ts.size), ts))) / (nu * nv)
+
+
+def _cap_field(grid, planes, prof) -> SpectralField:
+    """The real field (p + conj(p(-k))) / 2 of a profile p given on the
+    x-planes `planes`, all with xi > 0: p / 2 and its conjugate mirror
+    written into one zero array, Nyquist entries zero (make_field's
+    hermitize, without its full-grid profile, copy and average)."""
+    geo = grid_geometry(grid)
+    half = np.where(geo.structural[planes], 0.5 * prof, 0.0)
+    c = np.zeros(grid.shape, complex)
+    c[planes] = half
+    rx, r1, r2 = geo.reverse
+    c[rx[planes], r1, r2] = np.conjugate(half)
+    return SpectralField(grid, c, real_flag=True)
 
 
 def coherent_low_cap(grid, mu: float, slope_center,
@@ -483,25 +537,27 @@ def coherent_low_cap(grid, mu: float, slope_center,
     fixed box of width 0.75: the sector-respecting family that saturates the
     low-frequency gain (transverse extent scales with mu automatically)."""
     geo = grid_geometry(grid)
-    xi = geo.xi
+    xi = geo.xi[:, 0, 0]
+    planes = np.flatnonzero((xi > 0) & (xi <= mu))
+    xi = geo.xi[planes]
     prof = (np.exp(-((xi - 0.6 * mu) ** 2) / (2 * (0.22 * mu) ** 2))
-            * np.exp(-((geo.s1 - slope_center[0]) ** 2 + (geo.s2 - slope_center[1]) ** 2)
+            * np.exp(-((geo.s1[planes] - slope_center[0]) ** 2
+                       + (geo.s2[planes] - slope_center[1]) ** 2)
                      / (2 * (0.75 / 2) ** 2)))
-    prof = np.where((xi > 0) & (xi <= mu), prof, 0.0)
-    return make_field(grid, prof * phase, real_flag=True, hermitize=True)
+    return _cap_field(grid, planes, prof * phase)
 
 
 def coherent_high_cap(grid, lam: float, width: float, eta_center) -> SpectralField:
     """Smooth constant-phase cap supported in lam < xi <= lam + width, with
     transverse half-width 1 about eta_center."""
     geo = grid_geometry(grid)
-    xi = geo.xi
-    # the support cut acts on the x factor, before the product is full-grid
-    prof = (np.where((xi > lam) & (xi <= lam + width),
-                     np.exp(-((xi - (lam + width / 2)) ** 2) / (2 * (0.3 * width) ** 2)), 0.0)
+    xi = geo.xi[:, 0, 0]
+    planes = np.flatnonzero((xi > lam) & (xi <= lam + width))
+    xi = geo.xi[planes]
+    prof = (np.exp(-((xi - (lam + width / 2)) ** 2) / (2 * (0.3 * width) ** 2))
             * np.exp(-((geo.eta1 - eta_center[0]) ** 2 + (geo.eta2 - eta_center[1]) ** 2)
                      / (2 * (1.0 / 2) ** 2)))
-    return make_field(grid, prof, real_flag=True, hermitize=True)
+    return _cap_field(grid, planes, prof)
 
 
 def bilinear_mu_sweep(mus, lam: float, ensemble_size: int, T: float,

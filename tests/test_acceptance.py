@@ -236,14 +236,14 @@ def test_criterion_08_bilinear_estimates():
     sec = sector_gamma_sweep([64, 128, 256, 512], mu=0.25, lam=2.0,
                              ensemble_size=6, T=4.0, seed=108)
     dt = time.time() - t0
-    ok = 0.8 <= rep.slope <= 1.2 and 0.35 <= sec.slope <= 0.65 and dt < 225.0
+    ok = 0.8 <= rep.slope <= 1.2 and 0.35 <= sec.slope <= 0.65 and dt < 90.0
     _line(8, "bilinear estimates", ok,
           f"low-high mu-slope {rep.slope:.3f} (band [0.8, 1.2]); "
           f"sector |Gamma|-slope {sec.slope:.3f} (band [0.35, 0.65]); "
-          f"{dt:.0f}s (cap 225s)")
+          f"{dt:.0f}s (cap 90s)")
     assert 0.8 <= rep.slope <= 1.2
     assert 0.35 <= sec.slope <= 0.65
-    assert dt < 225.0
+    assert dt < 90.0
 
 
 def test_criterion_09_bilinear_projection_machinery():

@@ -9,6 +9,7 @@ from kplab.data import gaussian_datum, member_rng, random_band_field
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.decomposition import _lp_reduce
 from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
+                             _g_rho_prime_raw,
                              bilinear_lowhigh_ratio_transient, bilinear_mu_sweep,
                              check_sector_hypotheses,
                              circle_measure_closed_form,
@@ -20,7 +21,8 @@ from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
                              sector_gamma_sweep, strichartz_exponent,
                              strichartz_ratio, weighted_pair_norm)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            inverse_transform, scaling_transform)
+                            grid_geometry, inverse_transform, make_field,
+                            scaling_transform)
 
 
 # ----------------------------------------------------------------------
@@ -161,10 +163,11 @@ def test_section_roots_match_scan_oracle():
 
 
 def test_section_derivative_two_sided():
-    rep = phase_difference_roots(0.5, -1.0, (0.3, -0.2), (1.0, 0.4), tau=2.0)
+    args = (0.5, -1.0, np.array([0.3, -0.2]), np.array([1.0, 0.4]))
+    rep = phase_difference_roots(*args, tau=2.0)
     assert rep.count >= 1
     assert np.max(rep.defects) <= 1e-12
-    assert np.min(np.abs(rep.derivative_lhs)) > 0
+    assert min(abs(_g_rho_prime_raw(r, *args)) for r in rep.roots) > 0
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +219,6 @@ def _direct_flow(u0, times):
 def test_linear_flow_ratios_match_direct_evaluation():
     g = GridSpec(16, 8, 8, 4 * np.pi, 2 * np.pi, 2 * np.pi)
     u0 = random_band_field(g, member_rng(7, 0), 0.5, 3.0, eta_max=2.0)
-    v0 = random_band_field(g, member_rng(7, 1), 0.5, 3.0, eta_max=2.0)
     dV, T = g.volume / u0.coeff.size, 0.5
     xi = np.abs(g.mode_numbers(0) * g.dxi)[:, None, None]
     for p, q, s in ((4, 4, 0.5), (2, math.inf, 1.0)):
@@ -228,17 +230,67 @@ def test_linear_flow_ratios_match_direct_evaluation():
         den = math.sqrt(g.volume * np.sum((np.where(xi > 0, xi, 1.0) ** s
                                            * np.abs(u0.coeff)) ** 2))
         assert strichartz_ratio(u0, p, q, T, n_time=n) == pytest.approx(num / den, rel=1e-12)
-    norms = u0.l2_norm() * v0.l2_norm()
+    # the product ratio takes a band-separated pair: xi <= 1 against 1 < xi <= 2.5
+    lo = random_band_field(g, member_rng(7, 0), 0.0, 1.0, eta_max=2.0)
+    hi = random_band_field(g, member_rng(7, 1), 1.0, 2.5, eta_max=2.0)
+    assert bilinear_lowhigh_ratio_transient(lo, hi, T) == pytest.approx(
+        _direct_product_ratio(lo, hi, T), rel=1e-12, abs=0)
 
-    def product_l2(times):
-        return dV * np.sum((_direct_flow(u0, times) * _direct_flow(v0, times)) ** 2,
-                           axis=(1, 2, 3))
 
+def _direct_product_ratio(u0, v0, T):
+    """The low x high ratio from the full-grid product of _direct_flow samples."""
+    dV = u0.grid.volume / u0.coeff.size
     ts = np.concatenate([[0.0], np.geomspace(2e-3 * T, T, 17)])
-    pl = product_l2(ts)
-    expect = math.sqrt(np.sum(np.diff(ts) * (pl[1:] + pl[:-1]) / 2)) / norms
-    got = bilinear_lowhigh_ratio_transient(u0, v0, T)
-    assert got == pytest.approx(expect, rel=1e-12)
+    pl = dV * np.sum((_direct_flow(u0, ts) * _direct_flow(v0, ts)) ** 2, axis=(1, 2, 3))
+    return (math.sqrt(np.sum(np.diff(ts) * (pl[1:] + pl[:-1]) / 2))
+            / (u0.l2_norm() * v0.l2_norm()))
+
+
+def _smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _prime(n):
+    return n > 1 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 40), st.integers(4, 12), st.integers(4, 12),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.booleans(), st.integers(0, 2 ** 31 - 1), st.data())
+def test_band_limited_product_ratio_matches_full_grid(hx, h1, h2, lx, l1, l2, smooth,
+                                                      seed, data):
+    # low planes |kx| <= a against high planes b..top with a < b: the product
+    # spans B = top - b + 2a + 1 planes, sampled on a B-point x-grid; B is
+    # drawn smooth (2^i 3^j 5^k) or prime, so both FFT length families run.
+    # top + a < nx/2 keeps the full-grid oracle itself free of x-wrap.
+    g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                 2 * np.pi * l2)
+    sizes = [n for n in range(3, hx) if (_smooth(n) if smooth else _prime(n))]
+    B = data.draw(st.sampled_from(sizes))
+    a = data.draw(st.integers(1, (B - 1) // 2))
+    span = B - 2 * a - 1
+    b = data.draw(st.integers(a + 1, hx - 1 - a - span))
+    rng = np.random.default_rng(seed)
+    u0 = random_band_field(g, rng, 0.0, (a + 0.5) * g.dxi)
+    v0 = random_band_field(g, rng, (b - 0.5) * g.dxi, (b + span + 0.5) * g.dxi)
+    T = data.draw(st.floats(0.05, 2.0))
+    assert bilinear_lowhigh_ratio_transient(u0, v0, T) == pytest.approx(
+        _direct_product_ratio(u0, v0, T), rel=1e-13, abs=0)
+
+
+def test_bilinear_ratio_refuses_overlapping_and_touching_bands():
+    g = GridSpec(16, 8, 8, 4 * np.pi, 2 * np.pi, 2 * np.pi)   # dxi = 1/2
+    cases = (((0.5, 3.0), (0.5, 3.0)),    # overlapping: planes 2..6 both
+             ((0.0, 1.5), (1.0, 2.5)))    # touching: low top plane 3 = high bottom plane 3
+    for (ulo, uhi), (vlo, vhi) in cases:
+        u0 = random_band_field(g, member_rng(7, 0), ulo, uhi)
+        v0 = random_band_field(g, member_rng(7, 1), vlo, vhi)
+        with pytest.raises(PreconditionError, match="overlap or touch"):
+            bilinear_lowhigh_ratio_transient(u0, v0, 0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,14 +310,21 @@ def test_flow_samples_match_full_transform(hx, h1, h2, lx, l1, l2, seed, data):
                            (lo + 0.5) * g.dxi, (hi + 0.5) * g.dxi)
     times = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
     ref = [inverse_transform(apply_linear_propagator(u0, t)).samples for t in times]
-    for got, want in zip(_flow_samples(u0, times), ref):
+    for got, want in zip(_flow_samples(u0, times, g.modes_x, 0), ref):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     w0 = SpectralField(g, u0.coeff, real_flag=False)
-    for got, want in zip(_flow_samples(w0, times), ref):
+    for got, want in zip(_flow_samples(w0, times, g.modes_x, 0), ref):
         assert np.array_equal(got, want)
-    one_sided = SpectralField(g, np.where(g.mode_numbers(0)[:, None, None] > 0, u0.coeff, 0.0))
+    # the one-sided part demodulated by its lowest plane: on the full x-grid
+    # the demodulation is a cyclic shift of the x-spectrum by lo + 1
+    pos = np.where(g.mode_numbers(0)[:, None, None] > 0, u0.coeff, 0.0)
+    for t, got in zip(times, _flow_samples(u0, times, g.modes_x, lo + 1)):
+        flow = apply_linear_propagator(SpectralField(g, pos, real_flag=False), t).coeff
+        want = np.fft.ifftn(np.roll(flow, -(lo + 1), axis=0)) * flow.size
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    one_sided = SpectralField(g, pos)
     with pytest.raises(ConfigurationError):
-        next(_flow_samples(one_sided, times))
+        next(_flow_samples(one_sided, times, g.modes_x, 0))
 
 
 def test_lp_reduce_measure():
@@ -327,6 +386,36 @@ def test_bilinear_mu_precondition():
     g = GridSpec(64, 16, 16, 8 * np.pi, 8 * np.pi, 8 * np.pi)
     with pytest.raises(PreconditionError):
         bilinear_mu_sweep([8.0], lam=4.0, ensemble_size=1, T=1.0, grid=g)
+
+
+def test_caps_match_the_full_grid_formula():
+    # the caps are built on their occupied x-planes; the oracle evaluates the
+    # profile on the whole grid and hermitizes it with make_field
+    def full_grid(grid, prof):
+        return make_field(grid, prof, real_flag=True, hermitize=True).coeff
+
+    rng = member_rng(8, 0)
+    for g in (GridSpec(232, 64, 64, 32 * np.pi, 32 * np.pi, 32 * np.pi),
+              GridSpec(16, 8, 10, 4 * np.pi, 2 * np.pi, 3 * np.pi)):
+        geo = grid_geometry(g)
+        xi = geo.xi
+        for mu in (1 / 8, 1 / 2, 1.0, 3.0):
+            sc, ph = rng.uniform(-0.2, 0.2, 2), np.exp(1j * rng.uniform(0, 2 * np.pi))
+            prof = (np.exp(-((xi - 0.6 * mu) ** 2) / (2 * (0.22 * mu) ** 2))
+                    * np.exp(-((geo.s1 - sc[0]) ** 2 + (geo.s2 - sc[1]) ** 2)
+                             / (2 * (0.75 / 2) ** 2)))
+            prof = np.where((xi > 0) & (xi <= mu), prof, 0.0)
+            assert np.array_equal(coherent_low_cap(g, mu, sc, phase=ph).coeff,
+                                  full_grid(g, prof * ph))
+        for lam, width in ((4.0, 2.0), (1.0, 0.5), (2.0, 100.0)):
+            ec = rng.uniform(-0.2, 0.2, 2)
+            prof = (np.where((xi > lam) & (xi <= lam + width),
+                             np.exp(-((xi - (lam + width / 2)) ** 2)
+                                    / (2 * (0.3 * width) ** 2)), 0.0)
+                    * np.exp(-((geo.eta1 - ec[0]) ** 2 + (geo.eta2 - ec[1]) ** 2)
+                             / (2 * (1.0 / 2) ** 2)))
+            assert np.array_equal(coherent_high_cap(g, lam, width, ec).coeff,
+                                  full_grid(g, prof))
 
 
 # ----------------------------------------------------------------------

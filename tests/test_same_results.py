@@ -2,6 +2,7 @@
 one perturbed constant."""
 
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -39,4 +40,10 @@ def test_same_results_sees_one_perturbed_constant(tmp_path):
     module.write_text(text.replace(term, "rhs = -3.000000000003 * x1 * x2 * x3"))
     proc = _same_results(parent, corpus)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("DIFFERS (rep/verify-resonance.json) ")
+    # the moved value is named with its ulp distance; the masked wall time
+    # and the unchanged keys are not
+    report = re.match(r"DIFFERS \(rep/verify-resonance\.json \[(.*)\]\) ", proc.stdout)
+    assert report, proc.stdout
+    moved = report.group(1).split(", ")
+    assert moved and all(re.fullmatch(r"[a-z_]+ [1-9][0-9]* ulp", m) for m in moved), moved
+    assert not any(m.startswith(("wall_clock_s", "passed", "tol")) for m in moved), moved

@@ -12,23 +12,30 @@ with PYTHONPATH set to that tree's `src`.  Relative paths, `--out`
 directories included, therefore land in that temporary directory.
 
 Per command the exit code, stdout, stderr and every file the command wrote
-are compared byte for byte, with each line holding "wall_clock_s" masked
-and, in stderr, the paths of the temporary directory and of the tree
-masked.
+are compared byte for byte, with every "wall_clock_s" value masked and, in
+stderr, the paths of the temporary directory and of the tree masked.
 One line per command reports `identical` or `DIFFERS` with what differs,
-this tree's exit code and both wall times;
-the exit code is 1 on any difference and 2 on an unusable argument.
+this tree's exit code and both wall times.  A differing JSON output (stdout
+or a `.json` file) or `.csv` file of the same shape on both sides is
+followed by the largest ulp distance per numeric key that moved, e.g.
+`stdout [slope 3 ulp, values 1 ulp]`; a JSON key is its path of object
+keys joined by dots, a CSV key its column, and list entries share a key.
+The exit code is 1 on any difference and 2 on an unusable argument.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import json
 import os
 import pathlib
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -36,11 +43,75 @@ import time
 
 _HERE = pathlib.Path(__file__).resolve().parent
 _TREE = _HERE.parent
-_WALL = re.compile(rb'^.*"wall_clock_s".*$', re.MULTILINE)
+_WALL = re.compile(rb'("wall_clock_s":\s*)[^,\n}]*')
 
 
 def _masked(raw: bytes) -> bytes:
-    return _WALL.sub(b'"wall_clock_s": <masked>', raw)
+    return _WALL.sub(rb'\1"<masked>"', raw)
+
+
+def _leaves(obj, key, out) -> None:
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _leaves(v, f"{key}.{k}" if key else k, out)
+    elif isinstance(obj, list):
+        for v in obj:
+            _leaves(v, key, out)
+    else:
+        number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+        out.setdefault(key, []).append(float(obj) if number else obj)
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _numbers(name: str, raw: bytes):
+    """{key: [values]} of a JSON or CSV output, numbers as floats; None if
+    the output is neither."""
+    out = {}
+    try:
+        if name.endswith(".csv"):
+            header, *rows = csv.reader(io.StringIO(raw.decode()))
+            for row in rows:
+                for k, v in zip(header, row):
+                    out.setdefault(k, []).append(_cell(v))
+        else:
+            _leaves(json.loads(raw), "", out)
+    except ValueError:
+        return None
+    return out
+
+
+def _ordered(x: float) -> int:
+    """The bits of a double as an integer that counts ulps across zero."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def ulp_report(name: str, ours: bytes, theirs: bytes) -> str:
+    """`key N ulp` for each numeric key of a JSON or CSV output whose values
+    moved, the largest distance over its entries; empty when the outputs
+    are not both JSON or CSV or differ in shape or in a non-number."""
+    a, b = _numbers(name, ours), _numbers(name, theirs)
+    if a is None or b is None or a.keys() != b.keys():
+        return ""
+    moved = []
+    for key in sorted(a):
+        if len(a[key]) != len(b[key]):
+            return ""
+        ulps = 0
+        for x, y in zip(a[key], b[key]):
+            if type(x) is float and type(y) is float:
+                ulps = max(ulps, abs(_ordered(x) - _ordered(y)))
+            elif x != y:
+                return ""
+        if ulps:
+            moved.append(f"{key} {ulps} ulp")
+    return f" [{', '.join(moved)}]" if moved else ""
 
 
 def read_corpus(corpus: pathlib.Path) -> list:
@@ -90,10 +161,11 @@ def compare(ours, theirs) -> list:
     if code != pcode:
         diffs.append(f"exit {pcode} -> {code}")
     if out != pout:
-        diffs.append("stdout")
+        diffs.append("stdout" + ulp_report("stdout", out, pout))
     if err != perr:
         diffs.append("stderr")
-    diffs += [name for name in sorted(set(files) | set(pfiles))
+    diffs += [name + ulp_report(name, files.get(name, b""), pfiles.get(name, b""))
+              for name in sorted(set(files) | set(pfiles))
               if files.get(name) != pfiles.get(name)]
     return diffs
 
