@@ -403,14 +403,14 @@ def _flow_samples(u0: SpectralField, times, m: int, shift: int):
         occupied &= kx > 0
     planes = np.flatnonzero(occupied)
     c = c[planes]
-    omega = grid_geometry(u0.grid).omega[planes, :, :k2]
+    phase = grid_geometry(u0.grid).phase
     rows = (kx[planes] - shift) % m
     buf = np.zeros((m, u0.grid.modes_y1, k2), complex)
     axes = (1, 2) if shift else (1,)
 
     def sample(t):
         # norm="forward" leaves the inverse transforms unscaled: ifftn(coeff) * N
-        buf[rows] = np.fft.ifftn(c * np.exp(1j * t * omega), axes=axes, norm="forward")
+        buf[rows] = np.fft.ifftn(c * phase(t, planes, k2=slice(k2)), axes=axes, norm="forward")
         x = np.fft.ifft(buf, axis=0, norm="forward")
         return x if shift else np.fft.irfft(x, n=n2, axis=2, norm="forward")
     return map(sample, times)

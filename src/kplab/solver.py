@@ -70,7 +70,7 @@ def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple,
 
 
 def _on_box(u: SpectralField, grid: GridSpec, caller: str) -> tuple:
-    """(box, box coefficients of u, xi, omega on the box) of a datum for a
+    """(box, box coefficients of u, xi on the box planes) of a datum for a
     solver on `grid`.  Only k2 >= 0 is read, so u must be marked real, lie
     on `grid` and pass `validate()`."""
     if not u.real_flag:
@@ -80,7 +80,7 @@ def _on_box(u: SpectralField, grid: GridSpec, caller: str) -> tuple:
     u.validate()
     geo = grid_geometry(grid)
     box = geo.box
-    return box, u.coeff[box], geo.xi[box[0], 0, 0], geo.omega[box]
+    return box, u.coeff[box], geo.xi[box[0], 0, 0]
 
 
 def nonlinearity(u: SpectralField) -> SpectralField:
@@ -90,7 +90,7 @@ def nonlinearity(u: SpectralField) -> SpectralField:
     keeps the zero-x-mean invariant automatically.
     """
     g = u.grid
-    box, c, xi, _ = _on_box(u, g, "nonlinearity")
+    box, c, xi = _on_box(u, g, "nonlinearity")
     out = _nonlinear_rhs(g, c, box, xi)
     return SpectralField(g, _expand(g, out, box), real_flag=True)
 
@@ -174,14 +174,13 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     with a time stamp on NaN or norm explosion (the small-data step guard).
     """
     g = cfg.grid
-    box, c, xi, omega = _on_box(u0, g, "evolve")
+    box, c, xi = _on_box(u0, g, "evolve")
     twice = np.where(box[2] > 0, 2.0, 1.0)   # a k2 > 0 mode stands for its mirror too
 
     times = cfg.sample_times
     steps = max(1, math.ceil(cfg.sample_dt / cfg.dt))
     h = cfg.sample_dt / steps
-    E = np.exp(1j * omega * h)
-    E2 = np.exp(1j * omega * h / 2)
+    E, E2 = grid_geometry(g).phase([h, h / 2], *box)
 
     with np.errstate(over="ignore"):
         norm0 = np.sqrt(np.sum(twice * np.abs(c) ** 2))
@@ -279,7 +278,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     ratios >= 1 raise DivergenceError.
     """
     g = cfg.grid
-    box, c0, xi, omega = _on_box(u0, g, "picard_iterate")
+    box, c0, xi = _on_box(u0, g, "picard_iterate")
     np_ = NormParams()
     datum_norm = lqlp_norm(u0, np_)
     if datum_norm > smallness_threshold:
@@ -289,7 +288,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
 
     times = cfg.sample_times   # evolve's sample grid; dt is not read
     n_t = times.size
-    phases = np.exp(1j * omega[None, ...] * times[:, None, None, None])
+    phases = grid_geometry(g).phase(times, *box)
     base = c0[None, ...] * phases  # S(t) u0 on the box
 
     W = _duhamel_weights(n_t, cfg.sample_dt)

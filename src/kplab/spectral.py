@@ -16,6 +16,7 @@ Two hard structural invariants hold for every field in the package:
 
 The linear flow multiplies each coefficient by exp(i t w(xi, eta)) with the
 dispersion symbol w(xi, eta) = xi^3 - |eta|^2/xi, and is exactly unitary.
+`GridGeometry.phase` forms that phase factored per axis; w is built on first use.
 """
 
 from __future__ import annotations
@@ -156,9 +157,9 @@ class GridGeometry:
 
     xi, eta1, eta2 broadcast as (nx,1,1), (1,n1,1), (1,1,n2); the slopes
     s1 = eta1/xi and s2 = eta2/xi as (nx,n1,1) and (nx,1,n2).  On the
-    excluded xi = 0 plane the slopes and omega are 0.  `box`, `active` and
-    `sector` are built on first use: only the solver and the sector
-    decomposition need them.
+    excluded xi = 0 plane the slopes and omega are 0.  `omega`, `box`,
+    `active` and `sector` are built on first use: only the windowed layer,
+    the solver and the sector decomposition need them.
     """
 
     grid: GridSpec
@@ -167,9 +168,27 @@ class GridGeometry:
     eta2: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
-    omega: np.ndarray
     structural: np.ndarray   # modes a field may occupy: xi != 0, no Nyquist planes
     reverse: tuple           # open-mesh index of the mirror mode -k
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):   # exactly odd; xi ** 3 is not
+            w = self.xi * self.xi * self.xi - (self.eta1 ** 2 + self.eta2 ** 2) / self.xi
+        return _read_only(np.where(self.xi != 0, w, 0.0))
+
+    def phase(self, t, planes=slice(None), k1=slice(None), k2=slice(None)) -> np.ndarray:
+        """exp(i t w) on x-planes `planes` and eta columns k1, k2 (slices, index
+        arrays or open meshes like `box`; all by default), leading axes for an
+        array t: exp(i t xi^3) exp(-i t eta1 s1) exp(-i t eta2 s2), one exp per
+        plane and per (plane, column) line, each exactly odd in k (Hermitian)."""
+        i, j, k = np.ix_(*(np.arange(n)[s].ravel() for s, n in zip((planes, k1, k2),
+                                                                   self.grid.shape)))
+        t = np.asarray(t, dtype=float)[..., None, None, None]
+        x = self.xi[i, 0, 0]
+        a1 = self.eta1[0, j, 0] * self.s1[i, j, 0]
+        a2 = self.eta2[0, 0, k] * self.s2[i, 0, k]
+        return np.exp(1j * (t * (x * x * x))) * np.exp(-1j * (t * a1)) * np.exp(-1j * (t * a2))
 
     @cached_property
     def box(self) -> tuple:
@@ -203,13 +222,10 @@ def grid_geometry(grid: GridSpec) -> GridGeometry:
     kx, k1, k2 = np.ix_(*map(grid.mode_numbers, range(3)))
     xi, e1, e2 = kx * grid.dxi, k1 * grid.deta1, k2 * grid.deta2
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega = (e1 ** 2 + e2 ** 2) / xi     # in place: one full-grid array, not three
-        np.subtract(xi * xi * xi, omega, out=omega)   # exactly odd in xi; xi ** 3 is not
         s1 = np.where(xi != 0, e1 / xi, 0.0)
         s2 = np.where(xi != 0, e2 / xi, 0.0)
-    omega[xi[:, 0, 0] == 0] = 0.0
     reverse, inside = grid.index(-kx, -k1, -k2)
-    return GridGeometry(grid, *map(_read_only, (xi, e1, e2, s1, s2, omega, inside & (kx != 0))),
+    return GridGeometry(grid, *map(_read_only, (xi, e1, e2, s1, s2, inside & (kx != 0))),
                         tuple(map(_read_only, reverse)))
 
 
@@ -347,8 +363,7 @@ def dispersion_symbol(xi, eta):
 
 def apply_linear_propagator(u: SpectralField, t: float) -> SpectralField:
     """Exact linear flow: multiply each coefficient by exp(i t w(xi, eta))."""
-    phase = np.exp(1j * t * grid_geometry(u.grid).omega)
-    return SpectralField(u.grid, u.coeff * phase, u.real_flag)
+    return SpectralField(u.grid, u.coeff * grid_geometry(u.grid).phase(t), u.real_flag)
 
 
 # ----------------------------------------------------------------------

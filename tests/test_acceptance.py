@@ -236,14 +236,14 @@ def test_criterion_08_bilinear_estimates():
     sec = sector_gamma_sweep([64, 128, 256, 512], mu=0.25, lam=2.0,
                              ensemble_size=6, T=4.0, seed=108)
     dt = time.time() - t0
-    ok = 0.8 <= rep.slope <= 1.2 and 0.35 <= sec.slope <= 0.65 and dt < 90.0
+    ok = 0.8 <= rep.slope <= 1.2 and 0.35 <= sec.slope <= 0.65 and dt < 80.0
     _line(8, "bilinear estimates", ok,
           f"low-high mu-slope {rep.slope:.3f} (band [0.8, 1.2]); "
           f"sector |Gamma|-slope {sec.slope:.3f} (band [0.35, 0.65]); "
-          f"{dt:.0f}s (cap 90s)")
+          f"{dt:.0f}s (cap 80s)")
     assert 0.8 <= rep.slope <= 1.2
     assert 0.35 <= sec.slope <= 0.65
-    assert dt < 90.0
+    assert dt < 80.0
 
 
 def test_criterion_09_bilinear_projection_machinery():
@@ -282,7 +282,7 @@ def test_criterion_10_picard_contraction():
     base = gaussian_datum(grid, amplitude=1.0, center_xi=1.0,
                           width_xi=0.4, width_eta=0.4)
     base_norm = lqlp_norm(base, npar)
-    omega = grid_geometry(grid).omega
+    geo = grid_geometry(grid)
     cfg = SimConfig(grid, dt=1 / 64, T=1.0, samples_per_unit=64)
 
     quad_ratios = []
@@ -293,7 +293,7 @@ def test_criterion_10_picard_contraction():
         tr, rep = picard_iterate(u0, cfg, n_max=8, tol=1e-14)
         ratios_ok &= all(r <= 0.5 for r in rep.ratios)
         # X-surrogate size of the nonlinear part u = w - S(t) u0
-        lin = u0.coeff * np.exp(1j * tr.times[:, None, None, None] * omega)
+        lin = u0.coeff * geo.phase(tr.times)
         sup_l = float(np.max(lqlp_norms(tr.coeff - lin, grid, npar)))
         quad_ratios.append(sup_l / eps ** 2)
         if eps == 1e-3:
@@ -331,13 +331,13 @@ def test_criterion_11_scattering():
         if rep.residuals[-2] <= rep.residuals[0] / 2:
             resid_ok += 1
     dt = time.time() - t0
-    ok = n_dec >= 0.9 * n_seeds and resid_ok == n_seeds and dt < 150.0
+    ok = n_dec >= 0.9 * n_seeds and resid_ok == n_seeds and dt < 105.0
     _line(11, "scattering", ok,
           f"strictly decreasing gaps {n_dec}/{n_seeds} (need >= 18); "
-          f"residual at t=4 <= first/2 in {resid_ok}/{n_seeds}; {dt:.0f}s (cap 150s)")
+          f"residual at t=4 <= first/2 in {resid_ok}/{n_seeds}; {dt:.0f}s (cap 105s)")
     assert n_dec >= 0.9 * n_seeds
     assert resid_ok == n_seeds
-    assert dt < 150.0
+    assert dt < 105.0
 
 
 def test_criterion_12_illposedness_growth():

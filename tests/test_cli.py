@@ -47,7 +47,7 @@ def test_make_data_sector_single_term(tmp_path, capsys):
     field = read_snapshot(f)
     expect = math.sqrt(2.0) * field.l2_norm()
     for label, val in json.loads(out)["lqlp_norms"].items():
-        assert val == pytest.approx(expect, rel=1e-9)
+        assert val == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_make_data_sector_negative_index(tmp_path):

@@ -65,7 +65,7 @@ def test_shell_partition_exact(grid_small, rng):
         acc += piece.coeff
         total += piece.l2_norm() ** 2
     assert np.array_equal(acc, u.coeff)                     # exact partition
-    assert total == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+    assert total == pytest.approx(u.l2_norm() ** 2, rel=1e-12, abs=0)
 
 
 def test_sector_membership_and_parseval(grid_small, rng):
@@ -77,12 +77,12 @@ def test_sector_membership_and_parseval(grid_small, rng):
 
     v = random_band_field(grid_small, rng, 0.0, 6.0, eta_max=6.0)
     masses = sector_masses(v)
-    assert sum(masses.values()) == pytest.approx(v.l2_norm() ** 2, rel=1e-12)
+    assert sum(masses.values()) == pytest.approx(v.l2_norm() ** 2, rel=1e-12, abs=0)
     # spot-check the addressing against explicit projections at one shell
     lam = 2.0
     shell_mass = dyadic_projection(v, lam).l2_norm() ** 2
     got = sum(m for (j, _, _), m in masses.items() if 2.0 ** j == lam)
-    assert got == pytest.approx(shell_mass, rel=1e-12)
+    assert got == pytest.approx(shell_mass, rel=1e-12, abs=0)
 
 
 def test_sector_projection_partition_of_shell(grid_small, rng):
@@ -93,14 +93,14 @@ def test_sector_projection_partition_of_shell(grid_small, rng):
     for key in sector_masses(shell):
         proj = sector_projection(v, key)
         acc += proj.l2_norm() ** 2
-    assert acc == pytest.approx(shell.l2_norm() ** 2, rel=1e-12)
+    assert acc == pytest.approx(shell.l2_norm() ** 2, rel=1e-12, abs=0)
 
 
 def test_lqlp_single_sector_bump(grid_small):
     f = sector_indicator_datum(grid_small, 2.0, (0, 0))
     expect = math.sqrt(2.0) * f.l2_norm()
     for q, p in ((math.inf, 2.0), (2.0, 1.0), (1.0, math.inf), (3.0, 1.5)):
-        assert lqlp_norm(f, NormParams(q=q, p=p)) == pytest.approx(expect, rel=1e-12)
+        assert lqlp_norm(f, NormParams(q=q, p=p)) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_lqlp_two_sector_ratio(grid_small):
@@ -111,7 +111,7 @@ def test_lqlp_two_sector_ratio(grid_small):
     u = SpectralField(grid_small, c, real_flag=False)
     n2 = lqlp_norm(u, NormParams(q=math.inf, p=2.0))
     n1 = lqlp_norm(u, NormParams(q=math.inf, p=1.0))
-    assert n2 / n1 == pytest.approx(2.0 ** -0.5, rel=1e-12)
+    assert n2 / n1 == pytest.approx(2.0 ** -0.5, rel=1e-12, abs=0)
 
 
 def test_lqlp_nesting_monotone(grid_small, rng):
@@ -153,8 +153,8 @@ def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
     masses = sector_masses(u)
     for key, m in masses.items():
         proj = sector_projection(u, key)
-        assert proj.l2_norm() ** 2 == pytest.approx(m, rel=1e-12)
-    assert sum(masses.values()) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+        assert proj.l2_norm() ** 2 == pytest.approx(m, rel=1e-12, abs=0)
+    assert sum(masses.values()) == pytest.approx(u.l2_norm() ** 2, rel=1e-12, abs=0)
     shells = np.array([j for (j, _, _) in masses])
     norms = np.sqrt(list(masses.values()))
     assert lqlp_norm(u, NormParams(q=q, p=p)) == _lqlp_reduce(shells, norms, q, p)[0]
@@ -212,7 +212,7 @@ def test_galilean_sector_mass_permutation(grid_small, rng):
     mv = sorted(np.round(np.sqrt(sorted(sector_masses(v).values())), 10))
     assert mu == mv
     npar = NormParams(q=2.0, p=1.5)
-    assert lqlp_norm(v, npar) == pytest.approx(lqlp_norm(u, npar), rel=1e-10)
+    assert lqlp_norm(v, npar) == pytest.approx(lqlp_norm(u, npar), rel=1e-10, abs=0)
     # and the sector indices shift by k -> k - c/lam at the top shell
     ku = {(j, k1, k2) for (j, k1, k2) in sector_masses(u) if 2.0 ** j == top}
     kv = {(j, k1, k2) for (j, k1, k2) in sector_masses(v) if 2.0 ** j == top}
@@ -295,7 +295,7 @@ def test_modulation_requires_uniform_grid(grid_mod):
 def test_xdot_b_zero_is_spacetime_l2(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=1.7)
     assert modulation_weighted_norm(tr, 0.0) == pytest.approx(
-        windowed_trace(tr).l2_spacetime(), rel=1e-12)
+        windowed_trace(tr).l2_spacetime(), rel=1e-12, abs=0)
 
 
 def test_xdot_linear_solution_small(grid_mod):
@@ -314,7 +314,7 @@ def test_xdot_shifted_line(grid_mod):
     u0_norm = tr.states[0].l2_norm()
     for b in (0.6, 0.9):
         val = modulation_weighted_norm(tr, b)
-        assert val == pytest.approx(abs(delta) ** b * u0_norm, rel=0.10)
+        assert val == pytest.approx(abs(delta) ** b * u0_norm, rel=0.10, abs=0)
 
 
 # ----------------------------------------------------------------------
@@ -345,8 +345,8 @@ def test_variation_single_jump(grid_mod):
     step = z.copy()
     step[1, 0, 0] = a / math.sqrt(V)
     tr = _pullback_trace_from_states(grid_mod, [z, step, step])
-    assert v2_variation_norm(tr) == pytest.approx(a, rel=1e-12)
-    assert u1_variation_norm(tr) == pytest.approx(a, rel=1e-12)
+    assert v2_variation_norm(tr) == pytest.approx(a, rel=1e-12, abs=0)
+    assert u1_variation_norm(tr) == pytest.approx(a, rel=1e-12, abs=0)
 
 
 def test_variation_staircase(grid_mod):
@@ -361,8 +361,8 @@ def test_variation_staircase(grid_mod):
             acc[1, i % 4, (i // 4) % 4] += a / math.sqrt(V)
         raw.append(acc)
     tr = _pullback_trace_from_states(grid_mod, raw)
-    assert v2_variation_norm(tr) == pytest.approx(a * math.sqrt(n - 1), rel=1e-10)
-    assert u1_variation_norm(tr) == pytest.approx(a * (n - 1), rel=1e-10)
+    assert v2_variation_norm(tr) == pytest.approx(a * math.sqrt(n - 1), rel=1e-10, abs=0)
+    assert u1_variation_norm(tr) == pytest.approx(a * (n - 1), rel=1e-10, abs=0)
 
 
 @settings(max_examples=25, deadline=None)

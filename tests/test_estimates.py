@@ -49,7 +49,7 @@ def test_resonance_parallel_slopes():
     p = ResonancePoint((x1, x2, x3), (e1, e2, e3), taus)
     assert resonance_identity_defect(p) <= 1e-12
     # and the third tau deviates from its line by exactly -3 xi1 xi2 xi3
-    assert taus[2] - w(x3, e3) == pytest.approx(-3 * x1 * x2 * x3, rel=1e-12)
+    assert taus[2] - w(x3, e3) == pytest.approx(-3 * x1 * x2 * x3, rel=1e-12, abs=0)
 
 
 def test_resonance_spec_example():
@@ -102,7 +102,7 @@ def test_circle_measure_symmetric_example():
     assert circle_measure_closed_form(cfg) == pytest.approx(math.pi / 2)
     val, geo = circle_measure_integral(cfg)
     assert not geo.degenerate
-    assert val == pytest.approx(math.pi / 2, rel=1e-6)
+    assert val == pytest.approx(math.pi / 2, rel=1e-6, abs=0)
 
 
 def test_circle_measure_random_ensemble():
@@ -216,6 +216,13 @@ def _direct_flow(u0, times):
     return np.fft.ifftn(c, axes=(1, 2, 3)).real * u0.coeff.size
 
 
+def _propagated_flow(u0, times):
+    """S(t) u0 sampled on the space grid, from apply_linear_propagator and a
+    full inverse transform."""
+    c = np.stack([apply_linear_propagator(u0, t).coeff for t in times])
+    return np.fft.ifftn(c, axes=(1, 2, 3)).real * u0.coeff.size
+
+
 def test_linear_flow_ratios_match_direct_evaluation():
     g = GridSpec(16, 8, 8, 4 * np.pi, 2 * np.pi, 2 * np.pi)
     u0 = random_band_field(g, member_rng(7, 0), 0.5, 3.0, eta_max=2.0)
@@ -229,19 +236,20 @@ def test_linear_flow_ratios_match_direct_evaluation():
         num = (T / n * np.sum(lq ** p)) ** (1 / p)
         den = math.sqrt(g.volume * np.sum((np.where(xi > 0, xi, 1.0) ** s
                                            * np.abs(u0.coeff)) ** 2))
-        assert strichartz_ratio(u0, p, q, T, n_time=n) == pytest.approx(num / den, rel=1e-12)
+        assert strichartz_ratio(u0, p, q, T, n_time=n) == pytest.approx(num / den, rel=1e-12,
+                                                                         abs=0)
     # the product ratio takes a band-separated pair: xi <= 1 against 1 < xi <= 2.5
     lo = random_band_field(g, member_rng(7, 0), 0.0, 1.0, eta_max=2.0)
     hi = random_band_field(g, member_rng(7, 1), 1.0, 2.5, eta_max=2.0)
     assert bilinear_lowhigh_ratio_transient(lo, hi, T) == pytest.approx(
-        _direct_product_ratio(lo, hi, T), rel=1e-12, abs=0)
+        _direct_product_ratio(lo, hi, T, _direct_flow), rel=1e-12, abs=0)
 
 
-def _direct_product_ratio(u0, v0, T):
-    """The low x high ratio from the full-grid product of _direct_flow samples."""
+def _direct_product_ratio(u0, v0, T, flow):
+    """The low x high ratio from the full-grid product of flow samples."""
     dV = u0.grid.volume / u0.coeff.size
     ts = np.concatenate([[0.0], np.geomspace(2e-3 * T, T, 17)])
-    pl = dV * np.sum((_direct_flow(u0, ts) * _direct_flow(v0, ts)) ** 2, axis=(1, 2, 3))
+    pl = dV * np.sum((flow(u0, ts) * flow(v0, ts)) ** 2, axis=(1, 2, 3))
     return (math.sqrt(np.sum(np.diff(ts) * (pl[1:] + pl[:-1]) / 2))
             / (u0.l2_norm() * v0.l2_norm()))
 
@@ -266,7 +274,11 @@ def test_band_limited_product_ratio_matches_full_grid(hx, h1, h2, lx, l1, l2, sm
     # low planes |kx| <= a against high planes b..top with a < b: the product
     # spans B = top - b + 2a + 1 planes, sampled on a B-point x-grid; B is
     # drawn smooth (2^i 3^j 5^k) or prime, so both FFT length families run.
-    # top + a < nx/2 keeps the full-grid oracle itself free of x-wrap.
+    # top + a < nx/2 keeps the full-grid oracle itself free of x-wrap.  The
+    # oracle takes the package's phase, so only the transforms and the band
+    # identity are compared: the symbol is pinned by the test above and by
+    # test_factored_phase_is_the_flow_phase, and where t|xi|^3 reaches 1e5-1e6
+    # one ulp of a phase argument written out another way exceeds rel=1e-13.
     g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
                  2 * np.pi * l2)
     sizes = [n for n in range(3, hx) if (_smooth(n) if smooth else _prime(n))]
@@ -279,7 +291,7 @@ def test_band_limited_product_ratio_matches_full_grid(hx, h1, h2, lx, l1, l2, sm
     v0 = random_band_field(g, rng, (b - 0.5) * g.dxi, (b + span + 0.5) * g.dxi)
     T = data.draw(st.floats(0.05, 2.0))
     assert bilinear_lowhigh_ratio_transient(u0, v0, T) == pytest.approx(
-        _direct_product_ratio(u0, v0, T), rel=1e-13, abs=0)
+        _direct_product_ratio(u0, v0, T, _propagated_flow), rel=1e-13, abs=0)
 
 
 def test_bilinear_ratio_refuses_overlapping_and_touching_bands():
@@ -363,7 +375,7 @@ def test_bilinear_ratio_scale_covariance():
     uh, vh = scaling_transform(u0, lam), scaling_transform(v0, lam)
     # the time grid dilates with the horizon
     scaled = bilinear_lowhigh_ratio_transient(uh, vh, T=2.0 / lam ** 3)
-    assert scaled / base == pytest.approx(lam, rel=1e-12)
+    assert scaled / base == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 def test_bilinear_mu_monotone_trend():
@@ -444,7 +456,7 @@ def test_weighted_pair_norm_constant_weight_reduction():
     ds = math.hypot(u.eta1[0] / u.xi[0] - v.eta1[0] / v.xi[0],
                     u.eta2[0] / u.xi[0] - v.eta2[0] / v.xi[0])
     plain = weighted_pair_norm(u, v, 0.0, T=2.0)  # weight |ds| only
-    assert got / plain == pytest.approx((lam + ds) / ds, rel=1e-6)
+    assert got / plain == pytest.approx((lam + ds) / ds, rel=1e-6, abs=0)
 
 
 def test_sector_gamma_sweep_slope():
@@ -454,7 +466,7 @@ def test_sector_gamma_sweep_slope():
     # ratio against the mu |Gamma|^{1/2} bound: doubling |Gamma| by 4 roughly
     # doubles the value
     assert rep.values[2] / rep.values[0] == pytest.approx(
-        math.sqrt(rep.xs[2] / rep.xs[0]), rel=0.35)
+        math.sqrt(rep.xs[2] / rep.xs[0]), rel=0.35, abs=0)
 
 
 def test_sector_gamma_rejected_config():

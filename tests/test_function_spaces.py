@@ -19,7 +19,7 @@ def test_sector_sum_p2_telescopes_to_shell_mass():
     d = AnalyticDatum()
     for lam in (0.25, 1.0, 4.0):
         s2 = gaussian_sector_sum(d, lam, 2.0)
-        assert s2 ** 2 == pytest.approx(gaussian_total_mass(d, lam), rel=1e-6)
+        assert s2 ** 2 == pytest.approx(gaussian_total_mass(d, lam), rel=1e-6, abs=0)
 
 
 def test_enumeration_vs_slope_integral_crossover():
@@ -28,7 +28,7 @@ def test_enumeration_vs_slope_integral_crossover():
     lam = 2.0 ** -4   # m_max ~ 1536: integral route
     a = gaussian_sector_sum(d, lam, 1.5, enumeration_limit=10 ** 9)
     b = gaussian_sector_sum(d, lam, 1.5, enumeration_limit=1)
-    assert a == pytest.approx(b, rel=2e-3)
+    assert a == pytest.approx(b, rel=2e-3, abs=0)
 
 
 def test_low_lambda_slopes():
@@ -87,8 +87,8 @@ def test_comb_floor_guard():
 def test_single_layer_pairing_closed_form():
     # deep layers pair to exactly 2 * the transverse constant
     expect = 2.0 * _pair_constant()
-    assert comb_layer_pairing(2.0 ** -7) == pytest.approx(expect, rel=1e-12)
-    assert comb_layer_pairing(2.0 ** -3) == pytest.approx(expect, rel=1e-12)
+    assert comb_layer_pairing(2.0 ** -7) == pytest.approx(expect, rel=1e-12, abs=0)
+    assert comb_layer_pairing(2.0 ** -3) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_comb_pairing_growth():

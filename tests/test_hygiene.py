@@ -1,6 +1,7 @@
 """Static hygiene of the package source: no unused imports, no dead private
 module-level names, no value no production caller sets, no field no caller
-reads, no scipy outside spaces-lab."""
+reads, no scipy outside spaces-lab; and of the tests: no relative approx
+with an unstated absolute tolerance."""
 
 import ast
 import os
@@ -143,6 +144,18 @@ def test_every_dataclass_field_is_read():
               for field in node.body if isinstance(field, ast.AnnAssign)
               and field.target.id not in read]
     assert unread == []
+
+
+def test_every_relative_approx_states_abs():
+    # pytest.approx(x, rel=r) also accepts any gap below its default abs=1e-12,
+    # which for values under 1e-12/r is wider than the stated r
+    unstated = [f"{path.name}:{node.lineno}"
+                for path in sorted((_SRC.parents[1] / "tests").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "approx"
+                and "rel" in (keys := {k.arg for k in node.keywords}) and "abs" not in keys]
+    assert unstated == []
 
 
 def test_cli_and_benchmark_imports_leave_scipy_unloaded():

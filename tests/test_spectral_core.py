@@ -111,6 +111,34 @@ def test_omega_is_exactly_odd(hx, h1, h2, lx, l1, l2):
     assert np.all((geo.omega + geo.omega[geo.reverse])[geo.structural] == 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.floats(-10.0, 10.0), st.data())
+def test_factored_phase_is_the_flow_phase(hx, h1, h2, lx, l1, l2, t, data):
+    # exp(i t xi^3) exp(-i t eta1 s1) exp(-i t eta2 s2) against exp(i t w) on
+    # the structural modes, within 8 ulp of the arguments' size; Hermitian,
+    # 1 at t = 0 and on any selection the same entries, all to the bit
+    g = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                 2 * np.pi * l2)
+    geo = grid_geometry(g)
+    ph, on = geo.phase(t), geo.structural
+    xi = np.abs(np.where(geo.xi != 0, geo.xi, 1.0))
+    size = np.abs(t) * (xi ** 3 + (geo.eta1 ** 2 + geo.eta2 ** 2) / xi)
+    gap = np.abs(ph - np.exp(1j * t * geo.omega))
+    assert np.all((gap <= 8 * np.finfo(float).eps * np.maximum(1.0, size))[on])
+    assert np.array_equal(ph[geo.reverse][on], np.conjugate(ph)[on])
+    assert np.all(geo.phase(0.0) == 1.0)
+    # the solver's box, and _flow_samples' occupied planes by eta2 half or all
+    assert np.array_equal(geo.phase(t, *geo.box), ph[geo.box])
+    planes = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=g.modes_x,
+                                               max_size=g.modes_x)))
+    for k2 in (g.modes_y2 // 2 + 1, g.modes_y2):
+        assert np.array_equal(geo.phase(t, planes, k2=slice(k2)), ph[planes][:, :, :k2])
+    ts = [t, 0.5 * t, -t]
+    assert np.array_equal(geo.phase(ts), np.stack([geo.phase(s) for s in ts]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
        st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0))

@@ -2,6 +2,7 @@
 another one, and compare what each command prints and writes.
 
     python3 tools/same_results.py --parent DIR [--corpus CORPUS_DIR]
+    python3 tools/same_results.py --parent DIR --criteria
 
 DIR is a checkout of another revision; its package is DIR/src/kplab.  The
 corpus is a directory holding `commands.txt`, one `kplab` command line per
@@ -20,6 +21,13 @@ or a `.json` file) or `.csv` file of the same shape on both sides is
 followed by the largest ulp distance per numeric key that moved, e.g.
 `stdout [slope 3 ulp, values 1 ulp]`; a JSON key is its path of object
 keys joined by dots, a CSV key its column, and list entries share a key.
+
+With --criteria the tool runs `pytest -s tests/test_acceptance.py` in each
+tree instead (PYTHONPATH set to that tree's `src`) and compares the printed
+ACCEPTANCE lines one by one, with every wall time (`12.3s (cap 20s)`) masked
+and the caps kept.  A differing line is printed with the parent's text and
+this tree's; a different pytest exit code or number of lines also differs.
+
 The exit code is 1 on any difference and 2 on an unusable argument.
 """
 
@@ -29,6 +37,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -44,6 +53,7 @@ import time
 _HERE = pathlib.Path(__file__).resolve().parent
 _TREE = _HERE.parent
 _WALL = re.compile(rb'("wall_clock_s":\s*)[^,\n}]*')
+_SECONDS = re.compile(r"\b\d+(?:\.\d+)?s \(cap ")
 
 
 def _masked(raw: bytes) -> bytes:
@@ -154,6 +164,29 @@ def run_tree(tree: pathlib.Path, corpus: pathlib.Path, commands: list,
     return results
 
 
+def acceptance_lines(tree: pathlib.Path) -> tuple:
+    """(pytest exit code, ACCEPTANCE lines with wall times masked) of the
+    acceptance suite of `tree`."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
+                           "tests/test_acceptance.py"], cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return proc.returncode, [_SECONDS.sub("<wall>s (cap ", line[line.index("ACCEPTANCE"):])
+                             for line in proc.stdout.splitlines() if "ACCEPTANCE" in line]
+
+
+def compare_criteria(parent: pathlib.Path) -> int:
+    (pcode, theirs), (code, ours) = map(acceptance_lines, (parent, _TREE))
+    n_diff = int(code != pcode)
+    if n_diff:
+        print(f"DIFFERS  pytest exit {pcode} -> {code}")
+    for here, there in itertools.zip_longest(ours, theirs, fillvalue="<no line>"):
+        n_diff += here != there
+        print(f"identical  {here}" if here == there
+              else f"DIFFERS\n  parent: {there}\n  here:   {here}")
+    print(f"{len(ours)} ACCEPTANCE lines here, {len(theirs)} in the parent: {n_diff} differ")
+    return 1 if n_diff else 0
+
+
 def compare(ours, theirs) -> list:
     """What differs between two results of one command (empty if nothing)."""
     (code, out, err, files, _), (pcode, pout, perr, pfiles, _) = ours, theirs
@@ -177,10 +210,14 @@ def main(argv=None) -> int:
                     help="tree to compare with (its package under DIR/src)")
     ap.add_argument("--corpus", type=pathlib.Path, default=_HERE / "corpus",
                     help="corpus directory (default: tools/corpus)")
+    ap.add_argument("--criteria", action="store_true",
+                    help="compare the acceptance suite's ACCEPTANCE lines instead")
     args = ap.parse_args(argv)
     if not (args.parent / "src" / "kplab").is_dir():
         print(f"error: {args.parent} holds no src/kplab", file=sys.stderr)
         return 2
+    if args.criteria:
+        return compare_criteria(args.parent.resolve())
     commands = read_corpus(args.corpus)
     with tempfile.TemporaryDirectory() as scratch:
         runs = {}
