@@ -6,7 +6,7 @@ The frequency plane (xi != 0) is tiled twice over:
 * inside each shell, slope sectors keyed by (j, k1, k2), lam = 2^j and k
   in Z^2, holding the modes with eta/xi - lam*k in the half-open box
   [-lam/2, lam/2)^2 (`sector_key`, labelled once per grid by
-  `grid_geometry`).
+  `grid_geometry(grid).sector` from per-axis tables).
 
 Half-open membership makes both tilings exact partitions, so squared L^2
 masses are additive across shells and sectors to machine precision.
@@ -97,55 +97,56 @@ def sector_projection(u: SpectralField, key: tuple) -> SpectralField:
     """Keep coefficients in sector key = (j, k1, k2) of grid_geometry(grid).sector:
     shell 2^j <= |xi| < 2^(j+1), slope box 2^j (k + [-1/2, 1/2)^2)."""
     geo = grid_geometry(u.grid)
-    j, m1, m2 = geo.sector
-    keep = (j == key[0]) & (m1 == key[1]) & (m2 == key[2]) & (geo.xi != 0)
-    out = np.where(keep, u.coeff, 0.0)
-    return SpectralField(u.grid, out, u.real_flag)
+    id1, id2, keys = geo.sector
+    keep = np.all(keys(id1 + id2) == np.reshape(key, (3, 1, 1, 1)), axis=0) & (geo.xi != 0)
+    return SpectralField(u.grid, np.where(keep, u.coeff, 0.0), u.real_flag)
 
 
-def sector_sums(j, m1, m2, mass):
-    """Sector keys (j, m1, m2) (arrays broadcast together) as a (3, n) array in
-    order of first occurrence, and each row of `mass` (rows shaped like the
-    keys) totalled per key in input order, as a (rows, n) array."""
-    cols = [c.ravel() for c in np.broadcast_arrays(j, m1, m2)]
-    code = np.ravel_multi_index([c - c.min() for c in cols],
-                                [int(np.ptp(c)) + 1 for c in cols])
-    _, first, label = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rows = np.reshape(mass, (-1, code.size))
-    at = label.reshape(-1) + order.size * np.arange(len(rows))[:, None]
-    sums = np.bincount(at.ravel(), weights=rows.ravel()).reshape(len(rows), -1)
-    return np.stack([c[first[order]] for c in cols]), sums[:, order]
+def _sector_sums(keys, ids: np.ndarray, mass):
+    """keys (of sector_labels) of the sectors that `ids` (one per point) meet,
+    as (3, n) in order of first occurrence, and each row of the (rows, points)
+    `mass` totalled per key in point order, as (rows, n): no sort."""
+    pos = np.arange(ids.size)
+    first = np.full(ids.max(initial=-1) + 1, ids.size)
+    np.minimum.at(first, ids, pos)
+    order = ids[first[ids] == pos]
+    first[order] = np.arange(order.size)          # id -> column
+    at = first[ids] + order.size * np.arange(len(mass))[:, None]
+    sums = np.bincount(at.ravel(), weights=mass.ravel())
+    return keys(order), sums.reshape(len(mass), order.size)
 
 
 def _sector_mass_rows(stack: np.ndarray, grid: GridSpec):
-    """sector_sums of the squared L^2 masses of an (n, *grid.shape) stack,
+    """_sector_sums of the squared L^2 masses of an (n, *grid.shape) stack,
     keyed over the union support of its rows."""
     stack = np.reshape(stack, (-1,) + grid.shape)
     flat = np.flatnonzero(np.any(stack, axis=0))
-    if flat.size == 0:
-        return np.zeros((3, 0), dtype=np.int64), np.zeros((len(stack), 0))
-    if flat[0] < stack[0, 0].size:   # the xi = 0 plane comes first in C order
+    if flat.size and flat[0] < stack[0, 0].size:   # the xi = 0 plane comes first
         raise DomainError("field has content on the xi = 0 plane, which lies in no sector")
-    i, a, b = np.unravel_index(flat, grid.shape)
-    j, m1, m2 = grid_geometry(grid).sector
-    return sector_sums(j[i, 0, 0], m1[i, a, 0], m2[i, 0, b],
-                       grid.volume * np.abs(stack.reshape(len(stack), -1)[:, flat]) ** 2)
+    (id1, id2, keys), (n1, n2) = grid_geometry(grid).sector, grid.shape[1:]
+    q = flat // n2                        # i n1 + a, and i n2 + b below: no full-grid label
+    return _sector_sums(keys, id1.take(q) + id2.take(q // n1 * n2 + flat - q * n2),
+                        grid.volume * np.abs(stack.reshape(len(stack), -1).take(flat, 1)) ** 2)
 
 
 def sector_masses(u: SpectralField) -> dict:
-    """Squared L^2 mass per occupied sector, keyed by (j, k1, k2); an
-    exact partition, so the values sum to the squared L^2 norm of the field."""
+    """Squared L^2 mass per occupied sector, keyed by (j, k1, k2) in C order of
+    first occurrence; an exact partition, summing to the squared L^2 norm."""
     keys, sums = _sector_mass_rows(u.coeff, u.grid)
     return dict(zip(map(tuple, keys.T.tolist()), sums[0].tolist()))
 
 
-def _lp_reduce(values: np.ndarray, p: float, measure: float = 1.0) -> float:
-    """(measure * sum values^p)^{1/p}, the max at p = inf: the one l^p / L^p
-    reduction of nonnegative samples (measure = cell size for L^p)."""
+def _lp_reduce(values, p: float, measure=1.0) -> np.ndarray:
+    """(sum measure * values^p)^{1/p} along the last axis, the max at p = inf:
+    the one l^p / L^p reduction of nonnegative samples (measure = the cell
+    size, or an array of quadrature weights, for L^p)."""
+    values = np.ascontiguousarray(values, dtype=float)   # rows sum as 1-D rows do
     if p == math.inf:
-        return float(np.max(values)) if values.size else 0.0
-    return float((measure * np.sum(values ** p)) ** (1.0 / p))
+        return np.max(values, axis=-1, initial=0.0)
+    powers = values ** p
+    total = np.sum(measure * powers, -1) if np.ndim(measure) else measure * np.sum(powers, -1)
+    # the root as a scalar power rounds it (libm); numpy's array power may not
+    return np.reshape([t ** (1.0 / p) for t in np.ravel(total).tolist()], np.shape(total))
 
 
 def _gl_nodes(rule, lo, hi):
@@ -161,10 +162,10 @@ def _lqlp_reduce(j, values, q: float, p: float) -> np.ndarray:
     """The one l^q l^p reduction: (sum_j (2^{j/2} ||a_j||_p)^q)^{1/q} per row of
     `values`, max at p or q = inf, where a_j holds the row's entries in columns
     of shell j (sector norms, or l^p norms of disjoint groups of sectors)."""
-    values = np.atleast_2d(values)
-    shells = [(math.sqrt(2.0 ** s), values[:, j == s]) for s in np.unique(j).tolist()]
-    return np.array([_lp_reduce(np.array([w * _lp_reduce(a[r], p) for w, a in shells]), q)
-                     for r in range(len(values))])
+    values, j = np.atleast_2d(values), np.asarray(j)
+    shells = np.flatnonzero(np.bincount(j - j.min(initial=0))) + j.min(initial=0)   # no sort
+    norms = [math.sqrt(2.0 ** s) * _lp_reduce(values[:, j == s], p) for s in shells.tolist()]
+    return _lp_reduce(np.reshape(norms, (-1, len(values))).T, q)
 
 
 def lqlp_norms(stack: np.ndarray, grid: GridSpec, np_: NormParams) -> np.ndarray:

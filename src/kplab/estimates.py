@@ -429,9 +429,9 @@ def strichartz_ratio(u0: SpectralField, p: float, q: float, T: float,
     dV = g.volume / u0.coeff.size
     dt = T / n_time
     times = (np.arange(n_time) + 0.5) * dt  # midpoint rule in t
-    vals = np.array([_lp_reduce(np.abs(ph), q, dV)
+    vals = np.array([_lp_reduce(np.abs(ph).ravel(), q, dV)
                      for ph in _flow_samples(u0, times, g.modes_x, 0)])
-    return _lp_reduce(vals, p, dt) / denom
+    return float(_lp_reduce(vals, p, dt)) / denom
 
 
 # ----------------------------------------------------------------------

@@ -80,29 +80,17 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
         G = _eta_window(np.outer(xi * lam, ms - 0.5),
                         np.outer(xi * lam, ms + 0.5))       # (n_xi, n_m)
         M = (G * base[:, None]).T @ G                       # (n_m, n_m) masses
-        return _lp_reduce(np.sqrt(np.maximum(M, 0.0)), p)
-    # slope-integral route: v = slope/lam, radial
-    def mass_at(v1, v2):
-        a1 = _eta_window(xi * lam * (v1 - 0.5), xi * lam * (v1 + 0.5))
-        a2 = _eta_window(xi * lam * (v2 - 0.5), xi * lam * (v2 + 0.5))
-        return np.sum(base * a1 * a2)
-
-    vmax = 8.0 / lam ** 2
-    n_v = 160
-    v, wv = _gl_nodes(np.polynomial.legendre.leggauss(n_v), 0.0, vmax)  # radial half-line
-    # radial reduction: integrate mass(v,0)^{p/2}-profile over the plane.
-    # masses are separable windows, not exactly radial; sample on rays and
-    # average over the angle with an 8-point rule (windows vary slowly).
+        return float(_lp_reduce(np.sqrt(np.maximum(M, 0.0)).ravel(), p))
+    # slope-integral route in v = slope/lam: masses are separable windows, not
+    # radial, so each ring of radius v averages rays of one octant
+    v, wv = _gl_nodes(np.polynomial.legendre.leggauss(160), 0.0, 8.0 / lam ** 2)
     nang = 8
-    angs = (np.arange(nang) + 0.5) * (math.pi / 4) / nang   # one octant
-    total = 0.0
-    for i, vi in enumerate(v):
-        ring = 0.0
-        for a in angs:
-            ring += mass_at(vi * math.cos(a), vi * math.sin(a)) ** (p / 2.0)
-        ring /= nang
-        total += wv[i] * 2.0 * math.pi * vi * ring
-    return float(total ** (1.0 / p))
+    angs = (np.arange(nang) + 0.5) * (math.pi / 4) / nang
+    a1, a2 = (_eta_window(xi * lam * (c - 0.5), xi * lam * (c + 0.5))
+              for c in (v[:, None, None] * f(angs)[:, None] for f in (np.cos, np.sin)))
+    mass = np.sum(base * a1 * a2, axis=-1)                  # (n_v, nang)
+    ring = np.repeat(wv * 2.0 * math.pi * v / nang, nang)
+    return float(_lp_reduce(np.sqrt(mass).ravel(), p, ring))
 
 
 def gaussian_total_mass(d: AnalyticDatum, lam: float) -> float:
@@ -190,7 +178,7 @@ def comb_norm(mu: float, p: float) -> float:
     count = a + 1   # shells 2^-2a .. 2^-a
     weight = abs(math.log(mu)) ** (-1.0 / p)
     vals = np.full(count, comb_shell_value(1.0))    # scale-free: all equal 1
-    return weight * _lp_reduce(vals, p)
+    return weight * float(_lp_reduce(vals, p))
 
 
 @cache

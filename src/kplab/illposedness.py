@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _gl_nodes, _lp_reduce, _lqlp_reduce, sector_sums
+from .decomposition import _gl_nodes, _lp_reduce, _lqlp_reduce, _sector_sums
 from .errors import (AccuracyError, ConfigurationError, DomainError,
                      PreconditionError)
 from .reporting import fit_loglog_slope
 from .solver import _composite_weights
 from .spectral import (dispersion_symbol, dyadic_exponent, require_power_of_two,
-                       sector_key)
+                       sector_key, sector_labels)
 
 
 @dataclass(frozen=True)
@@ -121,23 +121,15 @@ def _box_sector_lp(box: FrequencyBox, p: float) -> float:
         hi = np.minimum(np.outer(xi, lam * (ms + 0.5)), ehi)
         ov = np.maximum(hi - lo, 0.0)                       # (n_xi, n_m)
         mass = box.amplitude ** 2 * np.einsum("x,xa,xb->ab", wxi, ov, ov)
-        return _lp_reduce(np.sqrt(mass), p)
+        return float(_lp_reduce(np.sqrt(mass).ravel(), p))
     # many sectors: slope-integral route
     s, ws = _gl_nodes(np.polynomial.legendre.leggauss(240), slo, shi)
     lo1 = np.maximum(xlo, elo / s)
     hi1 = np.minimum(xhi, ehi / s)
-    acc = 0.0
-    mx = 0.0
-    for i in range(s.size):
-        lo = np.maximum(lo1[i], lo1)
-        hi = np.minimum(hi1[i], hi1)
-        integ = np.where(hi > lo, (hi ** 3 - lo ** 3) / 3.0, 0.0)
-        mass = box.amplitude ** 2 * lam ** 2 * integ
-        acc += ws[i] * np.sum(ws * mass ** (p / 2.0))
-        mx = max(mx, float(np.max(mass)))
-    if p == math.inf:
-        return math.sqrt(mx)
-    return float((acc / lam ** 2) ** (1.0 / p))
+    lo, hi = np.maximum.outer(lo1, lo1), np.minimum.outer(hi1, hi1)
+    integ = np.where(hi > lo, (hi ** 3 - lo ** 3) / 3.0, 0.0)
+    mass = box.amplitude ** 2 * lam ** 2 * integ
+    return float(_lp_reduce(np.sqrt(mass).ravel(), p, np.outer(ws, ws).ravel() / lam ** 2))
 
 
 def box_lqlp_norm(boxes, q: float, p: float) -> float:
@@ -306,9 +298,10 @@ def cross_term_norm(ip: IllposedParams, result: CrossTermResult, p: float) -> fl
     lam^{1/2}-weighted L^2 mass, but mixed-sector supports are handled.
     """
     xo = result.xi_nodes[:, None, None]
-    key = sector_key(xo, result.eta_nodes[None, :, None] / xo,
-                     result.eta_nodes[None, None, :] / xo)
-    keys, sums = sector_sums(*key, result.weights * np.abs(result.closed) ** 2)
+    id1, id2, keys = sector_labels(*sector_key(xo, result.eta_nodes[None, :, None] / xo,
+                                               result.eta_nodes[None, None, :] / xo))
+    keys, sums = _sector_sums(keys, (id1 + id2).ravel(),
+                              np.reshape(result.weights * np.abs(result.closed) ** 2, (1, -1)))
     box1, box2 = two_bump_datum(ip, p)
     return (box1.amplitude * box2.amplitude
             * float(_lqlp_reduce(keys[0], np.sqrt(sums), math.inf, p)[0]))

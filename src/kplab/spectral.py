@@ -146,6 +146,23 @@ def sector_key(xi, s1, s2):
     return (j, *(np.where(x < k - 0.5, k - 1, k).astype(np.int64) for x, k in zip(t, m)))
 
 
+def sector_labels(j, m1, m2) -> tuple:
+    """(id1, id2, keys) of sector keys given per axis as sector_key gives them on
+    an open mesh: point (i, a, b) lies in sector id1[i, a, 0] + id2[i, 0, b], and
+    keys(ids) decodes ids.  Ranking the distinct (j, m1) and (j, m2) pairs, id1 =
+    rank1 N2 and id2 = rank2 give distinct keys distinct ids below N1 N2."""
+    def rank(m):
+        lo, span = np.array([[j.min()], [m.min()]]), int(np.ptp(m)) + 1
+        pairs, r = np.unique((j - lo[0]) * span + m - lo[1], return_inverse=True)
+        return r.reshape(m.shape), np.stack(np.divmod(pairs, span)) + lo
+    (r1, pairs1), (r2, pairs2) = rank(m1), rank(m2)
+    n2 = pairs2.shape[1]
+
+    def keys(ids):
+        return np.stack([*pairs1[:, ids // n2], pairs2[1, ids % n2]])
+    return _read_only(r1 * n2), _read_only(r2), keys
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -153,7 +170,7 @@ def _read_only(a):
 
 @dataclass(frozen=True, eq=False)
 class GridGeometry:
-    """Read-only per-grid meshes, masks and sector keys (see grid_geometry).
+    """Read-only per-grid meshes, masks and sector labels (see grid_geometry).
 
     xi, eta1, eta2 broadcast as (nx,1,1), (1,n1,1), (1,1,n2); the slopes
     s1 = eta1/xi and s2 = eta2/xi as (nx,n1,1) and (nx,1,n2).  On the
@@ -210,10 +227,9 @@ class GridGeometry:
 
     @cached_property
     def sector(self) -> tuple:
-        """sector_key (j, m1, m2) shaped like (xi, s1, s2); meaningless on the
-        xi = 0 plane, which lies in no sector."""
-        return tuple(_read_only(a) for a in
-                     sector_key(np.where(self.xi != 0, self.xi, 1.0), self.s1, self.s2))
+        """sector_labels (id1, id2, keys) of every mode's sector_key; meaningless
+        on the xi = 0 plane, which lies in no sector."""
+        return sector_labels(*sector_key(np.where(self.xi != 0, self.xi, 1.0), self.s1, self.s2))
 
 
 @lru_cache(maxsize=8)

@@ -18,7 +18,7 @@ from kplab.decomposition import (NormParams, SpaceTimeTrace,
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             dispersion_symbol, dyadic_exponent, galilean_shift,
-                            sector_key)
+                            grid_geometry, sector_key)
 
 
 def test_shell_membership(grid_small):
@@ -158,6 +158,39 @@ def test_sector_masses_partition_property(hx, h1, h2, lx, l1, l2, seed, q, p):
     shells = np.array([j for (j, _, _) in masses])
     norms = np.sqrt(list(masses.values()))
     assert lqlp_norm(u, NormParams(q=q, p=p)) == _lqlp_reduce(shells, norms, q, p)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.integers(0, 2 ** 31 - 1))
+@example(4, 4, 6, 0.3, 1.0, 1.5, 0)   # eta2/xi stored 1 ulp below a box edge
+def test_sector_labels_decode_and_keep_first_occurrence_order(hx, h1, h2, lx, l1, l2, seed):
+    # every structural mode's id decodes to its sector_key, distinct keys get
+    # distinct ids, and sector_masses equals a sorting oracle bit for bit, in
+    # key order (first occurrence in C order, as `norms --format csv` prints)
+    grid = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                    2 * np.pi * l2)
+    geo = grid_geometry(grid)
+    id1, id2, keys = geo.sector
+    ids = id1 + id2
+    key = np.stack([np.broadcast_to(k, grid.shape) for k in sector_key(
+        np.where(geo.xi != 0, geo.xi, 1.0), geo.s1, geo.s2)])
+    assert np.array_equal(keys(ids[geo.structural]), key[:, geo.structural])
+    assert 0 <= ids.min() and ids.max() < np.unique(id1).size * np.unique(id2).size
+    assert (np.unique(ids[geo.structural]).size
+            == np.unique(key[:, geo.structural], axis=1).shape[1])
+
+    u = random_band_field(grid, np.random.default_rng(seed), 0.0, grid.xi_max())
+    flat = np.flatnonzero(u.coeff)
+    cols = key.reshape(3, -1)[:, flat]
+    code = np.ravel_multi_index([c - c.min() for c in cols], [int(np.ptp(c)) + 1 for c in cols])
+    _, first, label = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    sums = np.bincount(label, weights=grid.volume * np.abs(u.coeff.ravel()[flat]) ** 2)
+    masses = sector_masses(u)
+    assert list(masses) == list(map(tuple, cols[:, first[order]].T.tolist()))
+    assert list(masses.values()) == sums[order].tolist()
 
 
 @settings(max_examples=30, deadline=None)

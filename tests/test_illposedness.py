@@ -90,6 +90,18 @@ def test_box_lqlp_p2_matches_l2():
     assert val == pytest.approx(math.sqrt(lam_shell) * b1.l2_norm(), rel=1e-3, abs=0)
 
 
+@pytest.mark.parametrize("lam", [8.0, 32.0, 64.0])
+def test_box_lqlp_sup_is_a_whole_xi_range(lam):
+    # p = q = inf on the slope-integral route (3585 to 1.8 M sectors): a
+    # sector inside the box holds its whole xi-range, so the sup is the
+    # weighted mass 2^{3j/2} amp sqrt((xi_hi^3 - xi_lo^3) / 3), to the bit
+    b1, _ = two_bump_datum(IllposedParams(lam ** -2, lam), 3.0)
+    j = math.floor(math.log2(b1.xi_range[0]))
+    xlo, xhi = b1.xi_range
+    expect = 2.0 ** (1.5 * j) * b1.amplitude * math.sqrt((xhi ** 3 - xlo ** 3) / 3)
+    assert box_lqlp_norm([b1], math.inf, math.inf) == expect
+
+
 def test_resonance_function_values():
     # parallel slopes: R = -3 xi xi1 (xi - xi1)
     xi, xi1 = 3.0, 1.0
