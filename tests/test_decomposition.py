@@ -194,6 +194,29 @@ def test_sector_labels_decode_and_keep_first_occurrence_order(hx, h1, h2, lx, l1
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.integers(4, 16), st.integers(4, 16), st.integers(4, 16),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0))
+@example(4, 4, 6, 0.3, 1.0, 1.5)   # eta2/xi stored 1 ulp below a box edge
+@example(5, 7, 9, 1.0, 1.0, 1.0)   # n/2 odd on every axis
+def test_mirror_modes_share_a_sector_and_box_weights_count_active_modes(hx, h1, h2,
+                                                                       lx, l1, l2):
+    # the partition identities a norm on the solver box rests on: a mode and
+    # its Hermitian mirror -k lie in one sector (|xi| and eta/xi are unchanged),
+    # and weight 2 on k2 > 0 (the mode and its mirror on k2 < 0) and 1 on the
+    # k2 = 0 column (which holds both) counts every active mode once
+    grid = GridSpec(2 * hx, 2 * h1, 2 * h2, 2 * np.pi * lx, 2 * np.pi * l1,
+                    2 * np.pi * l2)
+    geo = grid_geometry(grid)
+    id1, id2, _ = geo.sector
+    ids = id1 + id2
+    assert np.array_equal(ids[geo.reverse][geo.structural], ids[geo.structural])
+    box = geo.box
+    weight = np.broadcast_to(np.where(box[2] > 0, 2, 1),
+                             np.broadcast_shapes(*(b.shape for b in box)))
+    assert weight.sum() == geo.active.sum()
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.integers(4, 16), st.integers(4, 12), st.integers(4, 12),
        st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
        st.integers(0, 2 ** 31 - 1),
