@@ -102,6 +102,9 @@ def sector_projection(u: SpectralField, key: tuple) -> SpectralField:
     return SpectralField(u.grid, np.where(keep, u.coeff, 0.0), u.real_flag)
 
 
+_ALL_MODES = (slice(None),) * 3   # the whole grid as a selection of modes
+
+
 def _sector_sums(keys, ids: np.ndarray, mass):
     """keys (of sector_labels) of the sectors that `ids` (one per point) meet,
     as (3, n) in order of first occurrence, and each row of the (rows, points)
@@ -116,23 +119,29 @@ def _sector_sums(keys, ids: np.ndarray, mass):
     return keys(order), sums.reshape(len(mass), order.size)
 
 
-def _sector_mass_rows(stack: np.ndarray, grid: GridSpec):
-    """_sector_sums of the squared L^2 masses of an (n, *grid.shape) stack,
-    keyed over the union support of its rows."""
-    stack = np.reshape(stack, (-1,) + grid.shape)
-    flat = np.flatnonzero(np.any(stack, axis=0))
-    if flat.size and flat[0] < stack[0, 0].size:   # the xi = 0 plane comes first
+def _sector_mass_rows(stack: np.ndarray, grid: GridSpec, modes: tuple, measure):
+    """_sector_sums of the squared L^2 masses measure |c|^2 of an (n, *selection)
+    stack on the selection `modes` of grid (per-axis slices, or an open mesh like
+    `box`, in index order: the xi = 0 plane, if selected, comes first), keyed over
+    the union support of its rows; measure is the cell size or an array
+    broadcasting to the selection."""
+    rows = np.reshape(stack, (-1,) + np.shape(stack)[-3:])
+    flat, (s1, s2) = np.flatnonzero(np.any(rows, axis=0)), rows.shape[2:]
+    geo, (ix, i1, i2) = grid_geometry(grid), modes
+    if flat.size and flat[0] < s1 * s2 and np.ravel(geo.xi[ix, 0, 0])[0] == 0:
         raise DomainError("field has content on the xi = 0 plane, which lies in no sector")
-    (id1, id2, keys), (n1, n2) = grid_geometry(grid).sector, grid.shape[1:]
-    q = flat // n2                        # i n1 + a, and i n2 + b below: no full-grid label
-    return _sector_sums(keys, id1.take(q) + id2.take(q // n1 * n2 + flat - q * n2),
-                        grid.volume * np.abs(stack.reshape(len(stack), -1).take(flat, 1)) ** 2)
+    id1, id2, keys = geo.sector
+    q = flat // s2                        # i s1 + a, and i s2 + b below: no label per mode
+    ids = id1[ix, i1, 0].take(q) + id2[ix, 0, i2].take(q // s1 * s2 + flat - q * s2)
+    if np.ndim(measure):
+        measure = np.broadcast_to(measure, rows.shape[1:]).take(flat)
+    return _sector_sums(keys, ids, measure * np.abs(rows.reshape(len(rows), -1).take(flat, 1)) ** 2)
 
 
 def sector_masses(u: SpectralField) -> dict:
     """Squared L^2 mass per occupied sector, keyed by (j, k1, k2) in C order of
     first occurrence; an exact partition, summing to the squared L^2 norm."""
-    keys, sums = _sector_mass_rows(u.coeff, u.grid)
+    keys, sums = _sector_mass_rows(u.coeff, u.grid, _ALL_MODES, u.grid.volume)
     return dict(zip(map(tuple, keys.T.tolist()), sums[0].tolist()))
 
 
@@ -168,9 +177,14 @@ def _lqlp_reduce(j, values, q: float, p: float) -> np.ndarray:
     return _lp_reduce(np.reshape(norms, (-1, len(values))).T, q)
 
 
-def lqlp_norms(stack: np.ndarray, grid: GridSpec, np_: NormParams) -> np.ndarray:
-    """lqlp_norm of each row of an (n, *grid.shape) stack, labelled once for all rows."""
-    keys, masses = _sector_mass_rows(stack, grid)
+def lqlp_norms(stack: np.ndarray, grid: GridSpec, np_: NormParams, modes: tuple = _ALL_MODES,
+               measure=None) -> np.ndarray:
+    """lqlp_norm of each row of an (n, *selection) stack on the selection `modes`
+    of grid (all modes by default), labelled once for all rows; a mode's squared
+    mass is measure |c|^2, with measure grid.volume by default (see
+    _sector_mass_rows)."""
+    keys, masses = _sector_mass_rows(stack, grid, modes,
+                                     grid.volume if measure is None else measure)
     return _lqlp_reduce(keys[0], np.sqrt(masses), np_.q, np_.p)
 
 
@@ -267,40 +281,43 @@ def pullback_states(tr: SpaceTimeTrace) -> np.ndarray:
     return out
 
 
-def _increment_matrix(tr: SpaceTimeTrace) -> np.ndarray:
-    """d[i, j] = L^2 distance between pullback samples i and j."""
-    g = pullback_states(tr).reshape(tr.times.size, -1)
-    gram = (g @ np.conj(g.T)).real * tr.grid.volume
+def _increment_matrix(pull: np.ndarray, measure) -> np.ndarray:
+    """d[i, j] = L^2 distance between rows i and j of a pullback stack, a mode's
+    squared mass being measure |c|^2 (the cell size, or an array broadcasting to
+    a row)."""
+    n = len(pull)
+    gram = ((pull * measure).reshape(n, -1) @ np.conj(pull.reshape(n, -1).T)).real
     diag = np.diag(gram)
     d2 = diag[:, None] + diag[None, :] - 2 * gram
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def v2_variation_norm(tr: SpaceTimeTrace) -> float:
-    """Two-variation of the pullback over all sub-partitions of the sample
-    grid: maximum-weight-path dynamic programming in O(N^2) pairs.
+def v2_variation_norm(pull: np.ndarray, measure) -> float:
+    """Two-variation of a pullback stack (a trace's `pullback_states` with its
+    cell size as measure) over all sub-partitions of the sample grid:
+    maximum-weight-path dynamic programming in O(N^2) pairs.
 
     Finite sampling only refines so far; the value is a lower bound for the
     continuum 2-variation.
     """
-    n = tr.times.size
+    n = len(pull)
     if n < 2:
         return 0.0
-    d = _increment_matrix(tr) ** 2
+    d = _increment_matrix(pull, measure) ** 2
     best = np.zeros(n)
     for jj in range(1, n):
         best[jj] = np.max(best[:jj] + d[:jj, jj])
     return float(math.sqrt(np.max(best)))
 
 
-def v2_variation_bruteforce(tr: SpaceTimeTrace) -> float:
+def v2_variation_bruteforce(pull: np.ndarray, measure) -> float:
     """Exponential enumeration over all sub-partitions; oracle for N <= 12."""
-    n = tr.times.size
+    n = len(pull)
     if n < 2:
         return 0.0
     if n > 16:
         raise ConfigurationError("bruteforce variation limited to 16 samples")
-    d = _increment_matrix(tr) ** 2
+    d = _increment_matrix(pull, measure) ** 2
     best = 0.0
     for mask in range(1, 1 << n):
         pts = [i for i in range(n) if mask >> i & 1]

@@ -17,8 +17,8 @@ import pytest
 from kplab.data import (gaussian_datum, member_rng, random_band_field,
                         scattering_datum)
 from kplab.decomposition import (NormParams, SpaceTimeTrace, lqlp_norm,
-                                 lqlp_norms, v2_variation_bruteforce,
-                                 v2_variation_norm)
+                                 lqlp_norms, pullback_states,
+                                 v2_variation_bruteforce, v2_variation_norm)
 from kplab.estimates import (bilinear_mu_sweep,
                              circle_measure_closed_form,
                              circle_measure_integral, phase_difference_roots,
@@ -441,7 +441,8 @@ def test_criterion_15_variation_dp_exact():
             f = SpectralField(grid, z * mask, real_flag=False)
             coeff[i] = apply_linear_propagator(f, float(i)).coeff
         tr = SpaceTimeTrace(times, coeff, grid, real_flag=False, window="none")
-        dp, bf = v2_variation_norm(tr), v2_variation_bruteforce(tr)
+        pull = pullback_states(tr)
+        dp, bf = v2_variation_norm(pull, grid.volume), v2_variation_bruteforce(pull, grid.volume)
         worst = max(worst, abs(dp - bf) / max(bf, 1e-30))
     dt = time.time() - t0
     ok = worst <= 1e-10 and dt < 10.0

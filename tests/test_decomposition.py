@@ -10,8 +10,8 @@ from kplab.data import (gaussian_datum, random_band_field,
 from kplab.decomposition import (NormParams, SpaceTimeTrace,
                                  _lqlp_reduce, dyadic_projection, lqlp_norm,
                                  lqlp_norms, modulation_projection,
-                                 modulation_weighted_norm, sector_masses,
-                                 sector_projection,
+                                 modulation_weighted_norm, pullback_states,
+                                 sector_masses, sector_projection,
                                  u1_variation_norm, v2_variation_bruteforce,
                                  v2_variation_norm, window_bandwidth,
                                  windowed_trace)
@@ -390,7 +390,7 @@ def test_v2_linear_solution_zero(grid_mod):
     times = np.linspace(0.0, 2.0, 9)
     tr = SpaceTimeTrace(times, np.stack([apply_linear_propagator(u0, t).coeff
                                          for t in times]), grid_mod, window="none")
-    assert v2_variation_norm(tr) <= 1e-6 * u0.l2_norm()
+    assert v2_variation_norm(pullback_states(tr), tr.grid.volume) <= 1e-6 * u0.l2_norm()
     assert u1_variation_norm(tr) <= 1e-9 * u0.l2_norm()
 
 
@@ -401,7 +401,8 @@ def test_variation_single_jump(grid_mod):
     step = z.copy()
     step[1, 0, 0] = a / math.sqrt(V)
     tr = _pullback_trace_from_states(grid_mod, [z, step, step])
-    assert v2_variation_norm(tr) == pytest.approx(a, rel=1e-12, abs=0)
+    assert (v2_variation_norm(pullback_states(tr), tr.grid.volume)
+            == pytest.approx(a, rel=1e-12, abs=0))
     assert u1_variation_norm(tr) == pytest.approx(a, rel=1e-12, abs=0)
 
 
@@ -417,7 +418,8 @@ def test_variation_staircase(grid_mod):
             acc[1, i % 4, (i // 4) % 4] += a / math.sqrt(V)
         raw.append(acc)
     tr = _pullback_trace_from_states(grid_mod, raw)
-    assert v2_variation_norm(tr) == pytest.approx(a * math.sqrt(n - 1), rel=1e-10, abs=0)
+    assert (v2_variation_norm(pullback_states(tr), tr.grid.volume)
+            == pytest.approx(a * math.sqrt(n - 1), rel=1e-10, abs=0))
     assert u1_variation_norm(tr) == pytest.approx(a * (n - 1), rel=1e-10, abs=0)
 
 
@@ -433,8 +435,9 @@ def test_v2_dp_equals_bruteforce_property(seed, n):
         mask[1:3, :2, :2] = 1.0
         raw.append(z * mask)
     tr = _pullback_trace_from_states(grid, raw)
-    dp = v2_variation_norm(tr)
-    bf = v2_variation_bruteforce(tr)
+    pull = pullback_states(tr)
+    dp = v2_variation_norm(pull, grid.volume)
+    bf = v2_variation_bruteforce(pull, grid.volume)
     assert dp == pytest.approx(bf, rel=1e-10, abs=1e-12)
     assert dp <= u1_variation_norm(tr) * (1 + 1e-10)
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kplab import solver
 from kplab.data import gaussian_datum, random_band_field
-from kplab.decomposition import NormParams, lqlp_norm
+from kplab.decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_norms,
+                                 pullback_states, v2_variation_norm)
 from kplab.errors import ConfigurationError, DivergenceError, PreconditionError
-from kplab.solver import (MultiplierProfile, SimConfig,
-                          _duhamel_weights, _nonlinear_rhs, evolve, mass_series,
+from kplab.solver import (MultiplierProfile, SimConfig, _box_surrogate,
+                          _duhamel_weights, _expand, _nonlinear_rhs, evolve, mass_series,
                           nonlinearity, nonlinearity_direct, picard_iterate,
                           slope_band_extent, slope_filtered_product,
                           spectral_product)
@@ -435,6 +437,47 @@ def test_picard_divergence_diagnostic(picard_setup):
     with pytest.raises(DivergenceError):
         picard_iterate(big, SimConfig(grid, samples_per_unit=32, T=1.0), n_max=12,
                        smallness_threshold=1e3)
+
+
+def test_picard_iterate_expands_the_spectrum_once(picard_setup, monkeypatch):
+    # iterate differences are measured on the box: only the returned trace
+    # builds the full spectrum
+    grid, _, u0 = picard_setup
+    calls = []
+    monkeypatch.setattr(solver, "_expand", lambda *a: calls.append(1) or _expand(*a))
+    tr, rep = picard_iterate(u0, SimConfig(grid, dt=1 / 64, T=1.0, samples_per_unit=64),
+                             n_max=3, tol=1e-14)
+    assert (rep.iterates, tr.times.size) == (3, 65)
+    assert len(calls) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), even_modes, even_modes, even_modes,
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+       st.integers(2, 12), st.floats(0.01, 1.0), st.booleans())
+@example(0, 24, 12, 12, 2.0, 2.0, 2.0, 12, 1 / 64, False)
+@example(0, 24, 12, 12, 2.0, 2.0, 2.0, 12, 1 / 64, True)
+def test_box_surrogate_equals_the_full_spectrum_surrogate(seed, nx, n1, n2, lx, l1, l2,
+                                                          n_t, dt, column):
+    # a mode and its mirror share a sector and a pullback mass, so the box
+    # norms weighted 2 on k2 > 0 and 1 on the k2 = 0 column (which holds both)
+    # equal the norms of the full Hermitian spectrum; `column` keeps only k2 = 0
+    g = GridSpec(nx, n1, n2, 2 * np.pi * lx, 2 * np.pi * l1, 2 * np.pi * l2)
+    geo = grid_geometry(g)
+    box = geo.box
+    rng = np.random.default_rng(seed)
+    diff = np.stack([random_band_field(g, rng, 0.0, g.xi_max()).coeff[box]
+                     for _ in range(n_t)])
+    if column:
+        diff[..., 1:] = 0.0
+    times = dt * np.arange(n_t)
+    npar = NormParams()
+    full = _expand(g, diff, box)
+    tr = SpaceTimeTrace(times, full, g, real_flag=False, window="none")
+    want = (float(np.max(lqlp_norms(full, g, npar)))
+            + v2_variation_norm(pullback_states(tr), g.volume))
+    got = _box_surrogate(g, box, geo.phase(times, *box), diff, npar)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 # ----------------------------------------------------------------------
