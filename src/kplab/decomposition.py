@@ -125,15 +125,16 @@ def _sector_mass_rows(stack: np.ndarray, grid: GridSpec, modes: tuple, measure):
     `box`, in index order: the xi = 0 plane, if selected, comes first), keyed over
     the union support of its rows; measure is the cell size or an array
     broadcasting to the selection."""
-    rows = np.reshape(stack, (-1,) + np.shape(stack)[-3:])
-    flat, (s1, s2) = np.flatnonzero(np.any(rows, axis=0)), rows.shape[2:]
     geo, (ix, i1, i2) = grid_geometry(grid), modes
+    id1, id2, keys = geo.sector
+    id1, id2 = id1[ix, i1, 0], id2[ix, 0, i2]        # the selection's per-axis tables
+    rows = np.reshape(stack, (-1,) + id1.shape[:2] + id2.shape[-1:])
+    flat, (s1, s2) = np.flatnonzero(np.any(rows, axis=0)), rows.shape[2:]
     if flat.size and flat[0] < s1 * s2 and np.ravel(geo.xi[ix, 0, 0])[0] == 0:
         raise DomainError("field has content on the xi = 0 plane, which lies in no sector")
-    id1, id2, keys = geo.sector
     q = flat // s2                        # i s1 + a, and i s2 + b below: no label per mode
-    ids = id1[ix, i1, 0].take(q) + id2[ix, 0, i2].take(q // s1 * s2 + flat - q * s2)
-    if np.ndim(measure):
+    ids = id1.take(q) + id2.take(q // s1 * s2 + flat - q * s2)
+    if isinstance(measure, np.ndarray):
         measure = np.broadcast_to(measure, rows.shape[1:]).take(flat)
     return _sector_sums(keys, ids, measure * np.abs(rows.reshape(len(rows), -1).take(flat, 1)) ** 2)
 
@@ -153,7 +154,8 @@ def _lp_reduce(values, p: float, measure=1.0) -> np.ndarray:
     if p == math.inf:
         return np.max(values, axis=-1, initial=0.0)
     powers = values ** p
-    total = np.sum(measure * powers, -1) if np.ndim(measure) else measure * np.sum(powers, -1)
+    total = (np.sum(measure * powers, -1) if isinstance(measure, np.ndarray)
+             else measure * np.sum(powers, -1))
     # the root as a scalar power rounds it (libm); numpy's array power may not
     return np.reshape([t ** (1.0 / p) for t in np.ravel(total).tolist()], np.shape(total))
 
