@@ -10,7 +10,7 @@ from kplab.illposedness import (FrequencyBox, IllposedParams, box_lqlp_norm,
                                 cross_term_support, growth_sweeps,
                                 resonance_function, sample_interaction_set,
                                 second_picard_cross_term, two_bump_datum)
-from kplab.spectral import GridSpec, grid_geometry
+from kplab.spectral import GridSpec, dispersion_symbol, grid_geometry
 
 
 def test_params_validation():
@@ -182,6 +182,86 @@ def test_cross_term_two_routes_agree():
     ker = ((np.exp(1j * R) - 1.0) / (1j * R)).real
     assert -0.1 <= ker.mean() <= 0.1
     assert ker.min() >= -1.0
+
+
+def _node_tables(ip):
+    """Output nodes, closed-route pair nodes (x1, wx1), (h, wh) and the
+    indices of the output nodes that meet the pair set, built as
+    second_picard_cross_term builds them."""
+    mu, lam = ip.mu, ip.lam
+    out_rule = np.polynomial.legendre.leggauss(ill._N_OUT)
+    xi_out, _ = ill._gl_nodes(out_rule, lam + mu, lam + 2 * mu)
+    eta_out, _ = ill._gl_nodes(out_rule, lam * mu, 4 * lam * mu)
+    x_lo = np.maximum(mu / 2, xi_out - lam - mu)
+    x_hi = np.minimum(mu, xi_out - lam - mu / 2)
+    e_lo = np.maximum(lam * mu / 2, eta_out - 2 * lam * mu)
+    e_hi = np.minimum(2 * lam * mu, eta_out - lam * mu / 2)
+    rule = np.polynomial.legendre.leggauss(ill._N_PAIR)
+    return (xi_out, eta_out, ill._gl_nodes(rule, x_lo, x_hi), ill._gl_nodes(rule, e_lo, e_hi),
+            np.flatnonzero(x_hi > x_lo), np.flatnonzero(e_hi > e_lo))
+
+
+def _per_node_closed(ip):
+    """The closed route node by node, as a reference: R from
+    resonance_function, one complex exp per pair point, the full weight
+    tensor, times the factor second_picard_cross_term applies to both routes."""
+    xi_out, eta_out, (x1, wx1), (h, wh), ixs, ies = _node_tables(ip)
+    vals = np.zeros((len(xi_out),) * 3, dtype=np.complex128)
+    for ix in ixs:
+        for i1 in ies:
+            for i2 in ies:
+                R = resonance_function(xi_out[ix], x1[ix][:, None, None],
+                                       (eta_out[i1], eta_out[i2]),
+                                       (h[i1][None, :, None], h[i2][None, None, :]))
+                ker = np.where(np.abs(R) > 1e-12, (np.exp(1j * R) - 1.0) / (1j * R), 1.0)
+                W = (wx1[ix][:, None, None] * wh[i1][None, :, None]
+                     * wh[i2][None, None, :])
+                vals[ix, i1, i2] = np.sum(W * ker)
+    xo = xi_out[:, None, None]
+    return -4j * xo * np.exp(1j * dispersion_symbol(
+        xo, (eta_out[None, :, None], eta_out[None, None, :]))) * vals
+
+
+@pytest.mark.parametrize("lam", [8.0, 64.0, 4096.0])
+def test_closed_route_phase_factors_per_axis(lam):
+    # on one x-plane R = A(x) + B(x) (D[i1] + D[i2]) with D = (eta/xi - h/x)^2,
+    # so e^{iR} = e^{iA} P[i1] P[i2] with one exp per (eta node, x, h) line
+    ip = IllposedParams(lam ** -2, lam)
+    xi_out, eta_out, (x1, _), (h, _), ixs, ies = _node_tables(ip)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for ix in ixs:
+        xo, xs = xi_out[ix], x1[ix]
+        A = -3.0 * xo * xs * (xo - xs)
+        B = -(xo * xs / (xo - xs))
+        P = {i: np.exp(1j * B[:, None] * (eta_out[i] / xo - h[i][None, :] / xs[:, None]) ** 2)
+             for i in ies}
+        for i1 in ies:
+            for i2 in ies:
+                R = resonance_function(xo, xs[:, None, None], (eta_out[i1], eta_out[i2]),
+                                       (h[i1][None, :, None], h[i2][None, None, :]))
+                factored = np.exp(1j * A)[:, None, None] * P[i1][:, :, None] * P[i2][:, None, :]
+                defect = np.abs(factored - np.exp(1j * R)) / np.maximum(1.0, np.abs(R))
+                worst = max(worst, float(defect.max()))
+    assert len(ixs) and len(ies) and worst <= 8 * eps
+
+
+@pytest.mark.parametrize("lam", [8.0, 64.0, 4096.0])
+def test_closed_route_is_symmetric_in_the_transverse_nodes(lam):
+    # both transverse axes share one node table, so swapping them maps the
+    # pair set onto itself
+    closed = second_picard_cross_term(IllposedParams(lam ** -2, lam)).closed
+    assert np.abs(closed).max() > 0
+    assert np.abs(closed - closed.transpose(0, 2, 1)).max() <= 1e-13 * np.abs(closed).max()
+
+
+@pytest.mark.parametrize("lam", [8.0, 64.0, 4096.0])
+def test_closed_route_matches_per_node_loop(lam):
+    ip = IllposedParams(lam ** -2, lam)
+    closed = second_picard_cross_term(ip).closed
+    want = _per_node_closed(ip)
+    assert np.count_nonzero(want) == np.count_nonzero(closed) > 0
+    assert closed.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=1e-13, abs=0)
 
 
 def test_cross_term_route_disagreement_refused():
