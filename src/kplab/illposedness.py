@@ -142,14 +142,20 @@ def box_lqlp_norm(boxes, q: float, p: float) -> float:
 # Resonance function
 # ----------------------------------------------------------------------
 
-def resonance_function(xi, xi1, eta, eta1):
-    """R = -3 xi xi1 (xi-xi1) - (xi xi1/(xi-xi1)) |eta/xi - eta1/xi1|^2,
-    elementwise on broadcastable xi, xi1 and pairs eta, eta1."""
+def _resonance_parts(xi, xi1):
+    """A and B of resonance_function at (xi, xi1), refusing its poles."""
     if np.any(xi == 0) or np.any(xi1 == 0) or np.any(xi == xi1):
         raise DomainError("resonance function pole (xi, xi1, xi-xi1 must be nonzero)")
+    return -3.0 * xi * xi1 * (xi - xi1), -(xi * xi1 / (xi - xi1))
+
+
+def resonance_function(xi, xi1, eta, eta1):
+    """R = A + B |eta/xi - eta1/xi1|^2, A = -3 xi xi1 (xi-xi1), B = -xi xi1/(xi-xi1),
+    elementwise on broadcastable xi, xi1 and pairs eta, eta1."""
+    A, B = _resonance_parts(xi, xi1)
     d0 = eta[0] / xi - eta1[0] / xi1
     d1 = eta[1] / xi - eta1[1] / xi1
-    return -3.0 * xi * xi1 * (xi - xi1) - (xi * xi1 / (xi - xi1)) * (d0 * d0 + d1 * d1)
+    return A + B * (d0 * d0 + d1 * d1)
 
 
 def sample_interaction_set(ip: IllposedParams, n: int, seed: int = 0):
@@ -201,8 +207,10 @@ def second_picard_cross_term(ip: IllposedParams,
     bumps by two routes.
 
     closed: analytic time factor (e^{iR}-1)/(iR), tensor Gauss-Legendre over
-    the pair set A.  direct: composite-Simpson quadrature in s of the
-    Duhamel integrand e^{i s R}, with factorized transverse sums on an
+    the pair set A; per x-plane the phase factors per axis (one exp per
+    (eta node, x, h) line), and the pairs i1 <= i2 give all values, which
+    are symmetric in (i1, i2).  direct: composite-Simpson quadrature in s of
+    the Duhamel integrand e^{i s R}, with factorized transverse sums on an
     independent pair quadrature.  A disagreement beyond rel_tol raises
     AccuracyError.
     """
@@ -229,21 +237,27 @@ def second_picard_cross_term(ip: IllposedParams,
         vals = np.zeros((_N_OUT,) * 3, dtype=np.complex128)
         # work arrays reused at every output node: fresh per-node temporaries
         # make the allocator hand pages back and fault them in again
-        iR, ker = (np.empty((_N_PAIR,) * 3, dtype=np.complex128) for _ in range(2))
+        R, ker = np.empty((_N_PAIR,) * 3), np.empty((_N_PAIR,) * 3, dtype=np.complex128)
         for ix in ixs:
-            X = x1[ix][:, None, None]
-            for i1 in ies:
-                for i2 in ies:
-                    R = resonance_function(xi_out[ix], X, (eta_out[i1], eta_out[i2]),
-                                           (h[i1][None, :, None], h[i2][None, None, :]))
-                    np.multiply(1j, R, out=iR)
-                    np.exp(iR, out=ker)
+            # on this plane R = A + B (D[i1] + D[i2]), formed as resonance_function
+            # forms it, and e^{iR} = e^{iA} P[i1] P[i2] with P = e^{iBD}
+            A, B = (c[:, None] for c in _resonance_parts(xi_out[ix], x1[ix]))
+            D = {i: (eta_out[i] / xi_out[ix] - h[i][None, :] / x1[ix][:, None]) ** 2
+                 for i in ies}
+            P = {i: np.exp(1j * B * D[i]) for i in ies}
+            eA = np.exp(1j * A)
+            for n, i1 in enumerate(ies):
+                eAP = eA * P[i1]
+                for i2 in ies[n:]:      # one node table for both axes: vals is symmetric
+                    np.add(D[i1][:, :, None], D[i2][:, None, :], out=R)
+                    R *= B[:, :, None]
+                    R += A[:, :, None]
+                    np.multiply(eAP[:, :, None], P[i2][:, None, :], out=ker)
                     ker -= 1.0
-                    ker /= iR                            # (e^{iR} - 1) / (iR)
-                    np.copyto(ker, 1.0, where=~(np.abs(R) > 1e-12))
-                    W = (wx1[ix][:, None, None] * wh[i1][None, :, None]
-                         * wh[i2][None, None, :])
-                    vals[ix, i1, i2] = np.sum(np.multiply(W, ker, out=iR))
+                    ker /= R                    # i (e^{iR} - 1) / (iR); the i leaves below
+                    np.copyto(ker, 1j, where=~(np.abs(R) > 1e-12))
+                    vals[ix, i1, i2] = vals[ix, i2, i1] = -1j * (
+                        wx1[ix] @ np.dot(ker, wh[i2]) @ wh[i1])
         return vals
 
     def direct_route():
