@@ -254,8 +254,8 @@ def second_picard_cross_term(ip: IllposedParams,
                     R += A[:, :, None]
                     np.multiply(eAP[:, :, None], P[i2][:, None, :], out=ker)
                     ker -= 1.0
-                    ker /= R                    # i (e^{iR} - 1) / (iR); the i leaves below
-                    np.copyto(ker, 1j, where=~(np.abs(R) > 1e-12))
+                    ker /= R                    # i (e^{iR} - 1) / (iR); -i goes on the sum
+                    np.copyto(ker, 1j, where=~(np.abs(R) > 1e-12))     # i times the limit 1
                     vals[ix, i1, i2] = vals[ix, i2, i1] = -1j * (
                         wx1[ix] @ np.dot(ker, wh[i2]) @ wh[i1])
         return vals

@@ -20,8 +20,9 @@ edited code (exit 2).  One line per edit reports `killed`, `equivalent`
 
 The exit code is 0 when every edit is killed or listed as equivalent, 1 on a
 survivor not listed as equivalent, and 2 on an unusable list: a malformed
-entry, an `old` text that does not occur exactly once, or a selection that
-fails or selects nothing on the unedited copy.
+entry, a file outside `src/` and `tests/`, an `old` text that does not occur
+exactly once, or a selection that fails or selects nothing on the unedited
+copy.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _unusable(edits) -> str:
                 and isinstance(e["tests"], list) and e["tests"]):
             return f"entry {e!r} needs the text keys {sorted(_KEYS - {'tests'})} and a test list"
         path = _TREE / e["file"]
+        if pathlib.PurePath(e["file"]).parts[:1] not in (("src",), ("tests",)):
+            return f"{e['name']}: {e['file']} is not under src/ or tests/"
         if not path.is_file() or path.read_text().count(e["old"]) != 1:
             return f"{e['name']}: its old text does not occur exactly once in {e['file']}"
     return ""
@@ -72,9 +75,9 @@ def _unusable(edits) -> str:
 def main() -> int:
     try:
         edits = json.loads((_TREE / "tools" / "mutants.json").read_text())
+        reason = _unusable(edits)
     except json.JSONDecodeError as err:
-        edits = f"the list is not JSON ({err})"
-    reason = edits if isinstance(edits, str) else _unusable(edits)
+        edits, reason = [], f"the list is not JSON ({err})"
     if not reason:
         for tests in dict.fromkeys(tuple(e["tests"]) for e in edits):
             code = _pytest(tests=tests)
