@@ -1,4 +1,4 @@
-"""Dyadic shells, slope sectors, the l^q l^p L^2 norm, and space-time norms.
+"""Dyadic shells, slope sectors, the l^q l^p L^2 norm, and the 2-variation.
 
 The frequency plane (xi != 0) is tiled twice over:
 
@@ -10,11 +10,6 @@ The frequency plane (xi != 0) is tiled twice over:
 
 Half-open membership makes both tilings exact partitions, so squared L^2
 masses are additive across shells and sectors to machine precision.
-
-Space-time norms act on uniformly sampled trajectories.  The modulation
-variable tau is the discrete time-frequency of the Hann-windowed trace; the
-distance |tau - w(xi, eta)| is taken circularly (mod the sampling band), so
-an exactly resonant line stays "low modulation" even if w aliases.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PreconditionError
+from .errors import ConfigurationError, DomainError
 from .spectral import (GridSpec, SpectralField, apply_linear_propagator,
                        grid_geometry)
 
@@ -44,13 +39,12 @@ class NormParams:
 @dataclass
 class SpaceTimeTrace:
     """Time-sampled trajectory {t_n, u(t_n)}: one complex (n, *grid.shape)
-    coefficient stack, one row per sample time, with a taper identifier."""
+    coefficient stack, one row per sample time."""
 
     times: np.ndarray
     coeff: np.ndarray
     grid: GridSpec
     real_flag: bool = True
-    window: str = "hann"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -68,30 +62,10 @@ class SpaceTimeTrace:
         rows.flags.writeable = False
         return [SpectralField(self.grid, r, self.real_flag) for r in rows]
 
-    def is_uniform(self) -> bool:
-        if self.times.size < 2:
-            return True
-        dt = np.diff(self.times)
-        return bool(np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0])
-
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def l2_spacetime(self) -> float:
-        """Discrete space-time L^2 norm (dt measure in time)."""
-        return float(np.sqrt(self.dt() * self.grid.volume * np.sum(np.abs(self.coeff) ** 2)))
-
 
 # ----------------------------------------------------------------------
 # Shell / sector addressing
 # ----------------------------------------------------------------------
-
-def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
-    """Keep coefficients with lam <= |xi| < 2 lam."""
-    xi = np.abs(grid_geometry(u.grid).xi)
-    return SpectralField(u.grid, np.where((xi >= lam) & (xi < 2 * lam), u.coeff, 0.0),
-                         u.real_flag)
-
 
 def sector_projection(u: SpectralField, key: tuple) -> SpectralField:
     """Keep coefficients in sector key = (j, k1, k2) of grid_geometry(grid).sector:
@@ -197,81 +171,6 @@ def lqlp_norm(u: SpectralField, np_: NormParams) -> float:
 
 
 # ----------------------------------------------------------------------
-# Windowed time-frequency machinery
-# ----------------------------------------------------------------------
-
-def _window_profile(name: str, n: int, dt: float) -> np.ndarray:
-    """Taper samples normalized so that dt * sum(w^2) = 1."""
-    if name == "hann":
-        w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
-    elif name == "none":
-        w = np.ones(n)
-    else:
-        raise ConfigurationError(f"unknown window profile {name!r}")
-    return w / math.sqrt(dt * np.sum(w ** 2))
-
-
-def window_bandwidth(T: float) -> float:
-    """Effective leakage width of the normalized Hann taper.
-
-    The factor 32 is calibrated once against the leakage oracle (exact
-    linear line, worst on/half-bin placement) so that the weighted leakage
-    stays below 10% of bandwidth^b throughout b in [0.55, 1]."""
-    return 32.0 * 2.0 * np.pi / T
-
-
-def _windowed_dft(tr: SpaceTimeTrace):
-    if not tr.is_uniform():
-        raise PreconditionError("modulation analysis requires a uniform time grid")
-    n = tr.times.size
-    if n < 4:
-        raise PreconditionError("modulation analysis needs at least 4 samples")
-    dt = tr.dt()
-    w = _window_profile(tr.window, n, dt)
-    arr = tr.coeff * w[:, None, None, None]
-    chat = np.fft.fft(arr, axis=0) / math.sqrt(n)
-    tau = 2 * np.pi * np.fft.fftfreq(n, dt)
-    return chat, tau, w, dt
-
-
-def _circular_distance(tau: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    band = np.pi / dt
-    d = (tau[:, None, None, None] - omega[None, ...] + band) % (2 * band) - band
-    return np.abs(d)
-
-
-def modulation_projection(tr: SpaceTimeTrace, Lam: float, side: str) -> SpaceTimeTrace:
-    """Windowed projection to modulation |tau - w(xi,eta)| > Lam (above) or
-    <= Lam (below).  above-part + below-part = windowed trace exactly."""
-    if side not in ("above", "below"):
-        raise ConfigurationError("side must be 'above' or 'below'")
-    chat, tau, w, dt = _windowed_dft(tr)
-    dist = _circular_distance(tau, grid_geometry(tr.grid).omega, dt)
-    mask = dist > Lam if side == "above" else dist <= Lam
-    filt = np.fft.ifft(chat * mask, axis=0) * math.sqrt(tr.times.size)
-    return SpaceTimeTrace(tr.times.copy(), filt, tr.grid, real_flag=False, window="none")
-
-
-def windowed_trace(tr: SpaceTimeTrace) -> SpaceTimeTrace:
-    """The trace with its taper applied (window marker cleared)."""
-    w = _window_profile(tr.window, tr.times.size, tr.dt())
-    return SpaceTimeTrace(tr.times.copy(), tr.coeff * w[:, None, None, None], tr.grid,
-                          tr.real_flag, window="none")
-
-
-def modulation_weighted_norm(tr: SpaceTimeTrace, b: float) -> float:
-    """Discrete || |tau - w|^b u-hat ||_{L^2} of the windowed trace.
-
-    b = 0 reduces to the space-time L^2 norm of the windowed trace.
-    """
-    chat, tau, w, dt = _windowed_dft(tr)
-    dist = _circular_distance(tau, grid_geometry(tr.grid).omega, dt)
-    weight = dist ** (2 * b) if b != 0 else 1.0
-    total = np.sum(weight * np.abs(chat) ** 2)
-    return float(np.sqrt(dt * tr.grid.volume * total))
-
-
-# ----------------------------------------------------------------------
 # Variation norms of the pullback
 # ----------------------------------------------------------------------
 
@@ -328,20 +227,3 @@ def v2_variation_bruteforce(pull: np.ndarray, measure) -> float:
         tot = sum(d[a, b] for a, b in zip(pts, pts[1:]))
         best = max(best, tot)
     return float(math.sqrt(best))
-
-
-def u1_variation_norm(tr: SpaceTimeTrace) -> float:
-    """One-variation of the pullback; the finest partition is maximal."""
-    n = tr.times.size
-    if n < 2:
-        return 0.0
-    g = pullback_states(tr).reshape(n, -1)
-    diffs = np.diff(g, axis=0)
-    steps = np.sqrt(tr.grid.volume * np.sum(np.abs(diffs) ** 2, axis=1))
-    return float(np.sum(steps))
-
-
-def l1t_l2_norm(tr: SpaceTimeTrace) -> float:
-    """Discrete L^1_t L^2_{xy} norm of a trace (dt measure)."""
-    per_t = np.sqrt(tr.grid.volume * np.sum(np.abs(tr.coeff) ** 2, axis=(1, 2, 3)))
-    return float(tr.dt() * np.sum(per_t))

@@ -251,9 +251,8 @@ def _g_rho(xi, xi1, xi2, deta, rho, tau):
     return a ** 3 - (v0 * v0 + v1 * v1) / a - b ** 3 + b * (rho[0] ** 2 + rho[1] ** 2) - tau
 
 
-# The xi window of the section roots, and the scan oracle's point count on it
+# The xi window of the section roots
 _SECTION_WINDOW = (-64.0, 64.0)
-_SECTION_SCAN_POINTS = 200000
 
 
 def phase_difference_roots(xi1: float, xi2: float, deta, rho,
@@ -322,32 +321,6 @@ def _g_rho_prime_slope_form(xi, xi1, xi2, deta, rho):
     b = xi - xi2
     w = (rho * b + deta) / a - rho  # (eta-eta1)/(xi-xi1) - (eta-eta2)/(xi-xi2)
     return 3 * a ** 2 - 3 * b ** 2 + w @ w
-
-
-def section_roots_by_scan(xi1, xi2, deta, rho, tau):
-    """Independent bracketing-scan oracle for the section roots."""
-    deta = np.asarray(deta, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    xs = np.linspace(*_SECTION_WINDOW, _SECTION_SCAN_POINTS)
-    xs = xs[np.abs(xs - xi1) > 1e-4]   # clear of the pole
-    vals = _g_rho(xs, xi1, xi2, deta, rho, tau)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = []
-    for i in flips:
-        lo, hi = xs[i], xs[i + 1]
-        if (lo < xi1 < hi):
-            continue
-        flo = _g_rho(lo, xi1, xi2, deta, rho, tau)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = _g_rho(mid, xi1, xi2, deta, rho, tau)
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return np.asarray(roots)
 
 
 # ----------------------------------------------------------------------

@@ -93,13 +93,6 @@ def gaussian_sector_sum(d: AnalyticDatum, lam: float, p: float,
     return float(_lp_reduce(np.sqrt(mass).ravel(), p, ring))
 
 
-def gaussian_total_mass(d: AnalyticDatum, lam: float) -> float:
-    """||f_lam||_2^2: the shell mass without sector splitting."""
-    xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(64), lam, 2.0 * lam)
-    eta_total = math.sqrt(math.pi) ** 2
-    return float(2.0 * np.sum(wxi * _xi_weight(d, xi)) * eta_total)
-
-
 # ----------------------------------------------------------------------
 # Operations
 # ----------------------------------------------------------------------

@@ -5,10 +5,8 @@ flow maps for p > 2.
 Everything here works directly on frequency boxes with tensor quadrature:
 the required xi-resolution (mu/4 = lam^-2/4 at lam = 64) is infeasible on a
 full lattice, and the datum is a characteristic function, exact in box
-arithmetic.  Anisotropic norms of box data are evaluated in slope
-coordinates; when a box meets many sectors the lattice sum over sector
-centers is replaced by the slope integral (relative error is exponentially
-small in the count, and the reduction is exact at p = 2).
+arithmetic.  The cross term's anisotropic norm labels each quadrature node
+with its sector.
 """
 
 from __future__ import annotations
@@ -18,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _gl_nodes, _lp_reduce, _lqlp_reduce, _sector_sums
+from .decomposition import _gl_nodes, _lqlp_reduce, _sector_sums
 from .errors import (AccuracyError, ConfigurationError, DomainError,
                      PreconditionError)
 from .reporting import fit_loglog_slope
 from .solver import _composite_weights
-from .spectral import (dispersion_symbol, dyadic_exponent, require_power_of_two,
-                       sector_key, sector_labels)
+from .spectral import dispersion_symbol, require_power_of_two, sector_key, sector_labels
 
 
 @dataclass(frozen=True)
@@ -60,14 +57,6 @@ class FrequencyBox:
         if not (self.amplitude > 0):
             raise ConfigurationError("box amplitude must be positive")
 
-    def volume(self) -> float:
-        dxi = self.xi_range[1] - self.xi_range[0]
-        de = self.eta_range[1] - self.eta_range[0]
-        return dxi * de * de
-
-    def l2_norm(self) -> float:
-        return self.amplitude * math.sqrt(self.volume())
-
 
 def two_bump_datum(ip: IllposedParams, p: float) -> tuple:
     """The two bumps of the ill-posedness datum; p sets the first amplitude."""
@@ -78,64 +67,6 @@ def two_bump_datum(ip: IllposedParams, p: float) -> tuple:
     box1 = FrequencyBox((mu / 2, mu), eta, mu ** -3 * (lam / mu) ** (-2.0 / p))
     box2 = FrequencyBox((lam + mu / 2, lam + mu), eta, mu ** -1.5 * lam ** -1.5)
     return box1, box2
-
-
-# ----------------------------------------------------------------------
-# Anisotropic norm of single-shell boxes
-# ----------------------------------------------------------------------
-
-def _shell_of_box(box: FrequencyBox) -> int:
-    """Exponent j of the one dyadic shell 2^j <= xi < 2^(j+1) holding the box."""
-    xlo, xhi = box.xi_range
-    if xlo <= 0:
-        raise ConfigurationError("expected a positive-xi box")
-    j = int(dyadic_exponent(xlo))
-    if xhi > 2.0 ** (j + 1) * (1 + 1e-12):
-        raise ConfigurationError("box straddles a dyadic shell boundary")
-    return j
-
-
-def _box_sector_lp(box: FrequencyBox, p: float) -> float:
-    """(sum over sectors of mass^{p/2})^{1/p} for one single-shell box.
-
-    Sector masses in slope coordinates: for slope s inside the box's slope
-    region, the window eta in xi*(s +- lam/2) is much narrower than the eta
-    box when many sectors are met, so
-
-        mass(s1, s2) = amp^2 lam^2 int_{Xi(s1) ^ Xi(s2)} xi^2 dxi,
-
-    and the lattice sum over sector centers is the slope integral with
-    lattice density 1/lam^2.  When the box meets only a few sectors the sum
-    is enumerated exactly (per-dim overlap of windows with the eta box).
-    """
-    lam = 2.0 ** _shell_of_box(box)
-    xlo, xhi = box.xi_range
-    elo, ehi = box.eta_range
-    slo, shi = elo / xhi, ehi / xlo
-    _, m_lo, m_hi = (int(m) for m in sector_key(xlo, slo, shi))
-    count = m_hi - m_lo + 1
-    xi, wxi = _gl_nodes(np.polynomial.legendre.leggauss(64), xlo, xhi)
-    if count <= 256:
-        ms = np.arange(m_lo, m_hi + 1)
-        lo = np.maximum(np.outer(xi, lam * (ms - 0.5)), elo)
-        hi = np.minimum(np.outer(xi, lam * (ms + 0.5)), ehi)
-        ov = np.maximum(hi - lo, 0.0)                       # (n_xi, n_m)
-        mass = box.amplitude ** 2 * np.einsum("x,xa,xb->ab", wxi, ov, ov)
-        return float(_lp_reduce(np.sqrt(mass).ravel(), p))
-    # many sectors: slope-integral route
-    s, ws = _gl_nodes(np.polynomial.legendre.leggauss(240), slo, shi)
-    lo1 = np.maximum(xlo, elo / s)
-    hi1 = np.minimum(xhi, ehi / s)
-    lo, hi = np.maximum.outer(lo1, lo1), np.minimum.outer(hi1, hi1)
-    integ = np.where(hi > lo, (hi ** 3 - lo ** 3) / 3.0, 0.0)
-    mass = box.amplitude ** 2 * lam ** 2 * integ
-    return float(_lp_reduce(np.sqrt(mass).ravel(), p, np.outer(ws, ws).ravel() / lam ** 2))
-
-
-def box_lqlp_norm(boxes, q: float, p: float) -> float:
-    """l^q l^p L^2 norm of a union of positive-xi single-shell boxes."""
-    return float(_lqlp_reduce(np.array([_shell_of_box(b) for b in boxes]),
-                              [_box_sector_lp(b, p) for b in boxes], q, p)[0])
 
 
 # ----------------------------------------------------------------------
@@ -168,19 +99,6 @@ def sample_interaction_set(ip: IllposedParams, n: int, seed: int = 0):
     e2 = rng.uniform(lam * mu / 2, 2 * lam * mu, (n, 2))
     eta = e1 + e2
     return resonance_function(xi1 + xi2, xi1, eta.T, e1.T), lam ** 2 * mu
-
-
-def cross_term_support(ip: IllposedParams):
-    """xi-intervals of the three parts of u1^2 and their exact disjointness."""
-    mu, lam = ip.mu, ip.lam
-    f1 = (mu, 2 * mu)
-    f2 = (2 * lam + mu, 2 * lam + 2 * mu)
-    f3 = (lam + mu, lam + 2 * mu)
-
-    def disjoint(a, b):
-        return a[1] < b[0] or b[1] < a[0]
-
-    return f1, f2, f3, disjoint(f1, f3) and disjoint(f3, f2) and disjoint(f1, f2)
 
 
 # ----------------------------------------------------------------------

@@ -205,7 +205,7 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
             if not np.isfinite(nn) or (norm0 > 0 and nn > 1e3 * norm0):
                 raise BlowupError(f"step rejected at t={t:.6g} (norm {nn:.3e})", t=t)
         states[js] = c
-    return SpaceTimeTrace(times, _expand(g, states, box), g, True, window="hann")
+    return SpaceTimeTrace(times, _expand(g, states, box), g, True)
 
 
 def mass_series(tr: SpaceTimeTrace) -> np.ndarray:
@@ -323,7 +323,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         if d <= tol:
             converged = True
             break
-    trace = SpaceTimeTrace(times, _expand(g, w, box), g, True, window="hann")
+    trace = SpaceTimeTrace(times, _expand(g, w, box), g, True)
     return trace, PicardReport(n_done, diffs, ratios, converged)
 
 

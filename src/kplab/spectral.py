@@ -16,7 +16,7 @@ Two hard structural invariants hold for every field in the package:
 
 The linear flow multiplies each coefficient by exp(i t w(xi, eta)) with the
 dispersion symbol w(xi, eta) = xi^3 - |eta|^2/xi, and is exactly unitary.
-`GridGeometry.phase` forms that phase factored per axis; w is built on first use.
+`GridGeometry.phase` forms that phase factored per axis, with no w mesh.
 """
 
 from __future__ import annotations
@@ -174,9 +174,9 @@ class GridGeometry:
 
     xi, eta1, eta2 broadcast as (nx,1,1), (1,n1,1), (1,1,n2); the slopes
     s1 = eta1/xi and s2 = eta2/xi as (nx,n1,1) and (nx,1,n2).  On the
-    excluded xi = 0 plane the slopes and omega are 0.  `omega`, `box`,
-    `active` and `sector` are built on first use: only the windowed layer,
-    the solver and the sector decomposition need them.
+    excluded xi = 0 plane the slopes are 0.  `box`, `active` and `sector`
+    are built on first use: only the solver and the sector decomposition
+    need them.
     """
 
     grid: GridSpec
@@ -187,12 +187,6 @@ class GridGeometry:
     s2: np.ndarray
     structural: np.ndarray   # modes a field may occupy: xi != 0, no Nyquist planes
     reverse: tuple           # open-mesh index of the mirror mode -k
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):   # exactly odd; xi ** 3 is not
-            w = self.xi * self.xi * self.xi - (self.eta1 ** 2 + self.eta2 ** 2) / self.xi
-        return _read_only(np.where(self.xi != 0, w, 0.0))
 
     def phase(self, t, planes=slice(None), k1=slice(None), k2=slice(None)) -> np.ndarray:
         """exp(i t w) on x-planes `planes` and eta columns k1, k2 (slices, index
@@ -337,22 +331,9 @@ def make_field(grid: GridSpec, coeff: np.ndarray, real_flag: bool = True,
     return SpectralField(grid, c, real_flag)
 
 
-def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
 # ----------------------------------------------------------------------
 # Transforms
 # ----------------------------------------------------------------------
-
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """Physical samples -> coefficients; enforces the zero-x-mean invariant."""
-    c = np.fft.fftn(f.samples) / f.samples.size
-    amp = np.max(np.abs(c)) or 1.0
-    if np.max(np.abs(c[0, :, :])) > 1e-10 * amp:
-        raise ConfigurationError("physical field has a nonzero x-mean")
-    return make_field(f.grid, c, real_flag=True)
-
 
 def inverse_transform(u: SpectralField) -> PhysicalField:
     """Coefficients -> physical samples; real part returned for real fields."""

@@ -440,7 +440,7 @@ def test_criterion_15_variation_dp_exact():
             mask[1:3, :2, :2] = 1.0
             f = SpectralField(grid, z * mask, real_flag=False)
             coeff[i] = apply_linear_propagator(f, float(i)).coeff
-        tr = SpaceTimeTrace(times, coeff, grid, real_flag=False, window="none")
+        tr = SpaceTimeTrace(times, coeff, grid, real_flag=False)
         pull = pullback_states(tr)
         dp, bf = v2_variation_norm(pull, grid.volume), v2_variation_bruteforce(pull, grid.volume)
         worst = max(worst, abs(dp - bf) / max(bf, 1e-30))

@@ -289,6 +289,8 @@ _MALFORMED = {
     "verify-samples-not-a-count": (["verify", "resonance", "--samples", "-5"], {}),
     "make-data-width-zero": (["make-data", "gaussian", "--width", "0"], {}),
     "spaces-lab-p-zero": (["--config", "c.json", "run", "spaces-lab"], {"c.json": '{"p": 0}'}),
+    "spaces-lab-p-1e300": (["--config", "c.json", "run", "spaces-lab"],
+                           {"c.json": '{"p": 1e300}'}),
     "illposed-sweep-p-out-of-range": (["run", "illposed-sweep", "--p", "0.5"], {}),
     "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
     "illposed-sweep-lam-off-window": (["run", "illposed-sweep", "--lams",

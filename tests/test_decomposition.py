@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from kplab.data import (gaussian_datum, random_band_field,
                         sector_indicator_datum)
-from kplab.decomposition import (NormParams, SpaceTimeTrace,
-                                 _lqlp_reduce, dyadic_projection, lqlp_norm,
-                                 lqlp_norms, modulation_projection,
-                                 modulation_weighted_norm, pullback_states,
-                                 sector_masses, sector_projection,
-                                 u1_variation_norm, v2_variation_bruteforce,
-                                 v2_variation_norm, window_bandwidth,
-                                 windowed_trace)
+from kplab.decomposition import (NormParams, SpaceTimeTrace, _lqlp_reduce, lqlp_norm,
+                                 lqlp_norms, pullback_states, sector_masses,
+                                 sector_projection, v2_variation_bruteforce,
+                                 v2_variation_norm)
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             dispersion_symbol, dyadic_exponent, galilean_shift,
                             grid_geometry, sector_key)
+from oracles import (dyadic_projection, hann, l1t_l2_norm, l2_spacetime,
+                     modulation_projection, modulation_weighted_norm, u1_variation_norm,
+                     window_bandwidth, windowed_trace)
 
 
 def test_shell_membership(grid_small):
@@ -279,7 +278,7 @@ def test_galilean_sector_mass_permutation(grid_small, rng):
 # modulation machinery
 # ----------------------------------------------------------------------
 
-def _line_trace(grid, mode_idx, delta, T=16.0, n=256, window="hann"):
+def _line_trace(grid, mode_idx, delta, T=16.0, n=256):
     c = np.zeros(grid.shape, complex)
     c[mode_idx] = 1.0
     kx = grid.mode_numbers(0)[mode_idx[0]]
@@ -288,7 +287,7 @@ def _line_trace(grid, mode_idx, delta, T=16.0, n=256, window="hann"):
     w = dispersion_symbol(kx * grid.dxi, (k1 * grid.deta1, k2 * grid.deta2))
     times = np.arange(n) * (T / n)
     coeff = c * np.exp(1j * (w + delta) * times)[:, None, None, None]
-    return SpaceTimeTrace(times, coeff, grid, real_flag=False, window=window), w
+    return SpaceTimeTrace(times, coeff, grid, real_flag=False), w
 
 
 @pytest.fixture(scope="module")
@@ -299,13 +298,13 @@ def grid_mod():
 def test_modulation_split_and_parseval(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=0.0)
     T = 16.0
-    above = modulation_projection(tr, 10 * 2 * np.pi / T, "above")
-    below = modulation_projection(tr, 10 * 2 * np.pi / T, "below")
-    wtr = windowed_trace(tr)
+    above = modulation_projection(tr, hann, 10 * 2 * np.pi / T, "above")
+    below = modulation_projection(tr, hann, 10 * 2 * np.pi / T, "below")
+    wtr = windowed_trace(tr, hann)
     gap = np.max(np.abs(above.coeff + below.coeff - wtr.coeff))
     assert gap <= 1e-10
-    split = above.l2_spacetime() ** 2 + below.l2_spacetime() ** 2
-    assert split == pytest.approx(wtr.l2_spacetime() ** 2, abs=1e-10)
+    split = l2_spacetime(above) ** 2 + l2_spacetime(below) ** 2
+    assert split == pytest.approx(l2_spacetime(wtr) ** 2, abs=1e-10)
 
 
 def test_modulation_linear_solution_leakage(grid_mod):
@@ -313,15 +312,15 @@ def test_modulation_linear_solution_leakage(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=0.0)
     T = 16.0
     Lam = 16 * 2 * np.pi / T
-    above = modulation_projection(tr, Lam, "above")
-    frac = (above.l2_spacetime() / windowed_trace(tr).l2_spacetime()) ** 2
+    above = modulation_projection(tr, hann, Lam, "above")
+    frac = (l2_spacetime(above) / l2_spacetime(windowed_trace(tr, hann))) ** 2
     assert frac < 0.05
 
 
 def test_modulation_lam_zero_above_is_everything(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=3.0)
-    above = modulation_projection(tr, 0.0, "above")
-    wtr = windowed_trace(tr)
+    above = modulation_projection(tr, hann, 0.0, "above")
+    wtr = windowed_trace(tr, hann)
     assert np.max(np.abs(above.coeff - wtr.coeff)) <= 1e-12
 
 
@@ -343,15 +342,15 @@ def test_modulation_requires_uniform_grid(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=0.0, n=16)
     bad_times = tr.times.copy()
     bad_times[3] += 0.01
-    tr2 = SpaceTimeTrace(bad_times, tr.coeff, grid_mod, real_flag=False, window="hann")
+    tr2 = SpaceTimeTrace(bad_times, tr.coeff, grid_mod, real_flag=False)
     with pytest.raises(PreconditionError):
-        modulation_projection(tr2, 1.0, "above")
+        modulation_projection(tr2, hann, 1.0, "above")
 
 
 def test_xdot_b_zero_is_spacetime_l2(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=1.7)
-    assert modulation_weighted_norm(tr, 0.0) == pytest.approx(
-        windowed_trace(tr).l2_spacetime(), rel=1e-12, abs=0)
+    assert modulation_weighted_norm(tr, hann, 0.0) == pytest.approx(
+        l2_spacetime(windowed_trace(tr, hann)), rel=1e-12, abs=0)
 
 
 def test_xdot_linear_solution_small(grid_mod):
@@ -359,7 +358,7 @@ def test_xdot_linear_solution_small(grid_mod):
     u0_norm = tr.states[0].l2_norm()
     T = 16.0
     for b in (0.6, 0.9, 1.0):
-        val = modulation_weighted_norm(tr, b)
+        val = modulation_weighted_norm(tr, hann, b)
         assert val <= 0.10 * u0_norm * window_bandwidth(T) ** b
 
 
@@ -369,7 +368,7 @@ def test_xdot_shifted_line(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=delta)
     u0_norm = tr.states[0].l2_norm()
     for b in (0.6, 0.9):
-        val = modulation_weighted_norm(tr, b)
+        val = modulation_weighted_norm(tr, hann, b)
         assert val == pytest.approx(abs(delta) ** b * u0_norm, rel=0.10, abs=0)
 
 
@@ -382,14 +381,14 @@ def _pullback_trace_from_states(grid, raw_states):
     times = np.arange(len(raw_states), dtype=float)
     coeff = np.stack([apply_linear_propagator(SpectralField(grid, g, real_flag=False), t).coeff
                       for t, g in zip(times, raw_states)])
-    return SpaceTimeTrace(times, coeff, grid, real_flag=False, window="none")
+    return SpaceTimeTrace(times, coeff, grid, real_flag=False)
 
 
 def test_v2_linear_solution_zero(grid_mod):
     u0 = gaussian_datum(grid_mod, center_xi=1.0, width_xi=0.4, width_eta=0.4)
     times = np.linspace(0.0, 2.0, 9)
     tr = SpaceTimeTrace(times, np.stack([apply_linear_propagator(u0, t).coeff
-                                         for t in times]), grid_mod, window="none")
+                                         for t in times]), grid_mod)
     assert v2_variation_norm(pullback_states(tr), tr.grid.volume) <= 1e-6 * u0.l2_norm()
     assert u1_variation_norm(tr) <= 1e-9 * u0.l2_norm()
 
@@ -445,7 +444,6 @@ def test_v2_dp_equals_bruteforce_property(seed, n):
 def test_u1_high_modulation_bound(grid_mod):
     # L^1_t L^2 of the above-Lam part is bounded by c/Lam * u1 variation;
     # ratio bound frozen from the ensemble oracle (x2 headroom).
-    from kplab.decomposition import l1t_l2_norm
     rng = np.random.default_rng(11)
     V = grid_mod.volume
     worst = 0.0
@@ -463,10 +461,10 @@ def test_u1_high_modulation_bound(grid_mod):
         coeff = np.stack([apply_linear_propagator(
             SpectralField(grid_mod, g, real_flag=False), t).coeff
             for t, g in zip(times, raw)])
-        tr = SpaceTimeTrace(times, coeff, grid_mod, real_flag=False, window="hann")
+        tr = SpaceTimeTrace(times, coeff, grid_mod, real_flag=False)
         u1 = u1_variation_norm(tr)
         for Lam in (4.0, 8.0, 16.0):
-            above = modulation_projection(tr, Lam, "above")
+            above = modulation_projection(tr, hann, Lam, "above")
             ratio = l1t_l2_norm(above) * Lam / u1
             worst = max(worst, ratio)
     assert worst <= 4.0

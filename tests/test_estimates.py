@@ -17,12 +17,12 @@ from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
                              coherent_high_cap, coherent_low_cap,
                              phase_difference_roots, random_measure_config,
                              random_resonance_point, resonance_identity_defect,
-                             random_sector_wave, section_roots_by_scan,
-                             sector_gamma_sweep, strichartz_exponent,
-                             strichartz_ratio, weighted_pair_norm)
+                             random_sector_wave, sector_gamma_sweep,
+                             strichartz_exponent, strichartz_ratio, weighted_pair_norm)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             grid_geometry, inverse_transform, make_field,
                             scaling_transform)
+from oracles import section_roots_by_scan, zero_field
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +349,6 @@ def test_lp_reduce_measure():
 
 
 def test_strichartz_rejects_zero(strich_grid):
-    from kplab.spectral import zero_field
     with pytest.raises(PreconditionError):
         strichartz_ratio(zero_field(strich_grid), 4, 4, T=1.0)
 
@@ -359,7 +358,6 @@ def test_strichartz_rejects_zero(strich_grid):
 # ----------------------------------------------------------------------
 
 def test_bilinear_zero_factor(strich_grid):
-    from kplab.spectral import zero_field
     u0 = gaussian_datum(strich_grid, center_xi=1.0)
     assert bilinear_lowhigh_ratio_transient(zero_field(strich_grid), u0, T=1.0) == 0.0
 

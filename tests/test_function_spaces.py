@@ -4,9 +4,9 @@ import pytest
 from kplab.errors import ConfigurationError
 from kplab.function_spaces import (AnalyticDatum, comb_layer_pairing,
                                    comb_norm, divergent_sequence_check,
-                                   gaussian_sector_sum, gaussian_total_mass,
-                                   sector_sum_decay, zero_mean_blowup,
-                                   _pair_constant)
+                                   gaussian_sector_sum, sector_sum_decay,
+                                   zero_mean_blowup, _pair_constant)
+from oracles import gaussian_total_mass
 
 
 def test_datum_validation():

@@ -1,7 +1,8 @@
 """Static hygiene of the package source: no unused imports, no dead private
-module-level names, no value no production caller sets, no field no caller
-reads, no scipy outside spaces-lab; and of the tests: no relative approx
-with an unstated absolute tolerance."""
+module-level names, no public name only unit tests reach, no value no
+production caller sets, no field no caller reads, no scipy outside
+spaces-lab; and of the tests: no relative approx with an unstated absolute
+tolerance."""
 
 import ast
 import os
@@ -32,6 +33,16 @@ def _referenced(tree) -> set:
     return refs
 
 
+def _defined(statement) -> list:
+    """Names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 @pytest.mark.parametrize("module", _MODULES)
 def test_every_import_is_used(module):
     tree = _TREES[module]
@@ -48,13 +59,7 @@ def test_every_import_is_used(module):
 
 @pytest.mark.parametrize("module", _MODULES)
 def test_every_private_name_is_referenced(module):
-    defined = set()
-    for node in _TREES[module].body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    defined = {name for node in _TREES[module].body for name in _defined(node)}
     private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
     refs = set().union(*(_referenced(tree) for tree in _TREES.values()))
     assert sorted(private - refs) == []
@@ -129,6 +134,18 @@ def test_every_default_is_overridden_somewhere():
             if not (star or param in keys or (index is not None and n_pos > index)):
                 never.append(f"{module}:{name}.{param}")
     assert sorted(never) == sorted(_SEAMS)
+
+
+def test_every_public_name_has_a_production_reference():
+    # a name only unit tests reach is a test oracle: it belongs in tests/oracles.py
+    outside = set().union(*(_referenced(ast.parse(path.read_text(), filename=str(path)))
+                            for path in _PRODUCTION if path.parent != _SRC))
+    statements = [(node, _referenced(node)) for tree in _TREES.values() for node in tree.body]
+    unreached = [f"{module}:{name}" for module, tree in _TREES.items() for node in tree.body
+                 for name in _defined(node) if not name.startswith("_")
+                 and name not in outside
+                 and not any(name in refs for other, refs in statements if other is not node)]
+    assert unreached == []
 
 
 def test_every_dataclass_field_is_read():

@@ -1,6 +1,8 @@
 """tools/mutants.py must tell a killed edit from a surviving one, accept a
-survivor only with a listed reason, and refuse a list it cannot apply."""
+survivor only with a listed reason, and refuse a list it cannot apply; and
+its committed list must apply to the tree."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -51,3 +53,14 @@ def test_mutants_reports_the_unlisted_survivor(tmp_path):
         proc = _mutants(tmp_path, edits)
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stdout.startswith("unusable: "), proc.stdout
+
+
+def test_listed_edits_apply_to_the_tree():
+    # a refactor that removes an anchor fails here, not at the next mutation run
+    spec = importlib.util.spec_from_file_location("mutants", _TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    edits = json.loads((_TOOL.parent / "mutants.json").read_text())
+    assert tool._unusable(edits) == ""
+    assert [t for e in edits for t in e["tests"]
+            if not (_TOOL.parents[1] / t.split("::")[0]).is_file()] == []

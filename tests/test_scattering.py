@@ -6,8 +6,8 @@ from kplab.decomposition import NormParams, SpaceTimeTrace, lqlp_norm, pullback_
 from kplab.errors import PreconditionError, ScatteringNotDetected
 from kplab.scattering import asymptotic_state
 from kplab.solver import SimConfig, evolve
-from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
-                            zero_field)
+from kplab.spectral import GridSpec, SpectralField, apply_linear_propagator
+from oracles import zero_field
 
 
 @pytest.fixture(scope="module")
