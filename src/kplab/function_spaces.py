@@ -116,6 +116,9 @@ def sector_sum_decay(d: AnalyticDatum, p: float, lam_lo: float = 2.0 ** -7,
     jhi = require_power_of_two(lam_hi, "lam_hi")
     lams = np.array([2.0 ** j for j in range(jlo, jhi + 1)])
     vals = np.array([gaussian_sector_sum(d, l, p) for l in lams])
+    if not np.all(vals[:4] > 0):
+        raise ConfigurationError(f"p = {p:g} is too large: the sector sums of the "
+                                 "fitted shells underflow to 0")
     low = fit_loglog_slope(lams[:4], vals[:4])
     return DecayTable(lams, vals, low)
 

@@ -7,17 +7,15 @@ import json
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log2(y) against log2(x)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2:
-        raise ConfigurationError("slope fit needs at least 2 points")
+        raise ValueError("slope fit needs at least 2 points")
     if np.any(ys <= 0) or np.any(xs <= 0):
-        raise ConfigurationError("slope fit needs positive data")
+        raise ValueError("slope fit needs positive data")
     return float(np.polyfit(np.log2(xs), np.log2(ys), 1)[0])
 
 

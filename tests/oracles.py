@@ -6,10 +6,9 @@ and function-space lemmas no production run needs.  Which test reads which:
 * `zero_field`, `forward_transform`: test_spectral_core's transforms, and zero
   data in test_estimates, test_scattering and test_solver;
 * `dyadic_projection`: test_decomposition's shell and sector partitions;
-* the windowed modulation layer, with the taper (`hann`) as an argument, and
-  the trace norms `l2_spacetime`, `u1_variation_norm`, `l1t_l2_norm`:
-  test_decomposition's U^p/V^p lemma checks (Hadac, Herr and Koch, Ann. IHP
-  2009).  The modulation |tau - w| is taken circularly, mod the sampling band;
+* the windowed modulation layer (Hann taper) and the trace norms
+  `l2_spacetime`, `u1_variation_norm`, `l1t_l2_norm`: test_decomposition's
+  U^p/V^p lemma checks (Hadac, Herr and Koch, Ann. IHP 2009).  The modulation |tau - w| is taken circularly, mod the sampling band;
 * `section_roots_by_scan`: test_estimates' section roots;
 * `gaussian_total_mass`: test_function_spaces' p = 2 sector sums;
 * the frequency-box norms and `cross_term_support`: test_illposedness.
@@ -56,12 +55,6 @@ def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:
                          u.real_flag)
 
 
-def hann(n: int, dt: float) -> np.ndarray:
-    """The periodic Hann taper on n samples dt apart, scaled to dt * sum(w^2) = 1."""
-    w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
-    return w / math.sqrt(dt * np.sum(w ** 2))
-
-
 def _dt(tr: SpaceTimeTrace) -> float:
     return float(tr.times[1] - tr.times[0])
 
@@ -75,12 +68,20 @@ def window_bandwidth(T: float) -> float:
     return 32.0 * 2.0 * np.pi / T
 
 
-def _windowed_dft(tr: SpaceTimeTrace, taper):
+def windowed_trace(tr: SpaceTimeTrace) -> SpaceTimeTrace:
+    """The trace times the periodic Hann taper, scaled to dt * sum(w^2) = 1."""
+    n = tr.times.size
+    w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
+    w = w / math.sqrt(_dt(tr) * np.sum(w ** 2))
+    return SpaceTimeTrace(tr.times.copy(), tr.coeff * w[:, None, None, None], tr.grid,
+                          tr.real_flag)
+
+
+def _windowed_dft(tr: SpaceTimeTrace):
     n, dt = tr.times.size, np.diff(tr.times)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
         raise PreconditionError("modulation analysis requires a uniform time grid")
-    arr = tr.coeff * taper(n, dt[0])[:, None, None, None]
-    chat = np.fft.fft(arr, axis=0) / math.sqrt(n)
+    chat = np.fft.fft(windowed_trace(tr).coeff, axis=0) / math.sqrt(n)
     tau = 2 * np.pi * np.fft.fftfreq(n, dt[0])
     band = np.pi / dt[0]   # |tau - w| circularly, mod the sampling band
     dist = np.abs((tau[:, None, None, None] - omega(tr.grid)[None, ...] + band)
@@ -88,29 +89,22 @@ def _windowed_dft(tr: SpaceTimeTrace, taper):
     return chat, dist
 
 
-def modulation_projection(tr: SpaceTimeTrace, taper, Lam: float, side: str) -> SpaceTimeTrace:
+def modulation_projection(tr: SpaceTimeTrace, Lam: float, side: str) -> SpaceTimeTrace:
     """Windowed projection to modulation |tau - w(xi,eta)| > Lam (above) or
     <= Lam (below).  above-part + below-part = windowed trace exactly."""
     assert side in ("above", "below")
-    chat, dist = _windowed_dft(tr, taper)
+    chat, dist = _windowed_dft(tr)
     mask = dist > Lam if side == "above" else dist <= Lam
     filt = np.fft.ifft(chat * mask, axis=0) * math.sqrt(tr.times.size)
     return SpaceTimeTrace(tr.times.copy(), filt, tr.grid, real_flag=False)
 
 
-def windowed_trace(tr: SpaceTimeTrace, taper) -> SpaceTimeTrace:
-    """The trace with its taper applied."""
-    w = taper(tr.times.size, _dt(tr))
-    return SpaceTimeTrace(tr.times.copy(), tr.coeff * w[:, None, None, None], tr.grid,
-                          tr.real_flag)
-
-
-def modulation_weighted_norm(tr: SpaceTimeTrace, taper, b: float) -> float:
+def modulation_weighted_norm(tr: SpaceTimeTrace, b: float) -> float:
     """Discrete || |tau - w|^b u-hat ||_{L^2} of the windowed trace.
 
     b = 0 reduces to the space-time L^2 norm of the windowed trace.
     """
-    chat, dist = _windowed_dft(tr, taper)
+    chat, dist = _windowed_dft(tr)
     total = np.sum(dist ** (2 * b) * np.abs(chat) ** 2)
     return float(np.sqrt(_dt(tr) * tr.grid.volume * total))
 

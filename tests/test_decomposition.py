@@ -15,7 +15,7 @@ from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             dispersion_symbol, dyadic_exponent, galilean_shift,
                             grid_geometry, sector_key)
-from oracles import (dyadic_projection, hann, l1t_l2_norm, l2_spacetime,
+from oracles import (dyadic_projection, l1t_l2_norm, l2_spacetime,
                      modulation_projection, modulation_weighted_norm, u1_variation_norm,
                      window_bandwidth, windowed_trace)
 
@@ -298,9 +298,9 @@ def grid_mod():
 def test_modulation_split_and_parseval(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=0.0)
     T = 16.0
-    above = modulation_projection(tr, hann, 10 * 2 * np.pi / T, "above")
-    below = modulation_projection(tr, hann, 10 * 2 * np.pi / T, "below")
-    wtr = windowed_trace(tr, hann)
+    above = modulation_projection(tr, 10 * 2 * np.pi / T, "above")
+    below = modulation_projection(tr, 10 * 2 * np.pi / T, "below")
+    wtr = windowed_trace(tr)
     gap = np.max(np.abs(above.coeff + below.coeff - wtr.coeff))
     assert gap <= 1e-10
     split = l2_spacetime(above) ** 2 + l2_spacetime(below) ** 2
@@ -312,15 +312,15 @@ def test_modulation_linear_solution_leakage(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=0.0)
     T = 16.0
     Lam = 16 * 2 * np.pi / T
-    above = modulation_projection(tr, hann, Lam, "above")
-    frac = (l2_spacetime(above) / l2_spacetime(windowed_trace(tr, hann))) ** 2
+    above = modulation_projection(tr, Lam, "above")
+    frac = (l2_spacetime(above) / l2_spacetime(windowed_trace(tr))) ** 2
     assert frac < 0.05
 
 
 def test_modulation_lam_zero_above_is_everything(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=3.0)
-    above = modulation_projection(tr, hann, 0.0, "above")
-    wtr = windowed_trace(tr, hann)
+    above = modulation_projection(tr, 0.0, "above")
+    wtr = windowed_trace(tr)
     assert np.max(np.abs(above.coeff - wtr.coeff)) <= 1e-12
 
 
@@ -344,13 +344,13 @@ def test_modulation_requires_uniform_grid(grid_mod):
     bad_times[3] += 0.01
     tr2 = SpaceTimeTrace(bad_times, tr.coeff, grid_mod, real_flag=False)
     with pytest.raises(PreconditionError):
-        modulation_projection(tr2, hann, 1.0, "above")
+        modulation_projection(tr2, 1.0, "above")
 
 
 def test_xdot_b_zero_is_spacetime_l2(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=1.7)
-    assert modulation_weighted_norm(tr, hann, 0.0) == pytest.approx(
-        l2_spacetime(windowed_trace(tr, hann)), rel=1e-12, abs=0)
+    assert modulation_weighted_norm(tr, 0.0) == pytest.approx(
+        l2_spacetime(windowed_trace(tr)), rel=1e-12, abs=0)
 
 
 def test_xdot_linear_solution_small(grid_mod):
@@ -358,7 +358,7 @@ def test_xdot_linear_solution_small(grid_mod):
     u0_norm = tr.states[0].l2_norm()
     T = 16.0
     for b in (0.6, 0.9, 1.0):
-        val = modulation_weighted_norm(tr, hann, b)
+        val = modulation_weighted_norm(tr, b)
         assert val <= 0.10 * u0_norm * window_bandwidth(T) ** b
 
 
@@ -368,7 +368,7 @@ def test_xdot_shifted_line(grid_mod):
     tr, _ = _line_trace(grid_mod, (2, 1, 0), delta=delta)
     u0_norm = tr.states[0].l2_norm()
     for b in (0.6, 0.9):
-        val = modulation_weighted_norm(tr, hann, b)
+        val = modulation_weighted_norm(tr, b)
         assert val == pytest.approx(abs(delta) ** b * u0_norm, rel=0.10, abs=0)
 
 
@@ -464,7 +464,7 @@ def test_u1_high_modulation_bound(grid_mod):
         tr = SpaceTimeTrace(times, coeff, grid_mod, real_flag=False)
         u1 = u1_variation_norm(tr)
         for Lam in (4.0, 8.0, 16.0):
-            above = modulation_projection(tr, hann, Lam, "above")
+            above = modulation_projection(tr, Lam, "above")
             ratio = l1t_l2_norm(above) * Lam / u1
             worst = max(worst, ratio)
     assert worst <= 4.0

@@ -137,7 +137,10 @@ def test_every_default_is_overridden_somewhere():
 
 
 def test_every_public_name_has_a_production_reference():
-    # a name only unit tests reach is a test oracle: it belongs in tests/oracles.py
+    # a name only unit tests reach is a test oracle: it belongs in tests/oracles.py.
+    # Names match as strings, not bindings: any identifier, attribute or imported
+    # name of that spelling counts, so `x.omega` on another object would hide a
+    # test-only top-level `omega`.
     outside = set().union(*(_referenced(ast.parse(path.read_text(), filename=str(path)))
                             for path in _PRODUCTION if path.parent != _SRC))
     statements = [(node, _referenced(node)) for tree in _TREES.values() for node in tree.body]
