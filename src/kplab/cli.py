@@ -351,7 +351,10 @@ def _run_picard(args, s):
     npar = NormParams()
     u0 = gaussian_datum(s["grid"], amplitude=1.0, center_xi=1.0,
                         width_xi=0.4, width_eta=0.4)
-    u0 = SpectralField(s["grid"], u0.coeff * (s["datum_norm"] / lqlp_norm(u0, npar)), True)
+    norm = lqlp_norm(u0, npar)
+    if norm == 0.0:   # the datum is rescaled to datum_norm
+        raise ConfigurationError("run picard datum has zero norm on this grid; check the grid")
+    u0 = SpectralField(s["grid"], u0.coeff * (s["datum_norm"] / norm), True)
     _, rep = picard_iterate(u0, s["sim"])
     ok = rep.converged and all(r <= 0.5 for r in rep.ratios)
     return ok, {"iterates": rep.iterates, "diffs": rep.diffs, "ratios": rep.ratios,

@@ -8,6 +8,8 @@ coefficients are h^{-3} * base(xi/h, eta/h^2) evaluated on the lattice.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .decomposition import NormParams, lqlp_norm, sector_projection
@@ -36,12 +38,20 @@ def gaussian_datum(grid: GridSpec, amplitude: float = 1.0, scale: float = 1.0,
     if center_xi == 0.0:
         raise ConfigurationError("center_xi must be nonzero (zero-x-mean fields)")
     h = scale
+    try:   # h^2 lies between 1 and h^3, so a finite peak bounds both dilations
+        peak = amplitude / h ** 3
+    except (OverflowError, ZeroDivisionError):   # h^3 overflows or underflows to 0
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise ConfigurationError(f"scale={scale} is out of range: amplitude / scale^3 "
+                                 "is not a finite double")
     geo = grid_geometry(grid)
     xi, e1, e2 = geo.xi / h, geo.eta1 / h ** 2, geo.eta2 / h ** 2
-    prof = (np.exp(-((xi - center_xi) ** 2) / (2 * width_xi ** 2))
-            * np.exp(-(e1 ** 2 + e2 ** 2) / (2 * width_eta ** 2)))
-    coeff = (amplitude / h ** 3) * prof
-    return make_field(grid, coeff, real_flag=True, hermitize=True)
+    with np.errstate(over="ignore"):   # a far lattice point squares to inf; exp(-inf) = 0
+        prof = (np.exp(-((xi - center_xi) ** 2) / (2 * width_xi ** 2))
+                * np.exp(-(e1 ** 2 + e2 ** 2) / (2 * width_eta ** 2)))
+    coeff = peak * prof
+    return make_field(grid, coeff)
 
 
 def sector_indicator_datum(grid: GridSpec, lam: float, k=(0, 0),
@@ -53,7 +63,7 @@ def sector_indicator_datum(grid: GridSpec, lam: float, k=(0, 0),
     coeff = sector_projection(ones, (j, *k)).coeff
     if not coeff.any():
         raise ConfigurationError(f"sector (lam={lam}, k={k}) does not meet the grid")
-    return make_field(grid, coeff, real_flag=True, hermitize=True)
+    return make_field(grid, coeff)
 
 
 def random_band_field(grid: GridSpec, rng: np.random.Generator,
@@ -74,7 +84,7 @@ def random_band_field(grid: GridSpec, rng: np.random.Generator,
     if not sup.any():
         raise ConfigurationError("random band support is empty on this grid")
     z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = make_field(grid, np.where(sup, z, 0.0), real_flag=True, hermitize=True)
+    f = make_field(grid, np.where(sup, z, 0.0))
     cur = f.l2_norm()
     if cur == 0.0:
         raise ConfigurationError("random band field degenerated to zero")
@@ -98,7 +108,7 @@ def scattering_datum(grid: GridSpec, rng: np.random.Generator,
     env = (np.abs(xi) * np.exp(-xi ** 2 / 2.0)
            * np.exp(-((s1 - cs[0]) ** 2 + (s2 - cs[1]) ** 2) / (2 * 0.5 ** 2)))
     env = np.where(xi != 0, env, 0.0)
-    f = make_field(grid, env * jitter * phase, real_flag=True, hermitize=True)
+    f = make_field(grid, env * jitter * phase)
     n = lqlp_norm(f, norm_params)
     if n == 0.0:
         raise ConfigurationError("scattering datum degenerated to zero")
@@ -121,4 +131,4 @@ def two_bump_lattice_datum(grid: GridSpec, ip: IllposedParams, p: float) -> Spec
         coeff += np.where(inside, box.amplitude + 0.0j, 0.0)
     # continuum spectral densities -> series coefficients on this lattice
     cell = grid.dxi * grid.deta1 * grid.deta2 / grid.volume
-    return make_field(grid, coeff * np.sqrt(cell), real_flag=True, hermitize=True)
+    return make_field(grid, coeff * np.sqrt(cell))

@@ -81,14 +81,13 @@ def resonance_identity_defect(p: ResonancePoint) -> float:
     return abs(lhs - rhs) / scale
 
 
-def random_resonance_point(rng: np.random.Generator, xi_lo: float = 0.25,
-                           xi_hi: float = 8.0, on_shell: bool = True) -> ResonancePoint:
-    """Random hyperplane point with |xi_i| in [xi_lo, xi_hi] (rejection on xi3)."""
+def random_resonance_point(rng: np.random.Generator, on_shell: bool = True) -> ResonancePoint:
+    """Random hyperplane point with |xi_i| in [1/4, 8] (rejection on xi3)."""
     while True:
-        x1 = rng.uniform(xi_lo, xi_hi) * rng.choice((-1.0, 1.0))
-        x2 = rng.uniform(xi_lo, xi_hi) * rng.choice((-1.0, 1.0))
+        x1 = rng.uniform(0.25, 8.0) * rng.choice((-1.0, 1.0))
+        x2 = rng.uniform(0.25, 8.0) * rng.choice((-1.0, 1.0))
         x3 = -(x1 + x2)
-        if xi_lo <= abs(x3) <= xi_hi:
+        if 0.25 <= abs(x3) <= 8.0:
             break
     e1 = tuple(rng.uniform(-4, 4, 2))
     e2 = tuple(rng.uniform(-4, 4, 2))

@@ -89,7 +89,7 @@ def resonance_function(xi, xi1, eta, eta1):
     return A + B * (d0 * d0 + d1 * d1)
 
 
-def sample_interaction_set(ip: IllposedParams, n: int, seed: int = 0):
+def sample_interaction_set(ip: IllposedParams, n: int, seed: int):
     """Uniform samples of the pair set A; returns (R values, lam^2 mu)."""
     rng = np.random.default_rng(seed)
     mu, lam = ip.mu, ip.lam
@@ -256,6 +256,8 @@ def growth_sweeps(lams, ps) -> list:
     lams = sorted(lams)
     if len(lams) < 3:
         raise ConfigurationError("growth sweep needs at least 3 lam values")
+    if not lams[0] > 1.0:   # before lam^-2 overflows for a tiny lam
+        raise ConfigurationError(f"need mu << 1 << lam, got lam = {lams[0]}")
     ips = [IllposedParams(lam ** -2.0, lam) for lam in lams]
     for p in ps:                       # refuse a bad p before any quadrature
         two_bump_datum(ips[0], p)

@@ -313,22 +313,20 @@ def nonzero_modes(grid: GridSpec, coeff: np.ndarray):
     return (*(grid.mode_numbers(a)[i] for a, i in enumerate(idx)), coeff[idx])
 
 
-def make_field(grid: GridSpec, coeff: np.ndarray, real_flag: bool = True,
-               hermitize: bool = False) -> SpectralField:
-    """Construct a field, enforcing the structural invariants.
+def make_field(grid: GridSpec, coeff: np.ndarray) -> SpectralField:
+    """Construct a real field, enforcing the structural invariants.
 
-    With hermitize=True the conjugate-mirror average is taken first, which is
-    the standard way to realize a real field from a one-sided bump formula.
+    The conjugate-mirror average is taken first, which is the standard way
+    to realize a real field from a one-sided bump formula.
     """
     geo = grid_geometry(grid)
     c = np.array(coeff, dtype=np.complex128)
-    if hermitize:   # 0.5 * (c + conj(mirror)), in one mirrored copy
-        m = c[geo.reverse]
-        np.conjugate(m, out=m)
-        c += m
-        c *= 0.5
+    m = c[geo.reverse]   # 0.5 * (c + conj(mirror)), in one mirrored copy
+    np.conjugate(m, out=m)
+    c += m
+    c *= 0.5
     c[~geo.structural] = 0.0
-    return SpectralField(grid, c, real_flag)
+    return SpectralField(grid, c, True)
 
 
 # ----------------------------------------------------------------------

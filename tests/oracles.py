@@ -24,7 +24,7 @@ from kplab.errors import ConfigurationError, PreconditionError
 from kplab.estimates import _SECTION_WINDOW, _g_rho
 from kplab.function_spaces import _xi_weight
 from kplab.spectral import (PhysicalField, SpectralField, dyadic_exponent, grid_geometry,
-                            make_field, sector_key)
+                            sector_key)
 
 
 def omega(grid) -> np.ndarray:
@@ -45,7 +45,8 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     amp = np.max(np.abs(c)) or 1.0
     if np.max(np.abs(c[0, :, :])) > 1e-10 * amp:
         raise ConfigurationError("physical field has a nonzero x-mean")
-    return make_field(f.grid, c, real_flag=True)
+    c[~grid_geometry(f.grid).structural] = 0.0
+    return SpectralField(f.grid, c, True)
 
 
 def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:

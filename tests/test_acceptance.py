@@ -49,7 +49,7 @@ def test_criterion_01_resonance_identity():
     rng = member_rng(101, 0)
     worst = 0.0
     for _ in range(10000):
-        p = random_resonance_point(rng, 0.25, 8.0, on_shell=False)
+        p = random_resonance_point(rng, on_shell=False)
         worst = max(worst, resonance_identity_defect(p))
     dt = time.time() - t0
     ok = worst <= 1e-9 and dt < 5.0

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -259,89 +262,6 @@ def test_leaf_help_lists_only_its_own_flags(leaf, capsys):
     assert flags == _LEAF_FLAGS.get(leaf, set()) | {"--help"}
 
 
-# Each malformed input is an unusable configuration: exit 2, no traceback.
-_MALFORMED = {
-    "snapshot-short-header": (["norms", "cut.kp3f"], {"cut.kp3f": 20}),
-    "snapshot-short-payload": (["norms", "cut.kp3f"], {"cut.kp3f": 100}),
-    "snapshot-missing": (["norms", "absent.kp3f"], {}),
-    "config-bad-json": (["--config", "c.json", "run", "picard"], {"c.json": "{bad"}),
-    "config-not-object": (["--config", "c.json", "run", "picard"], {"c.json": "[1, 2]"}),
-    "config-is-directory": (["--config", ".", "run", "picard"], {}),
-    "config-odd-modes": (["--config", "c.json", "run", "sim"],
-                         {"c.json": '{"grid": {"modes_x": 7}}'}),
-    "config-grid-not-object": (["--config", "c.json", "run", "picard"],
-                               {"c.json": '{"grid": []}'}),
-    "config-grid-dealias-off": (["--config", "c.json", "run", "sim"],
-                                {"c.json": '{"grid": {"dealias": false}}'}),
-    "config-grid-unknown-key": (["--config", "c.json", "run", "picard"],
-                                {"c.json": '{"grid": {"modes_X": 32}}'}),
-    "config-dt-not-number": (["--config", "c.json", "run", "sim"],
-                             {"c.json": '{"dt": "x"}'}),
-    "config-modes-not-number": (["--config", "c.json", "run", "picard"],
-                                {"c.json": '{"grid": {"modes_x": "64"}}'}),
-    "config-datum-norm-not-number": (["--config", "c.json", "run", "picard"],
-                                     {"c.json": '{"datum_norm": "x"}'}),
-    "make-data-bad-json": (["--config", "c.json", "make-data", "gaussian",
-                            "--file", "g.kp3f"], {"c.json": "{bad"}),
-    "lams-not-numbers": (["run", "illposed-sweep", "--lams", "8,x"], {}),
-    "sector-k-not-pair": (["make-data", "sector", "--k", "1"], {}),
-    "sector-lam-overflows-power-of-two": (["make-data", "sector", "--lam", "1.7e308"], {}),
-    "verify-samples-not-a-count": (["verify", "resonance", "--samples", "-5"], {}),
-    "make-data-width-zero": (["make-data", "gaussian", "--width", "0"], {}),
-    "spaces-lab-p-zero": (["--config", "c.json", "run", "spaces-lab"], {"c.json": '{"p": 0}'}),
-    "spaces-lab-p-1e300": (["--config", "c.json", "run", "spaces-lab"],
-                           {"c.json": '{"p": 1e300}'}),
-    "illposed-sweep-p-out-of-range": (["run", "illposed-sweep", "--p", "0.5"], {}),
-    "illposed-sweep-too-few-lams": (["run", "illposed-sweep", "--lams", "8,16"], {}),
-    "illposed-sweep-lam-off-window": (["run", "illposed-sweep", "--lams",
-                                       "2097152,4194304,8388608"], {}),
-    "illposed-sweep-lam-unresolvable": (["run", "illposed-sweep", "--lams",
-                                         "32768,65536,131072"], {}),
-    "threads-not-a-count": (["verify", "bilinear", "--threads", "0"], {}),
-    "verify-lam-nan": (["verify", "bilinear", "--lam", "nan"], {}),
-    "make-data-amplitude-nan": (["make-data", "gaussian", "--amplitude", "nan"], {}),
-    "make-data-center-xi-nan": (["make-data", "gaussian", "--center-xi", "nan"], {}),
-    "make-data-illposed-lam-below-one": (["make-data", "illposed", "--lam", "0.5"], {}),
-    "make-data-illposed-p-out-of-range": (["make-data", "illposed", "--p", "1"], {}),
-    "make-data-illposed-grid": (["--config", "c.json", "make-data", "illposed",
-                                 "--illposed-modes-x", "4224"],
-                                {"c.json": '{"grid": {"modes_x": 32}}'}),
-    "snapshot-nan-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.nan}),
-    "snapshot-inf-coefficient": (["norms", "bad.kp3f"], {"bad.kp3f": math.inf}),
-    "sim-horizon-without-samples": (["--config", "c.json", "run", "sim"],
-                                    {"c.json": '{"samples_per_unit": 0.4, "T": 1}'}),
-    "config-unknown-key": (["--config", "c.json", "run", "picard"],
-                           {"c.json": '{"datum_nrom": 0.5}'}),
-    "config-key-of-other-experiment": (["--config", "c.json", "run", "scatter"],
-                                       {"c.json": '{"samples_per_unit": 4}'}),
-    "config-on-illposed-sweep": (["--config", "c.json", "run", "illposed-sweep"],
-                                 {"c.json": '{"p": 3}'}),
-    "verify-bad-json": (["--config", "c.json", "verify", "resonance"], {"c.json": "{bad"}),
-    "seed-negative": (["--seed", "-1", "verify", "resonance"], {}),
-    "seed-2-pow-32": (["--seed", "4294967296", "verify", "resonance"], {}),
-    "member-negative": (["--config", "c.json", "run", "scatter"], {"c.json": '{"member": -1}'}),
-    "member-2-pow-32": (["--config", "c.json", "run", "scatter"],
-                        {"c.json": '{"member": 4294967296}'}),
-    "run-flag-the-experiment-does-not-read": (["run", "spaces-lab", "--p", "5"], {}),
-    "verify-flag-the-check-does-not-read": (["verify", "resonance", "--lam", "8"], {}),
-    "make-data-flag-of-another-kind": (["make-data", "gaussian", "--lam", "3"], {}),
-    "make-data-random-band-k": (["make-data", "random-band", "--k", "1,0"], {}),
-    "picard-dt": (["--config", "c.json", "run", "picard"], {"c.json": '{"dt": 0.3}'}),
-    "picard-samples-per-unit-zero": (["--config", "c.json", "run", "picard"],
-                                     {"c.json": '{"samples_per_unit": 0}'}),
-    "abbreviated-flag": (["verify", "resonance", "--s", "3"], {}),
-    "abbreviated-flag-of-a-longer-flag": (["verify", "bilinear", "--mu"], {}),
-    "threads-before-the-verb": (["--threads", "2", "run", "sim"], {}),
-    "format-before-the-verb": (["--format", "csv", "norms", "g.kp3f"], {"g.kp3f": None}),
-    "sim-center-xi-zero": (["--config", "c.json", "run", "sim"], {"c.json": '{"center_xi": 0}'}),
-    "sim-amplitude-zero": (["--config", "c.json", "run", "sim"], {"c.json": '{"amplitude": 0}'}),
-    "sim-amplitude-overflow": (["--config", "c.json", "run", "sim"],
-                               {"c.json": '{"amplitude": 1e308}'}),
-    "norms-csv-without-out": (["norms", "g.kp3f", "--format", "csv"], {"g.kp3f": None}),
-    "scatter-csv-without-out": (["run", "scatter", "--format", "csv"], {}),
-}
-
-
 # What stderr must hold for some cases, beyond the absence of a traceback
 # and of a warning.
 _STDERR = {
@@ -353,22 +273,24 @@ _STDERR = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_malformed_input_exits_2(tmp_path, case):
-    args, files = _MALFORMED[case]
-    for name, content in files.items():
-        if content is None:   # a valid snapshot
-            write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)), tmp_path / name)
-        elif isinstance(content, int):   # a snapshot cut to this many bytes
-            write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)),
-                           tmp_path / "full.kp3f")
-            (tmp_path / name).write_bytes((tmp_path / "full.kp3f").read_bytes()[:content])
-        elif isinstance(content, float):   # a snapshot holding this value at mode (1, 1, 1)
-            u = gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0))
-            u.coeff[1, 1, 1] = content
-            write_snapshot(u, tmp_path / name)
-        else:
-            (tmp_path / name).write_text(content)
+# The refusals: every command after this marker in the corpus of
+# tools/same_results.py, each named by the comment that ends its line
+_CORPUS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "corpus"
+_LINES = (_CORPUS / "commands.txt").read_text().splitlines()
+_MARKER = '# Refusals: each command below exits 2 with an "error:" line and no traceback'
+_REFUSALS = [(line.rpartition("#")[2].strip(), shlex.split(line, comments=True)[1:])
+             for line in _LINES[_LINES.index(_MARKER) + 1:]
+             if shlex.split(line, comments=True)]
+
+
+def test_every_stderr_pattern_names_a_refusal():
+    assert set(_STDERR) <= {case for case, _ in _REFUSALS}
+
+
+@pytest.mark.parametrize("case, args", _REFUSALS, ids=[case for case, _ in _REFUSALS])
+def test_malformed_input_exits_2(tmp_path, case, args):
+    shutil.copytree(_CORPUS, tmp_path, dirs_exist_ok=True)
+    write_snapshot(gaussian_datum(GridSpec(8, 8, 8, 1.0, 1.0, 1.0)), tmp_path / "g.kp3f")
     proc = run_module(args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

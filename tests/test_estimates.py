@@ -402,7 +402,7 @@ def test_caps_match_the_full_grid_formula():
     # the caps are built on their occupied x-planes; the oracle evaluates the
     # profile on the whole grid and hermitizes it with make_field
     def full_grid(grid, prof):
-        return make_field(grid, prof, real_flag=True, hermitize=True).coeff
+        return make_field(grid, prof).coeff
 
     rng = member_rng(8, 0)
     for g in (GridSpec(232, 64, 64, 32 * np.pi, 32 * np.pi, 32 * np.pi),

@@ -66,8 +66,8 @@ def test_every_private_name_is_referenced(module):
 
 
 def _defaulted(tree):
-    """(callee name, positional index or None, parameter name) of every
-    defaulted parameter of a non-dunder function and every defaulted
+    """(callee name, positional index or None, parameter name, default) of
+    every defaulted parameter of a non-dunder function and every defaulted
     dataclass field; a method's index does not count self."""
     found = []
 
@@ -76,16 +76,17 @@ def _defaulted(tree):
             if isinstance(node, ast.ClassDef):
                 if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
                     fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
-                    found.extend((node.name, i, f.target.id)
+                    found.extend((node.name, i, f.target.id, f.value)
                                  for i, f in enumerate(fields) if f.value is not None)
                 visit(node.body, True)
             elif isinstance(node, ast.FunctionDef):
                 a = node.args
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     pos = [x.arg for x in a.posonlyargs + a.args]
-                    found.extend((node.name, i - in_class, pos[i])
-                                 for i in range(len(pos) - len(a.defaults), len(pos)))
-                    found.extend((node.name, None, k.arg) for k, d
+                    first = len(pos) - len(a.defaults)
+                    found.extend((node.name, i - in_class, pos[i], a.defaults[i - first])
+                                 for i in range(first, len(pos)))
+                    found.extend((node.name, None, k.arg, d) for k, d
                                  in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
                 visit(node.body, False)
     visit(tree.body, False)
@@ -106,34 +107,56 @@ _SEAMS = {
     "illposedness.py:second_picard_cross_term.rel_tol",   # AccuracyError
     "function_spaces.py:gaussian_sector_sum.enumeration_limit",  # enumeration as reference
 }
+# Constants that stay parameters because bench/ passes them
+_PINNED = {
+    "scattering.py:asymptotic_state.strict",   # strict=False at bench/workloads.py:51
+}
 
 
-def _call_settings():
-    """Per callee name: [largest positional count, keywords passed, whether
-    some production call passes *args or **kwargs]."""
+def _calls():
+    """Per callee name: (positional arguments, {keyword: argument}) of each
+    production call, or None once some call passes *args or **kwargs."""
     calls = {}
     for path in _PRODUCTION:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 f = node.func
-                entry = calls.setdefault(getattr(f, "id", getattr(f, "attr", None)),
-                                         [0, set(), False])
-                entry[0] = max(entry[0], len(node.args))
-                entry[1].update(k.arg for k in node.keywords)
-                entry[2] = (entry[2] or None in entry[1]
-                            or any(isinstance(x, ast.Starred) for x in node.args))
+                name = getattr(f, "id", getattr(f, "attr", None))
+                star = (any(k.arg is None for k in node.keywords)
+                        or any(isinstance(x, ast.Starred) for x in node.args))
+                if star:
+                    calls[name] = None
+                elif calls.setdefault(name, []) is not None:
+                    calls[name].append((node.args, {k.arg: k.value for k in node.keywords}))
     return calls
 
 
+def _literal(node):
+    """A literal's type and repr, or None for any other expression."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), repr(value)
+
+
 def test_every_default_is_overridden_somewhere():
-    calls = _call_settings()
-    never = []
+    # a default that every production call leaves or sets to one literal
+    # (an omitted argument counting as its default) is a constant
+    calls = _calls()
+    constant = []
     for module, tree in _TREES.items():
-        for name, index, param in _defaulted(tree):
-            n_pos, keys, star = calls.get(name, (0, set(), False))
-            if not (star or param in keys or (index is not None and n_pos > index)):
-                never.append(f"{module}:{name}.{param}")
-    assert sorted(never) == sorted(_SEAMS)
+        for name, index, param, default in _defaulted(tree):
+            if calls.get(name, []) is None:
+                continue
+            omitted = _literal(default) or ("default", ast.unparse(default))
+            values = {_literal(keys[param]) if param in keys
+                      else _literal(args[index]) if index is not None and len(args) > index
+                      else omitted
+                      for args, keys in calls.get(name, [])}
+            if None not in values and len(values) <= 1:
+                constant.append(f"{module}:{name}.{param}")
+    assert sorted(constant) == sorted(_SEAMS | _PINNED)
 
 
 def test_every_public_name_has_a_production_reference():

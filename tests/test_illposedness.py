@@ -178,7 +178,7 @@ def test_cross_term_two_routes_agree():
     # the time kernel (e^{iR}-1)/(iR) sampled over A: it oscillates there
     # (|R| in [2.5, 17]), so its real part has small mean; a pointwise 0.4
     # lower bound does not hold
-    R, _ = sample_interaction_set(ip, 100000)
+    R, _ = sample_interaction_set(ip, 100000, seed=0)
     ker = ((np.exp(1j * R) - 1.0) / (1j * R)).real
     assert -0.1 <= ker.mean() <= 0.1
     assert ker.min() >= -1.0
