@@ -185,6 +185,9 @@ def cmd_make_data(args, cfg, s) -> int:
         rng = member_rng(args.seed, 0)
         field = random_band_field(grid, rng, args.band_lo, args.band_hi,
                                   eta_max=args.eta_max)
+    if not field.coeff.any():
+        raise ConfigurationError(f"make-data {args.kind} datum is zero on this grid: "
+                                 "it lies wholly off the lattice")
     write_snapshot(field, args.file)
     norms = {}
     for q, p in ((math.inf, args.p), (math.inf, 2.0), (2.0, 2.0)):

@@ -480,8 +480,12 @@ def bilinear_lowhigh_ratio_transient(u0: SpectralField, v0: SpectralField,
     dV = 2.0 * g.volume / (m * g.modes_y1 * g.modes_y2)
 
     def sq(pu, pw):
-        p = pu * pw
-        return np.sum(p.real ** 2 + p.imag ** 2) * dV
+        # pu is real, so |pu pw|^2 = (pu pw.real)^2 + (pu pw.imag)^2 in real arithmetic
+        re, im = pu * pw.real, pu * pw.imag
+        re *= re
+        im *= im
+        re += im
+        return np.sum(re) * dV
 
     # map, not a loop over zip: no sample of the previous time stays alive
     # while the next pair is transformed
@@ -598,9 +602,11 @@ def weighted_pair_norm(u: SparseWave, v: SparseWave, lam: float, T: float) -> fl
     computed by direct frequency-pair quadrature with 16 midpoint time samples.
 
     Pairs whose sums coincide (after rounding to 1e-9) share one output, and
-    only there do the time phases interfere.  The continuous draws of
-    `sector_gamma_sweep` give every pair its own output (61440 outputs for
-    384 x 160 pairs at seed 108), so there this norm equals
+    only there do the time phases interfere.  The outputs are grouped by 1-D
+    sorts of the rounded sums and of their rank codes, in the lexicographic
+    order of `np.unique(keys, axis=0)` and without its sort of structured
+    rows.  The continuous draws of `sector_gamma_sweep` give every pair its own output
+    (61440 outputs for 384 x 160 pairs at seed 108), so there this norm equals
     sqrt(T * sum |amp|^2) to rounding and its |Gamma|-slope measures the
     weight lam + |s1 - s2| alone.
     """
@@ -614,9 +620,13 @@ def weighted_pair_norm(u: SparseWave, v: SparseWave, lam: float, T: float) -> fl
     wgt = lam + np.hypot(s1d, s2d)
     amp = np.multiply.outer(u.coeff, v.coeff).ravel() * wgt
     om = np.add.outer(wu, wv).ravel()
-    keys = np.stack([np.round(tx, 9), np.round(t1, 9), np.round(t2, 9)], axis=1)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    nout = int(inverse.max()) + 1
+    # rank each rounded sum, and rank the mixed-radix code of the ranks so far:
+    # codes below N^2 for N pairs, ordered as the rows of (tx, t1, t2)
+    inverse = np.zeros(tx.size, dtype=np.intp)
+    for k in (tx, t1, t2):
+        vals, rank = np.unique(np.round(k, 9), return_inverse=True)
+        vals, inverse = np.unique(inverse * vals.size + rank, return_inverse=True)
+    nout = vals.size
     n_time = 16
     dt = T / n_time
     total = 0.0

@@ -79,6 +79,19 @@ class GridSpec:
             require_number(L, name)
             if not (0 < L < np.inf):
                 raise ConfigurationError(f"{name}={L}: box lengths must be positive and finite")
+        # the scales every mesh, norm and phase is built from: a length at the
+        # edge of the doubles can make one of them overflow or underflow to 0
+        xi_top = self.modes_x // 2 * self.dxi
+        e1, e2 = self.modes_y1 // 2 * self.deta1, self.modes_y2 // 2 * self.deta2
+        for what, value in (("mode spacing", self.dxi), ("mode spacing", self.deta1),
+                            ("mode spacing", self.deta2),
+                            ("cell volume", self.volume / math.prod(self.shape)),
+                            ("top symbol term |xi|^3", xi_top * xi_top * xi_top),
+                            ("top symbol term |eta|^2/|xi|", (e1 * e1 + e2 * e2) / self.dxi)):
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"box lengths ({self.length_x}, {self.length_y1}, {self.length_y2}) give "
+                    f"the {what} {value}, which is not a finite nonzero double")
 
     @property
     def shape(self):
@@ -253,19 +266,32 @@ class SpectralField:
                 f"coefficient shape {self.coeff.shape} != grid shape {self.grid.shape}")
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ConfigurationError."""
+        """Check the structural invariants; raises ConfigurationError.
+
+        Only the occupied x-planes are read (NaN counts as occupied): a zero
+        plane adds nothing to the scale or to the Nyquist test, and the
+        Hermitian defect at -k is -conj of the defect at k, so the occupied
+        plane of a mirror pair carries its maximum.  A field occupying half
+        its planes or more is read in place, not gathered, so it holds one
+        complex temporary, the mirror copy."""
         c = self.coeff
-        scale = float(np.max(np.abs(c)))   # NaN or inf iff some coefficient is
+        occupied = np.flatnonzero(np.any(c, axis=(1, 2)))
+        if not occupied.size:
+            return
+        planes = occupied if 2 * occupied.size < len(c) else slice(None)
+        p = c[planes]
+        scale = float(np.max(np.abs(p)))   # NaN or inf iff some coefficient is
         if not math.isfinite(scale):
             raise ConfigurationError("non-finite coefficient present")
-        if np.any(c[0, :, :] != 0):
+        if occupied[0] == 0:
             raise ConfigurationError("zero-x-mean invariant violated")
         geo = grid_geometry(self.grid)
-        if np.any(c[~geo.structural] != 0):
+        if np.any(p[~geo.structural[planes]] != 0):
             raise ConfigurationError("Nyquist-plane content present")
         if self.real_flag:
-            defect = c[geo.reverse]   # c - conj(mirror), in one complex temporary
-            np.subtract(c, np.conjugate(defect, out=defect), out=defect)
+            rx, r1, r2 = geo.reverse   # p - conj(mirror), in one complex temporary
+            defect = c[rx[planes], r1, r2]
+            np.subtract(p, np.conjugate(defect, out=defect), out=defect)
             if np.max(np.abs(defect)) > 1e-12 * (scale or 1.0):
                 raise ConfigurationError("Hermitian symmetry violated for real field")
 

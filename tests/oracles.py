@@ -5,11 +5,14 @@ and function-space lemmas no production run needs.  Which test reads which:
   test_spectral_core and the linear-flow references of test_solver;
 * `zero_field`, `forward_transform`: test_spectral_core's transforms, and zero
   data in test_estimates, test_scattering and test_solver;
+* `validate_full_grid`: test_spectral_core's check of the occupied-plane
+  `SpectralField.validate`;
 * `dyadic_projection`: test_decomposition's shell and sector partitions;
 * the windowed modulation layer (Hann taper) and the trace norms
   `l2_spacetime`, `u1_variation_norm`, `l1t_l2_norm`: test_decomposition's
   U^p/V^p lemma checks (Hadac, Herr and Koch, Ann. IHP 2009).  The modulation |tau - w| is taken circularly, mod the sampling band;
 * `section_roots_by_scan`: test_estimates' section roots;
+* `weighted_pair_norm_by_unique`: test_estimates' sort-based pair grouping;
 * `gaussian_total_mass`: test_function_spaces' p = 2 sector sums;
 * the frequency-box norms and `cross_term_support`: test_illposedness.
 """
@@ -21,7 +24,7 @@ import numpy as np
 from kplab.decomposition import (SpaceTimeTrace, _gl_nodes, _lp_reduce, _lqlp_reduce,
                                  pullback_states)
 from kplab.errors import ConfigurationError, PreconditionError
-from kplab.estimates import _SECTION_WINDOW, _g_rho
+from kplab.estimates import _SECTION_WINDOW, _g_rho, SparseWave
 from kplab.function_spaces import _xi_weight
 from kplab.spectral import (PhysicalField, SpectralField, dyadic_exponent, grid_geometry,
                             sector_key)
@@ -37,6 +40,23 @@ def omega(grid) -> np.ndarray:
 
 def zero_field(grid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+
+
+def validate_full_grid(u: SpectralField) -> None:
+    """SpectralField.validate read on the whole grid, every plane."""
+    c = u.coeff
+    scale = float(np.max(np.abs(c)))   # NaN or inf iff some coefficient is
+    if not math.isfinite(scale):
+        raise ConfigurationError("non-finite coefficient present")
+    if np.any(c[0, :, :] != 0):
+        raise ConfigurationError("zero-x-mean invariant violated")
+    geo = grid_geometry(u.grid)
+    if np.any(c[~geo.structural] != 0):
+        raise ConfigurationError("Nyquist-plane content present")
+    if u.real_flag:
+        defect = c - np.conjugate(c[geo.reverse])
+        if np.max(np.abs(defect)) > 1e-12 * (scale or 1.0):
+            raise ConfigurationError("Hermitian symmetry violated for real field")
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:
@@ -143,6 +163,28 @@ def section_roots_by_scan(xi1, xi2, deta, rho, tau):
         same = (fm > 0) == (flo > 0)
         lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def weighted_pair_norm_by_unique(u: SparseWave, v: SparseWave, lam: float,
+                                 T: float) -> float:
+    """estimates.weighted_pair_norm with its outputs grouped by
+    np.unique(keys, axis=0)."""
+    tx = np.add.outer(u.xi, v.xi).ravel()
+    t1 = np.add.outer(u.eta1, v.eta1).ravel()
+    t2 = np.add.outer(u.eta2, v.eta2).ravel()
+    s1d = np.subtract.outer(u.eta1 / u.xi, v.eta1 / v.xi).ravel()
+    s2d = np.subtract.outer(u.eta2 / u.xi, v.eta2 / v.xi).ravel()
+    amp = np.multiply.outer(u.coeff, v.coeff).ravel() * (lam + np.hypot(s1d, s2d))
+    om = np.add.outer(u.omega(), v.omega()).ravel()
+    keys = np.stack([np.round(tx, 9), np.round(t1, 9), np.round(t2, 9)], axis=1)
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    dt = T / 16
+    total = 0.0
+    for i in range(16):
+        acc = np.zeros(int(inverse.max()) + 1, dtype=np.complex128)
+        np.add.at(acc, inverse, amp * np.exp(1j * ((i + 0.5) * dt) * om))
+        total += np.sum(np.abs(acc) ** 2) * dt
+    return math.sqrt(total)
 
 
 def gaussian_total_mass(d, lam: float) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kplab.data import gaussian_datum, member_rng, random_band_field
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.decomposition import _lp_reduce
-from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
+from kplab.estimates import (MeasureConfig, ResonancePoint, SparseWave, _flow_samples,
                              _g_rho_prime_raw,
                              bilinear_lowhigh_ratio_transient, bilinear_mu_sweep,
                              check_sector_hypotheses,
@@ -22,7 +22,7 @@ from kplab.estimates import (MeasureConfig, ResonancePoint, _flow_samples,
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             grid_geometry, inverse_transform, make_field,
                             scaling_transform)
-from oracles import section_roots_by_scan, zero_field
+from oracles import section_roots_by_scan, weighted_pair_norm_by_unique, zero_field
 
 
 # ----------------------------------------------------------------------
@@ -455,6 +455,37 @@ def test_weighted_pair_norm_constant_weight_reduction():
                     u.eta2[0] / u.xi[0] - v.eta2[0] / v.xi[0])
     plain = weighted_pair_norm(u, v, 0.0, T=2.0)  # weight |ds| only
     assert got / plain == pytest.approx((lam + ds) / ds, rel=1e-6, abs=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 40), st.integers(10, 40), st.sampled_from([0.25, 0.5, 1.0]),
+       st.floats(0.0, 4.0), st.floats(0.1, 8.0), st.integers(0, 2 ** 31 - 1))
+def test_weighted_pair_norm_groups_coinciding_outputs_as_unique(nu, nv, spacing, lam, T,
+                                                               seed):
+    # waves on a coarse lattice: the pair sums take at most 3 * 5 * 5 = 75
+    # values for at least 100 pairs, so many pairs share an output; the
+    # sort-based grouping must give the np.unique grouping's norm bit for bit
+    rng = np.random.default_rng(seed)
+
+    def wave(n):
+        xi, e1, e2 = spacing * rng.integers(1, 3, n), *(spacing * rng.integers(-1, 2, (2, n)))
+        return SparseWave(xi, e1, e2, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    u, v = wave(nu), wave(nv)
+    assert weighted_pair_norm(u, v, lam, T) == weighted_pair_norm_by_unique(u, v, lam, T)
+
+
+def test_weighted_pair_norm_of_a_continuous_draw_is_the_amplitude_sum():
+    # continuous draws give every pair its own output, so the time phases
+    # never interfere: the norm is sqrt(T * sum |amp|^2)
+    rng = member_rng(108, 0)
+    u = random_sector_wave(rng, 0.25, (0.0, 0.0), 256.0, 384)
+    v = random_sector_wave(rng, 4.0, (0.0, 0.0), 0.25, 160)
+    lam, T = 2.0, 4.0
+    ds = np.hypot(np.subtract.outer(u.eta1 / u.xi, v.eta1 / v.xi),
+                  np.subtract.outer(u.eta2 / u.xi, v.eta2 / v.xi))
+    amp = np.multiply.outer(u.coeff, v.coeff) * (lam + ds)
+    assert weighted_pair_norm(u, v, lam, T) == pytest.approx(
+        math.sqrt(T * np.sum(np.abs(amp) ** 2)), rel=1e-13, abs=0)
 
 
 def test_sector_gamma_sweep_slope():

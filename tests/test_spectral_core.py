@@ -17,7 +17,7 @@ from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
                             galilean_lattice, galilean_shift, grid_geometry,
                             inverse_transform, make_field, read_snapshot,
                             require_power_of_two, scaling_transform, write_snapshot)
-from oracles import forward_transform, omega, zero_field
+from oracles import forward_transform, omega, validate_full_grid, zero_field
 
 
 def test_gridspec_invariants():
@@ -29,6 +29,12 @@ def test_gridspec_invariants():
         GridSpec(16, 16, 16, -1.0, 1.0, 1.0)     # bad length
     with pytest.raises(ConfigurationError):
         GridSpec(16, 16, 16, np.inf, 1.0, 1.0)   # no frequency spacing
+    # a top |xi|^3 that underflows to 0 or overflows, a top |eta|^2/|xi| that
+    # overflows, a cell volume that overflows
+    for lengths in ((1e300, 1.0, 1.0), (1e-300, 1.0, 1.0), (1.0, 1e-300, 1.0),
+                    (1.0, 1.0, 1e-300), (1e200, 1e200, 1e200)):
+        with pytest.raises(ConfigurationError, match="not a finite nonzero double"):
+            GridSpec(16, 16, 16, *lengths)
     g = GridSpec(32, 16, 16, 2 * np.pi, np.pi, np.pi)
     assert g.dyadic_range()[0] <= g.dxi
     assert 2 * g.dyadic_range()[-1] > g.xi_max()
@@ -336,6 +342,76 @@ def test_snapshot_header_layout(tmp_path, grid_small):
     assert np.allclose(lengths, 2 * np.pi)
     assert raw[44] == 1
     assert len(raw) == 45 + 16 ** 3 * 16
+
+
+def _refusal(check, u):
+    try:
+        check(u)
+    except ConfigurationError as err:
+        return str(err)
+    return None
+
+
+# Each defect, with the message both validate routes must give on a real field.
+_DEFECTS = {
+    "none": None,
+    "nonfinite-on-empty-plane": "non-finite coefficient present",
+    "x-mean": "zero-x-mean invariant violated",
+    "nyquist-plane": "Nyquist-plane content present",
+    "nyquist-line": "Nyquist-plane content present",
+    "one-sided-mirror": "Hermitian symmetry violated for real field",
+    "asymmetry-below": None,
+    "asymmetry-above": "Hermitian symmetry violated for real field",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 8), st.integers(4, 8), st.integers(4, 8), st.booleans(),
+       st.sampled_from(sorted(_DEFECTS)), st.sampled_from([1.0, 1j, 1.0 + 1j]),
+       st.integers(0, 2 ** 31 - 1), st.data())
+def test_validate_reads_occupied_planes_as_the_full_grid(hx, h1, h2, real_flag, defect,
+                                                         unit, seed, data):
+    # validate reads only the occupied x-planes (gathered when they are
+    # fewer than half, else in place); the full-grid reference reads all
+    # of them.  Both must accept the same fields and refuse the others
+    # with the same message.  Injected values are real, imaginary or both,
+    # so neither part alone decides occupancy.
+    g = GridSpec(2 * hx, 2 * h1, 2 * h2, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    kx = g.mode_numbers(0)
+    filled = data.draw(st.sets(st.integers(1, hx - 1), max_size=hx - 1))
+    c = np.where(np.isin(np.abs(kx), list(filled))[:, None, None],
+                 rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape), 0.0)
+    c = make_field(g, c).coeff if real_flag else np.where(grid_geometry(g).structural, c, 0.0)
+    empty = [i for i in range(g.modes_x) if not c[i].any() and kx[i] != 0]
+    unused = [i for i in empty if abs(kx[i]) != hx and -kx[i] % g.modes_x in empty]
+    occupied = [i for i in range(g.modes_x) if c[i].any()]
+    j, m = data.draw(st.integers(1, h1 - 1)), data.draw(st.integers(1, h2 - 1))
+    if defect == "nonfinite-on-empty-plane" and empty:
+        c[data.draw(st.sampled_from(empty)), j, m] = unit * data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif defect == "x-mean":
+        c[0, j, m] = unit
+    elif defect == "nyquist-plane":
+        c[hx, j, m] = unit
+    elif defect == "nyquist-line" and occupied:
+        i = data.draw(st.sampled_from(occupied))
+        c[(i, *data.draw(st.sampled_from([(h1, m), (j, h2)])))] = unit
+    elif defect == "one-sided-mirror" and unused:
+        c[data.draw(st.sampled_from(unused)), j, m] = unit
+    elif defect.startswith("asymmetry") and occupied:
+        scale = np.max(np.abs(c))
+        at = np.argwhere(grid_geometry(g).structural & (np.abs(c) < 0.5 * scale))
+        i = tuple(at[data.draw(st.integers(0, len(at) - 1))])
+        c[i] += unit / abs(unit) * scale * (0.99e-12 if defect == "asymmetry-below"
+                                           else 1.01e-12)
+    else:
+        defect = "none"
+    u = SpectralField(g, c, real_flag)
+    want = _refusal(validate_full_grid, u)
+    assert _refusal(SpectralField.validate, u) == want
+    if real_flag or not (defect == "one-sided-mirror" or defect.startswith("asymmetry")):
+        assert want == _DEFECTS[defect]
 
 
 def test_make_field_hermitize(grid_small):
