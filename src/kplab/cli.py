@@ -33,7 +33,7 @@ from .estimates import (bilinear_mu_sweep, circle_measure_closed_form,
 from .illposedness import IllposedParams, growth_sweep
 from .reporting import config_hash, json_dumps, write_csv, write_json
 from .scattering import asymptotic_state
-from .solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
+from .solver import (SimConfig, band_weight, bands_for_extent, evolve, mass_series,
                      picard_iterate, slope_filtered_product, spectral_product,
                      slope_band_extent)
 from .spectral import (GridSpec, SpectralField, grid_geometry, read_snapshot,
@@ -148,6 +148,16 @@ def _int_pair(text):
     return a, b
 
 
+def _reported_norms(what, field, params) -> dict:
+    """{"l2": l2 norm, label: lqlp_norm per label of params}, refused on overflow."""
+    with np.errstate(over="ignore"):
+        norms = {"l2": field.l2_norm(), **{k: lqlp_norm(field, v) for k, v in params.items()}}
+    bad = [k for k, v in norms.items() if not math.isfinite(v)]
+    if bad:
+        raise ConfigurationError(f"{what} has norms that are not finite doubles: {bad}")
+    return norms
+
+
 def _emit(args, name, payload):
     if args.out:
         write_json(os.path.join(args.out, f"{name}.json"), payload)
@@ -188,14 +198,13 @@ def cmd_make_data(args, cfg, s) -> int:
     if not field.coeff.any():
         raise ConfigurationError(f"make-data {args.kind} datum is zero on this grid: "
                                  "it lies wholly off the lattice")
+    norms = _reported_norms(f"make-data {args.kind} datum", field, {
+        f"q={'inf' if q == math.inf else q},p={p}": NormParams(q=q, p=p)
+        for q, p in ((math.inf, args.p), (math.inf, 2.0), (2.0, 2.0))})
     write_snapshot(field, args.file)
-    norms = {}
-    for q, p in ((math.inf, args.p), (math.inf, 2.0), (2.0, 2.0)):
-        label = f"q={'inf' if q == math.inf else q},p={p}"
-        norms[label] = lqlp_norm(field, NormParams(q=q, p=p))
     payload = {"file": args.file, "kind": args.kind,
                "grid": {"shape": list(field.grid.shape)},
-               "l2_norm": field.l2_norm(), "lqlp_norms": norms}
+               "l2_norm": norms.pop("l2"), "lqlp_norms": norms}
     _emit(args, "make-data", payload)
     return 0
 
@@ -295,14 +304,14 @@ def _verify_tl_symmetry(args):
 def _verify_partition(args):
     rng = member_rng(args.seed, 0)
     s = rng.uniform(-4000, 4000, (2, 2048))
-    bands = DEFAULT_PROFILE.bands_for_extent(4000.0)
-    tot = sum(DEFAULT_PROFILE.band_weight(L, s[0], s[1]) for L in bands)
+    bands = bands_for_extent(4000.0)
+    tot = sum(band_weight(L, s[0], s[1]) for L in bands)
     worst = float(np.max(np.abs(tot - 1.0)))
     grid = GridSpec(16, 16, 16, 32 * math.pi, 4 * math.pi, 4 * math.pi)
     u = random_band_field(grid, rng, 0.0, 0.4, eta_max=1.5)
     v = random_band_field(grid, rng, 0.0, 0.4, eta_max=1.5)
     acc = None
-    for L in DEFAULT_PROFILE.bands_for_extent(slope_band_extent(grid)):
+    for L in bands_for_extent(slope_band_extent(grid)):
         f = slope_filtered_product(u, v, L)
         acc = f.coeff if acc is None else acc + f.coeff
     prod = spectral_product(u, v)
@@ -430,11 +439,11 @@ def cmd_run(args, cfg, s) -> int:
 
 def cmd_norms(args, cfg, s) -> int:
     field = read_snapshot(args.file)
-    npar = NormParams(q=args.q, p=args.p)
+    norms = _reported_norms(f"snapshot {args.file}", field,
+                            {"lqlp": NormParams(q=args.q, p=args.p)})
     records = [
-        {"norm_name": "l2", "params": {}, "value": field.l2_norm()},
-        {"norm_name": "lqlp", "params": {"q": args.q, "p": args.p},
-         "value": lqlp_norm(field, npar)},
+        {"norm_name": "l2", "params": {}, "value": norms["l2"]},
+        {"norm_name": "lqlp", "params": {"q": args.q, "p": args.p}, "value": norms["lqlp"]},
     ]
     payload = {"file": args.file, "records": records}
     if args.format == "csv":

@@ -364,7 +364,7 @@ def _flow_samples(u0: SpectralField, times, m: int, shift: int):
     on the full grid.
     """
     if not u0.real_flag:
-        return (inverse_transform(apply_linear_propagator(u0, t)).samples for t in times)
+        return (inverse_transform(apply_linear_propagator(u0, t)) for t in times)
     u0.validate()
     n2 = u0.grid.modes_y2
     k2 = n2 if shift else n2 // 2 + 1

@@ -331,44 +331,37 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
 # Slope-filtered bilinear projections
 # ----------------------------------------------------------------------
 
-class MultiplierProfile:
-    """Even C^2 cutoff phi1 on R^2 (1 on (-plateau, plateau)^2, 0 outside
-    (-support, support)^2) and the derived telescoping band family."""
-
-    plateau = 128.0
-    support = 129.0
-
-    def _ramp(self, a: np.ndarray) -> np.ndarray:
-        a = np.abs(a)
-        t = np.clip((a - self.plateau) / (self.support - self.plateau), 0.0, 1.0)
-        s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))  # quintic smoothstep, C^2
-        return 1.0 - s
-
-    def phi1(self, s1, s2) -> np.ndarray:
-        return self._ramp(np.asarray(s1, dtype=float)) * self._ramp(np.asarray(s2, dtype=float))
-
-    def band_weight(self, L: float, s1, s2) -> np.ndarray:
-        """rho_L: phi1 at L=1, else psi_L(s) = phi1(s/L) - phi1(2s/L)."""
-        j = require_power_of_two(L, "band index L")
-        if j < 0:
-            raise ConfigurationError(f"band index L={L} must be >= 1")
-        if j == 0:
-            return self.phi1(s1, s2)
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        return self.phi1(s1 / L, s2 / L) - self.phi1(2 * s1 / L, 2 * s2 / L)
-
-    def bands_for_extent(self, max_abs_arg: float) -> list:
-        """All L whose union covers arguments up to max_abs_arg (sum = 1)."""
-        L, bands = 1.0, [1.0]
-        while self.plateau * L < max_abs_arg:
-            L *= 2.0
-            bands.append(L)
-        bands.append(bands[-1] * 2.0)
-        return bands
+_PLATEAU, _SUPPORT = 128.0, 129.0   # phi1 = 1 on (-128, 128)^2, 0 outside (-129, 129)^2
 
 
-DEFAULT_PROFILE = MultiplierProfile()
+def _ramp(a: np.ndarray) -> np.ndarray:
+    t = np.clip((np.abs(a) - _PLATEAU) / (_SUPPORT - _PLATEAU), 0.0, 1.0)
+    return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))  # quintic smoothstep, C^2
+
+
+def phi1(s1, s2) -> np.ndarray:
+    """Even C^2 cutoff on R^2, the base of the telescoping band family."""
+    return _ramp(np.asarray(s1, dtype=float)) * _ramp(np.asarray(s2, dtype=float))
+
+
+def band_weight(L: float, s1, s2) -> np.ndarray:
+    """rho_L: phi1 at L=1, else psi_L(s) = phi1(s/L) - phi1(2s/L)."""
+    j = require_power_of_two(L, "band index L")
+    if j < 0:
+        raise ConfigurationError(f"band index L={L} must be >= 1")
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    return phi1(s1, s2) if j == 0 else phi1(s1 / L, s2 / L) - phi1(2 * s1 / L, 2 * s2 / L)
+
+
+def bands_for_extent(max_abs_arg: float) -> list:
+    """All L whose union covers arguments up to max_abs_arg (sum = 1)."""
+    L, bands = 1.0, [1.0]
+    while _PLATEAU * L < max_abs_arg:
+        L *= 2.0
+        bands.append(L)
+    bands.append(bands[-1] * 2.0)
+    return bands
+
 
 _SLOPE_PRODUCT_LIMIT = 24 ** 3
 
@@ -404,7 +397,7 @@ def slope_filtered_product(u: SpectralField, v: SpectralField,
         ok = xsum != 0.0
         arg1 = (e1u[a] / xu[a] - s1v[ok]) / xsum[ok]
         arg2 = (e2u[a] / xu[a] - s2v[ok]) / xsum[ok]
-        w = DEFAULT_PROFILE.band_weight(L, arg1, arg2)
+        w = band_weight(L, arg1, arg2)
         index, infl = g.index(*(ka[a] + kb[ok] for ka, kb in zip(ku, kv)))
         vals = w * cu[a] * cv[ok]
         np.add.at(out, tuple(i[infl] for i in index), vals[infl])

@@ -74,8 +74,8 @@ class GridSpec:
             require_number(n, name, numbers.Integral)
             if n < 8 or n % 2 != 0:
                 raise ConfigurationError(f"{name}={n}: mode counts must be even and >= 8")
-        for L, name in ((self.length_x, "length_x"), (self.length_y1, "length_y1"),
-                        (self.length_y2, "length_y2")):
+        lengths = (self.length_x, self.length_y1, self.length_y2)
+        for L, name in zip(lengths, ("length_x", "length_y1", "length_y2")):
             require_number(L, name)
             if not (0 < L < np.inf):
                 raise ConfigurationError(f"{name}={L}: box lengths must be positive and finite")
@@ -90,8 +90,13 @@ class GridSpec:
                             ("top symbol term |eta|^2/|xi|", (e1 * e1 + e2 * e2) / self.dxi)):
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(
-                    f"box lengths ({self.length_x}, {self.length_y1}, {self.length_y2}) give "
-                    f"the {what} {value}, which is not a finite nonzero double")
+                    f"box lengths {lengths} give the {what} {value}, which is not a finite "
+                    "nonzero double")
+        # sector_key rounds |s| / 2^j exactly only below 2^52; the lowest shell holds its maximum
+        index = max(e1, e2) / self.dxi / 2.0 ** int(dyadic_exponent(self.dxi))
+        if not index < 2.0 ** 52:
+            raise ConfigurationError(f"box lengths {lengths} give the lowest-shell sector "
+                                     f"index {index:.6g}, which reaches 2^52")
 
     @property
     def shape(self):
@@ -130,14 +135,6 @@ class GridSpec:
     def xi_max(self) -> float:
         # Nyquist planes are excluded from use.
         return (self.modes_x // 2 - 1) * self.dxi
-
-    def dyadic_range(self):
-        """All dyadic scales lam = 2^j with a nonempty shell lam <= |xi| < 2lam."""
-        jlo = int(dyadic_exponent(self.dxi))
-        jhi = int(dyadic_exponent(self.xi_max()))
-        if jhi < jlo:
-            raise ConfigurationError("grid has an empty dyadic range")
-        return [2.0 ** j for j in range(jlo, jhi + 1)]
 
 
 def dyadic_exponent(x):
@@ -298,40 +295,6 @@ class SpectralField:
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.volume * np.sum(np.abs(self.coeff) ** 2)))
 
-    def mode(self, xi: float, eta1: float, eta2: float) -> complex:
-        """Coefficient at a physical wavenumber (must lie on the lattice)."""
-        g = self.grid
-        index, inside = g.index(_snap(xi, g.dxi, "xi"), _snap(eta1, g.deta1, "eta1"),
-                                _snap(eta2, g.deta2, "eta2"))
-        if not inside:
-            raise ConfigurationError(f"({xi}, {eta1}, {eta2}) outside representable range")
-        return complex(self.coeff[index])
-
-
-@dataclass(frozen=True)
-class PhysicalField:
-    """Real samples on the uniform space grid."""
-
-    grid: GridSpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.samples.shape != self.grid.shape:
-            raise ConfigurationError(
-                f"sample shape {self.samples.shape} != grid shape {self.grid.shape}")
-
-    def l2_norm(self) -> float:
-        n = self.samples.size
-        return float(np.sqrt(self.grid.volume / n * np.sum(self.samples ** 2)))
-
-
-def _snap(value: float, delta: float, name: str) -> int:
-    k = value / delta
-    ki = int(np.rint(k))
-    if abs(k - ki) > 1e-9 * max(1.0, abs(k)):
-        raise ConfigurationError(f"{name}={value} is not on the lattice (spacing {delta})")
-    return ki
-
 
 def nonzero_modes(grid: GridSpec, coeff: np.ndarray):
     """Mode numbers (kx, k1, k2) and values of the nonzero coefficients."""
@@ -359,14 +322,14 @@ def make_field(grid: GridSpec, coeff: np.ndarray) -> SpectralField:
 # Transforms
 # ----------------------------------------------------------------------
 
-def inverse_transform(u: SpectralField) -> PhysicalField:
-    """Coefficients -> physical samples; real part returned for real fields."""
+def inverse_transform(u: SpectralField) -> np.ndarray:
+    """Coefficients -> real samples on the space grid (the real part if not marked real)."""
     s = np.fft.ifftn(u.coeff) * u.coeff.size
     if u.real_flag:
         amp = np.max(np.abs(s)) or 1.0
         if np.max(np.abs(s.imag)) > 1e-9 * amp:
             raise ConfigurationError("field marked real has non-real samples")
-    return PhysicalField(u.grid, np.ascontiguousarray(s.real))
+    return np.ascontiguousarray(s.real)
 
 
 # ----------------------------------------------------------------------

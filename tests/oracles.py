@@ -3,11 +3,13 @@ and function-space lemmas no production run needs.  Which test reads which:
 
 * `omega` (the dispersion symbol on a grid): the phase tests of
   test_spectral_core and the linear-flow references of test_solver;
-* `zero_field`, `forward_transform`: test_spectral_core's transforms, and zero
-  data in test_estimates, test_scattering and test_solver;
+* `zero_field`, `forward_transform`, `mode` (a coefficient by its physical
+  wavenumber): test_spectral_core's transforms, zero data in test_estimates,
+  test_scattering and test_solver, and test_illposedness' lattice datum;
 * `validate_full_grid`: test_spectral_core's check of the occupied-plane
   `SpectralField.validate`;
-* `dyadic_projection`: test_decomposition's shell and sector partitions;
+* `dyadic_range`, `dyadic_projection`: test_decomposition's shell and sector
+  partitions, and test_spectral_core's grid checks;
 * the windowed modulation layer (Hann taper) and the trace norms
   `l2_spacetime`, `u1_variation_norm`, `l1t_l2_norm`: test_decomposition's
   U^p/V^p lemma checks (Hadac, Herr and Koch, Ann. IHP 2009).  The modulation |tau - w| is taken circularly, mod the sampling band;
@@ -26,8 +28,7 @@ from kplab.decomposition import (SpaceTimeTrace, _gl_nodes, _lp_reduce, _lqlp_re
 from kplab.errors import ConfigurationError, PreconditionError
 from kplab.estimates import _SECTION_WINDOW, _g_rho, SparseWave
 from kplab.function_spaces import _xi_weight
-from kplab.spectral import (PhysicalField, SpectralField, dyadic_exponent, grid_geometry,
-                            sector_key)
+from kplab.spectral import SpectralField, dyadic_exponent, grid_geometry, sector_key
 
 
 def omega(grid) -> np.ndarray:
@@ -59,14 +60,35 @@ def validate_full_grid(u: SpectralField) -> None:
             raise ConfigurationError("Hermitian symmetry violated for real field")
 
 
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """Physical samples -> coefficients; enforces the zero-x-mean invariant."""
-    c = np.fft.fftn(f.samples) / f.samples.size
+def forward_transform(grid, samples) -> SpectralField:
+    """Real samples on the space grid -> coefficients; enforces the zero-x-mean invariant."""
+    c = np.fft.fftn(samples) / samples.size
     amp = np.max(np.abs(c)) or 1.0
     if np.max(np.abs(c[0, :, :])) > 1e-10 * amp:
         raise ConfigurationError("physical field has a nonzero x-mean")
-    c[~grid_geometry(f.grid).structural] = 0.0
-    return SpectralField(f.grid, c, True)
+    c[~grid_geometry(grid).structural] = 0.0
+    return SpectralField(grid, c, True)
+
+
+def mode(u: SpectralField, *wavenumber) -> complex:
+    """Coefficient at a physical wavenumber (xi, eta1, eta2), which must lie on the lattice."""
+    g, k = u.grid, []
+    for value, delta, name in zip(wavenumber, (g.dxi, g.deta1, g.deta2), ("xi", "eta1", "eta2")):
+        k.append(round(value / delta))
+        if abs(value / delta - k[-1]) > 1e-9 * max(1.0, abs(value / delta)):
+            raise ConfigurationError(f"{name}={value} is not on the lattice (spacing {delta})")
+    index, inside = g.index(*k)
+    if not inside:
+        raise ConfigurationError(f"{wavenumber} outside representable range")
+    return complex(u.coeff[index])
+
+
+def dyadic_range(grid):
+    """All dyadic scales lam = 2^j with a nonempty shell lam <= |xi| < 2lam."""
+    jlo, jhi = (int(dyadic_exponent(x)) for x in (grid.dxi, grid.xi_max()))
+    if jhi < jlo:
+        raise ConfigurationError("grid has an empty dyadic range")
+    return [2.0 ** j for j in range(jlo, jhi + 1)]
 
 
 def dyadic_projection(u: SpectralField, lam: float) -> SpectralField:

@@ -30,9 +30,8 @@ from kplab.function_spaces import (AnalyticDatum, divergent_sequence_check,
 from kplab.illposedness import (IllposedParams, growth_sweeps,
                                 sample_interaction_set)
 from kplab.scattering import asymptotic_state
-from kplab.solver import (DEFAULT_PROFILE, SimConfig, evolve, mass_series,
-                          picard_iterate, slope_filtered_product,
-                          spectral_product, slope_band_extent)
+from kplab.solver import (SimConfig, band_weight, bands_for_extent, evolve, mass_series,
+                          picard_iterate, slope_filtered_product)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             galilean_boost, galilean_shift, grid_geometry,
                             scaling_transform, trilinear_pairing)
@@ -250,8 +249,8 @@ def test_criterion_09_bilinear_projection_machinery():
     t0 = time.time()
     rng = member_rng(109, 0)
     s = rng.uniform(-5000, 5000, (2, 4096))
-    bands = DEFAULT_PROFILE.bands_for_extent(5000.0)
-    tot = sum(DEFAULT_PROFILE.band_weight(L, s[0], s[1]) for L in bands)
+    bands = bands_for_extent(5000.0)
+    tot = sum(band_weight(L, s[0], s[1]) for L in bands)
     part = float(np.max(np.abs(tot - 1.0)))
 
     grid = GridSpec(16, 16, 16, 32 * np.pi, 4 * np.pi, 4 * np.pi)

@@ -15,7 +15,7 @@ from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             dispersion_symbol, dyadic_exponent, galilean_shift,
                             grid_geometry, sector_key)
-from oracles import (dyadic_projection, l1t_l2_norm, l2_spacetime,
+from oracles import (dyadic_projection, dyadic_range, l1t_l2_norm, l2_spacetime,
                      modulation_projection, modulation_weighted_norm, u1_variation_norm,
                      window_bandwidth, windowed_trace)
 
@@ -59,7 +59,7 @@ def test_shell_partition_exact(grid_small, rng):
     u = random_band_field(grid_small, rng, 0.0, 6.0, eta_max=6.0)
     acc = np.zeros_like(u.coeff)
     total = 0.0
-    for lam in grid_small.dyadic_range():
+    for lam in dyadic_range(grid_small):
         piece = dyadic_projection(u, lam)
         acc += piece.coeff
         total += piece.l2_norm() ** 2

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -161,16 +162,30 @@ def test_every_default_is_overridden_somewhere():
 
 def test_every_public_name_has_a_production_reference():
     # a name only unit tests reach is a test oracle: it belongs in tests/oracles.py.
-    # Names match as strings, not bindings: any identifier, attribute or imported
-    # name of that spelling counts, so `x.omega` on another object would hide a
-    # test-only top-level `omega`.
-    outside = set().union(*(_referenced(ast.parse(path.read_text(), filename=str(path)))
-                            for path in _PRODUCTION if path.parent != _SRC))
+    # A public method or property of a package class is reached when an attribute
+    # of its name is read in production code outside its own body.  Names match
+    # as strings, not bindings: any identifier, attribute or imported name of that
+    # spelling counts, so `x.omega` on another object would hide a test-only
+    # top-level `omega`, and a test-only method sharing its name with a reached
+    # one (another class's `l2_norm`) is not caught.
+    others = [ast.parse(path.read_text(), filename=str(path))
+              for path in _PRODUCTION if path.parent != _SRC]
+    outside = set().union(*map(_referenced, others))
     statements = [(node, _referenced(node)) for tree in _TREES.values() for node in tree.body]
     unreached = [f"{module}:{name}" for module, tree in _TREES.items() for node in tree.body
                  for name in _defined(node) if not name.startswith("_")
                  and name not in outside
                  and not any(name in refs for other, refs in statements if other is not node)]
+
+    def reads(tree):
+        return Counter(node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    total = sum(map(reads, [*_TREES.values(), *others]), Counter())
+    unreached += [f"{module}:{node.name}.{method.name}" for module, tree in _TREES.items()
+                  for node in tree.body if isinstance(node, ast.ClassDef)
+                  for method in node.body if isinstance(method, ast.FunctionDef)
+                  and not method.name.startswith("_")
+                  and total[method.name] <= reads(method)[method.name]]
     assert unreached == []
 
 

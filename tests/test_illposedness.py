@@ -10,7 +10,7 @@ from kplab.illposedness import (FrequencyBox, IllposedParams, growth_sweeps,
                                 resonance_function, sample_interaction_set,
                                 second_picard_cross_term, two_bump_datum)
 from kplab.spectral import GridSpec, dispersion_symbol, grid_geometry
-from oracles import box_l2_norm, box_lqlp_norm, box_volume, cross_term_support
+from oracles import box_l2_norm, box_lqlp_norm, box_volume, cross_term_support, mode
 
 
 def test_params_validation():
@@ -55,9 +55,9 @@ def test_two_bump_lattice_datum():
     u = two_bump_lattice_datum(grid, ip, 3.0)
     b1, b2 = two_bump_datum(ip, 3.0)
     cell = grid.dxi * grid.deta1 * grid.deta2 / grid.volume
-    for box, mode in ((b1, (0.375, 1.0, 1.5)), (b2, (2.375, 1.25, 1.75))):
-        assert u.mode(*mode) == box.amplitude * math.sqrt(cell) / 2
-        assert u.mode(*(-m for m in mode)) == np.conj(u.mode(*mode))
+    for box, k in ((b1, (0.375, 1.0, 1.5)), (b2, (2.375, 1.25, 1.75))):
+        assert mode(u, *k) == box.amplitude * math.sqrt(cell) / 2
+        assert mode(u, *(-m for m in k)) == np.conj(mode(u, *k))
     geo = grid_geometry(grid)
 
     def held(box, sign):

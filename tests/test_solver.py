@@ -11,10 +11,10 @@ from kplab.data import gaussian_datum, random_band_field
 from kplab.decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_norms,
                                  pullback_states, v2_variation_norm)
 from kplab.errors import ConfigurationError, DivergenceError, PreconditionError
-from kplab.solver import (MultiplierProfile, SimConfig, _box_surrogate,
-                          _duhamel_weights, _expand, _nonlinear_rhs, evolve, mass_series,
-                          nonlinearity, nonlinearity_direct, picard_iterate,
-                          slope_band_extent, slope_filtered_product,
+from kplab.solver import (SimConfig, _box_surrogate, _duhamel_weights, _expand,
+                          _nonlinear_rhs, band_weight, bands_for_extent, evolve,
+                          mass_series, nonlinearity, nonlinearity_direct, phi1,
+                          picard_iterate, slope_band_extent, slope_filtered_product,
                           spectral_product)
 from kplab.spectral import (GridSpec, SpectralField, apply_linear_propagator,
                             galilean_lattice, galilean_shift, grid_geometry,
@@ -492,17 +492,16 @@ def tl_grid():
 
 
 def test_profile_shape_and_telescoping():
-    prof = MultiplierProfile()
     s = np.linspace(-5000, 5000, 4001)
-    assert np.all(prof.phi1(s, 0.0) <= 1.0) and np.all(prof.phi1(s, 0.0) >= 0.0)
-    assert np.array_equal(prof.phi1(s, s), prof.phi1(-s, -s))   # even
+    assert np.all(phi1(s, 0.0) <= 1.0) and np.all(phi1(s, 0.0) >= 0.0)
+    assert np.array_equal(phi1(s, s), phi1(-s, -s))   # even
     inside = np.abs(s) < 128
-    assert np.all(prof.phi1(s[inside], 0.0) == 1.0)
-    bands = prof.bands_for_extent(5000.0)
-    tot = sum(prof.band_weight(L, s, 0.3 * s) for L in bands)
+    assert np.all(phi1(s[inside], 0.0) == 1.0)
+    bands = bands_for_extent(5000.0)
+    tot = sum(band_weight(L, s, 0.3 * s) for L in bands)
     assert np.max(np.abs(tot - 1.0)) <= 1e-12
     with pytest.raises(ConfigurationError):
-        prof.band_weight(0.5, s, s)   # a power of two below the first band
+        band_weight(0.5, s, s)   # a power of two below the first band
 
 
 def test_parallel_slopes_all_in_band_one(tl_grid):
@@ -531,9 +530,8 @@ def test_band_sum_reassembles_product(tl_grid, seed, lo, width, eta_max):
     edges = (lo * tl_grid.dxi, min(lo + width, 7) * tl_grid.dxi)
     u = random_band_field(tl_grid, rng, *edges, eta_max=eta_max)
     v = random_band_field(tl_grid, rng, *edges, eta_max=eta_max)
-    prof = MultiplierProfile()
     acc = None
-    for L in prof.bands_for_extent(slope_band_extent(tl_grid)):
+    for L in bands_for_extent(slope_band_extent(tl_grid)):
         piece = slope_filtered_product(u, v, L)
         acc = piece.coeff if acc is None else acc + piece.coeff
     prod = spectral_product(u, v)

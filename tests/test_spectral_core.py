@@ -11,13 +11,14 @@ from kplab.data import (gaussian_datum, member_rng, random_band_field,
 from kplab.errors import ConfigurationError, DomainError, PreconditionError
 from kplab.function_spaces import comb_norm
 from kplab.illposedness import IllposedParams
-from kplab.solver import DEFAULT_PROFILE
-from kplab.spectral import (GridSpec, PhysicalField, SpectralField,
+from kplab.solver import band_weight
+from kplab.spectral import (GridSpec, SpectralField,
                             apply_linear_propagator, dispersion_symbol, galilean_boost,
                             galilean_lattice, galilean_shift, grid_geometry,
                             inverse_transform, make_field, read_snapshot,
                             require_power_of_two, scaling_transform, write_snapshot)
-from oracles import forward_transform, omega, validate_full_grid, zero_field
+from oracles import (dyadic_range, forward_transform, mode, omega, validate_full_grid,
+                     zero_field)
 
 
 def test_gridspec_invariants():
@@ -36,8 +37,30 @@ def test_gridspec_invariants():
         with pytest.raises(ConfigurationError, match="not a finite nonzero double"):
             GridSpec(16, 16, 16, *lengths)
     g = GridSpec(32, 16, 16, 2 * np.pi, np.pi, np.pi)
-    assert g.dyadic_range()[0] <= g.dxi
-    assert 2 * g.dyadic_range()[-1] > g.xi_max()
+    assert dyadic_range(g)[0] <= g.dxi
+    assert 2 * dyadic_range(g)[-1] > g.xi_max()
+    # dxi = 2^-25, top |eta| = 4 / (1 +- 1e-12): lowest-shell sector index 2^52 (1 -+ 1e-12)
+    below = GridSpec(8, 8, 8, 2 * np.pi * 2.0 ** 25, *[2 * np.pi * (1 + 1e-12)] * 2)
+    with np.errstate(all="raise"):
+        grid_geometry(below).sector
+    for lengths in ((2 * np.pi * 2.0 ** 25, *[2 * np.pi * (1 - 1e-12)] * 2),
+                    (2 * np.pi / 5e-109, 3e-99, 1.0)):   # an index that overflows
+        with pytest.raises(ConfigurationError, match="reaches 2\\^52"):
+            GridSpec(8, 8, 8, *lengths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-3.0, 30.0), min_size=3, max_size=3),
+       st.lists(st.integers(4, 16), min_size=3, max_size=3))
+def test_accepted_grids_build_exact_sector_keys(exponents, halves):
+    # log-uniform box lengths in [1e-3, 1e30]: a grid is refused, or its sector
+    # labels build with no floating-point error
+    try:
+        g = GridSpec(*(2 * h for h in halves), *(10.0 ** e for e in exponents))
+    except ConfigurationError:
+        return
+    with np.errstate(all="raise"):
+        grid_geometry(g).sector
 
 
 def test_grid_geometry_cache_is_bounded():
@@ -49,36 +72,37 @@ def test_grid_geometry_cache_is_bounded():
 
 def test_zero_field_transforms(grid_small):
     z = zero_field(grid_small)
-    assert forward_transform(inverse_transform(z)).l2_norm() == 0.0
+    assert forward_transform(grid_small, inverse_transform(z)).l2_norm() == 0.0
 
 
 def test_cosine_two_modes(grid_small):
     x = np.arange(16) * 2 * np.pi / 16
     samples = np.cos(3 * x)[:, None, None] * np.ones((1, 16, 16))
-    u = forward_transform(PhysicalField(grid_small, samples))
+    u = forward_transform(grid_small, samples)
     nz = np.abs(u.coeff) > 1e-12
     assert nz.sum() == 2
-    assert u.mode(3.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert u.mode(-3.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert mode(u, 3.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert mode(u, -3.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
     # off the lattice, on a Nyquist plane, and beyond the grid
     for xi, eta1, eta2 in ((3.5, 0.0, 0.0), (3.0, 0.0, 1e-3), (8.0, 0.0, 0.0),
                            (-8.0, 0.0, 0.0), (3.0, -8.0, 0.0), (3.0, 0.0, 9.0)):
         with pytest.raises(ConfigurationError):
-            u.mode(xi, eta1, eta2)
+            mode(u, xi, eta1, eta2)
 
 
 def test_roundtrip_and_parseval(grid_small, rng):
     u = random_band_field(grid_small, rng, 0.0, 6.0, eta_max=6.0)
     p = inverse_transform(u)
-    u2 = forward_transform(p)
+    u2 = forward_transform(grid_small, p)
     assert np.max(np.abs(u.coeff - u2.coeff)) <= 1e-12
-    assert abs(u.l2_norm() - p.l2_norm()) <= 1e-12 * u.l2_norm()
+    p_norm = math.sqrt(grid_small.volume / p.size * np.sum(p ** 2))
+    assert abs(u.l2_norm() - p_norm) <= 1e-12 * u.l2_norm()
 
 
 def test_forward_transform_rejects_nonzero_x_mean(grid_small):
     samples = np.ones(grid_small.shape)
     with pytest.raises(ConfigurationError):
-        forward_transform(PhysicalField(grid_small, samples))
+        forward_transform(grid_small, samples)
 
 
 def test_dispersion_symbol_values():
@@ -248,7 +272,7 @@ def test_power_of_two_refusals(grid_small, value):
                   lambda: sector_indicator_datum(grid_small, value),
                   lambda: IllposedParams(value, 8.0),
                   lambda: IllposedParams(1 / 64, value, coupling=False),
-                  lambda: DEFAULT_PROFILE.band_weight(value, 0.0, 0.0),
+                  lambda: band_weight(value, 0.0, 0.0),
                   lambda: comb_norm(value, 2.0)):
         with pytest.raises(ConfigurationError):
             check()
@@ -421,4 +445,4 @@ def test_make_field_hermitize(grid_small):
     u.validate()
     assert np.count_nonzero(c) == 1 and c[2, 1, 0] == 1.0 + 0.5j   # input untouched
     p = inverse_transform(u)
-    assert np.max(np.abs(p.samples.imag if np.iscomplexobj(p.samples) else 0)) == 0
+    assert np.max(np.abs(p.imag if np.iscomplexobj(p) else 0)) == 0
