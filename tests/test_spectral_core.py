@@ -438,6 +438,15 @@ def test_validate_reads_occupied_planes_as_the_full_grid(hx, h1, h2, real_flag, 
         assert want == _DEFECTS[defect]
 
 
+def test_validate_counts_a_purely_imaginary_plane_as_occupied(grid_small):
+    # each check must see a plane whose only content is imaginary; the test
+    # above draws such a plane in too few runs to catch a real-part scan
+    for plane, defect in ((0, "x-mean"), (8, "nyquist-plane"), (3, "one-sided-mirror")):
+        c = np.zeros(grid_small.shape, complex)
+        c[plane, 1, 1] = 1j
+        assert _refusal(SpectralField.validate, SpectralField(grid_small, c)) == _DEFECTS[defect]
+
+
 def test_make_field_hermitize(grid_small):
     c = np.zeros(grid_small.shape, complex)
     c[2, 1, 0] = 1.0 + 0.5j
