@@ -443,7 +443,9 @@ def cmd_norms(args, cfg, s) -> int:
                             {"lqlp": NormParams(q=args.q, p=args.p)})
     records = [
         {"norm_name": "l2", "params": {}, "value": norms["l2"]},
-        {"norm_name": "lqlp", "params": {"q": args.q, "p": args.p}, "value": norms["lqlp"]},
+        # RFC 8259 JSON has no Infinity: q = inf is the string make-data's keys use
+        {"norm_name": "lqlp", "params": {"q": "inf" if args.q == math.inf else args.q,
+                                         "p": args.p}, "value": norms["lqlp"]},
     ]
     payload = {"file": args.file, "records": records}
     if args.format == "csv":

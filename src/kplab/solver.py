@@ -40,33 +40,53 @@ def _expand(grid: GridSpec, a: np.ndarray, box: tuple) -> np.ndarray:
     full[(..., *box)] = a
     neg = slice(grid.modes_y2 - box[2].size + 1, None)
     rx, r1, r2 = grid_geometry(grid).reverse
-    full[..., neg] = np.conjugate(full[..., rx, r1, r2[..., neg]])
+    mirror = full[..., rx, r1, r2[..., neg]]
+    full[..., neg] = np.conjugate(mirror, out=mirror)
     return full
 
 
-def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple,
-                   xi: np.ndarray) -> np.ndarray:
+def _rhs_work(grid: GridSpec, box: tuple, lead: tuple = ()) -> tuple:
+    """The buffers `_nonlinear_rhs` writes into, for box coefficients with
+    leading axes `lead`: built once per evolution, so that each call allocates
+    only its result.  Only the box rows of `rows` and the box planes of
+    `planes` are ever written, so their zero padding holds across calls."""
+    nx, n1, n2 = grid.shape
+    k, m2 = box[0].size, box[2].size
+    rows = np.zeros(lead + (k, n1, m2), dtype=np.complex128)
+    planes = np.zeros(lead + (nx, n1, m2), dtype=np.complex128)
+    phys = np.empty(lead + (nx, n1, n2))
+    half = np.empty(lead + (nx, n1, n2 // 2 + 1), dtype=np.complex128)
+    return rows, np.empty_like(rows), planes, np.empty_like(planes), phys, half
+
+
+def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple, xi: np.ndarray,
+                   work: tuple) -> np.ndarray:
     """-i xi FFT((IFFT a)^2) on the box, for box coefficients a with any
-    leading axes: the coefficient-space N(u).
+    leading axes: the coefficient-space N(u).  `work` is `_rhs_work` of the
+    same grid, box and leading axes; the result is a new array.
 
     The transforms are pruned axis by axis: the eta1 transform runs on the
     box's x-planes, the x transform on its k2 columns, and the real eta2
     transform reads and keeps the box's k2 columns only.  norm="forward"
     leaves the inverse transforms unscaled.
     """
-    nx, n1, n2 = grid.shape
+    n2 = grid.modes_y2
     ix, i1 = box[0].ravel(), box[1].ravel()
     m2 = box[2].size
-    lead = a.shape[:-3]
-    rows = np.zeros(lead + (ix.size, n1, m2), dtype=np.complex128)
+    rows, picked, planes, xt, phys, half = work
     rows[..., i1, :] = a
-    planes = np.zeros(lead + (nx, n1, m2), dtype=np.complex128)
-    planes[..., ix, :, :] = np.fft.ifft(rows, axis=-2, norm="forward")
-    phys = np.fft.irfft(np.fft.ifft(planes, axis=-3, norm="forward"), n=n2, axis=-1,
-                        norm="forward")
-    sq = np.fft.rfft(np.square(phys), axis=-1, norm="forward")[..., :m2]
-    sq = np.fft.fft(sq, axis=-3, norm="forward")[..., ix, :, :]
-    return -1j * xi * np.fft.fft(sq, axis=-2, norm="forward")[..., i1, :]
+    np.fft.ifft(rows, axis=-2, norm="forward", out=picked)
+    planes[..., ix, :, :] = picked
+    np.fft.ifft(planes, axis=-3, norm="forward", out=xt)
+    np.fft.irfft(xt, n=n2, axis=-1, norm="forward", out=phys)
+    np.square(phys, out=phys)
+    np.fft.rfft(phys, axis=-1, norm="forward", out=half)
+    np.fft.fft(half[..., :m2], axis=-3, norm="forward", out=xt)
+    np.take(xt, ix, axis=-3, out=picked, mode="clip")   # "raise" would buffer a copy
+    top = xt[..., :ix.size, :, :]   # xt is read: its first planes take the eta1 transform
+    np.fft.fft(picked, axis=-2, norm="forward", out=top)
+    out = np.take(top, i1, axis=-2)
+    return np.multiply(-1j * xi, out, out=out)
 
 
 def _on_box(u: SpectralField, grid: GridSpec, caller: str) -> tuple:
@@ -91,7 +111,7 @@ def nonlinearity(u: SpectralField) -> SpectralField:
     """
     g = u.grid
     box, c, xi = _on_box(u, g, "nonlinearity")
-    out = _nonlinear_rhs(g, c, box, xi)
+    out = _nonlinear_rhs(g, c, box, xi, _rhs_work(g, box))
     return SpectralField(g, _expand(g, out, box), real_flag=True)
 
 
@@ -189,22 +209,24 @@ def evolve(u0: SpectralField, cfg: SimConfig) -> SpaceTimeTrace:
     states = np.empty(times.shape + c.shape, dtype=np.complex128)
     states[0] = c
 
+    work = _rhs_work(g, box)
     t = 0.0
     for js in range(1, times.size):
         for _ in range(steps):
-            n1 = _nonlinear_rhs(g, c, box, xi)
+            n1 = _nonlinear_rhs(g, c, box, xi, work)
             u2 = E2 * (c + 0.5 * h * n1)
-            n2 = _nonlinear_rhs(g, u2, box, xi)
+            n2 = _nonlinear_rhs(g, u2, box, xi, work)
             u3 = E2 * c + 0.5 * h * n2
-            n3 = _nonlinear_rhs(g, u3, box, xi)
+            n3 = _nonlinear_rhs(g, u3, box, xi, work)
             u4 = E * c + h * (E2 * n3)
-            n4 = _nonlinear_rhs(g, u4, box, xi)
+            n4 = _nonlinear_rhs(g, u4, box, xi, work)
             c = E * c + (h / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
             t += h
             nn = np.sqrt(np.sum(twice * np.abs(c) ** 2))
             if not np.isfinite(nn) or (norm0 > 0 and nn > 1e3 * norm0):
                 raise BlowupError(f"step rejected at t={t:.6g} (norm {nn:.3e})", t=t)
         states[js] = c
+    del work   # free before the full-spectrum expansion, the memory peak
     return SpaceTimeTrace(times, _expand(g, states, box), g, True)
 
 
@@ -294,9 +316,10 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
     base = c0[None, ...] * phases  # S(t) u0 on the box
 
     W = _duhamel_weights(n_t, cfg.sample_dt)
+    work = _rhs_work(g, box, (n_t,))
 
     def apply_duhamel(warr):
-        pull = _nonlinear_rhs(g, warr, box, xi) * np.conj(phases)
+        pull = _nonlinear_rhs(g, warr, box, xi, work) * np.conj(phases)
         integ = np.tensordot(W, pull.reshape(n_t, -1), axes=(1, 0))
         integ = integ.reshape(warr.shape) * phases
         return base + integ
@@ -323,6 +346,7 @@ def picard_iterate(u0: SpectralField, cfg: SimConfig, n_max: int = 12,
         if d <= tol:
             converged = True
             break
+    del work   # free before the full-spectrum expansion, the memory peak
     trace = SpaceTimeTrace(times, _expand(g, w, box), g, True)
     return trace, PicardReport(n_done, diffs, ratios, converged)
 

@@ -42,6 +42,22 @@ def test_make_data_gaussian_and_norms(tmp_path, capsys):
         lqlp_norm(field, NormParams(q=math.inf, p=1.5)))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_norms_report_is_strict_json(tmp_path, capsys):
+    # the default q = inf is echoed as make-data's "inf"; a finite q stays a number
+    f = str(tmp_path / "g.kp3f")
+    assert main(["make-data", "gaussian", "--file", f]) == 0
+    capsys.readouterr()
+    for args, q in (([], "inf"), (["--q", "2"], 2.0)):
+        code, out = run_cli(["norms", f, *args], capsys)
+        assert code == 0
+        rec = json.loads(out, parse_constant=_refuse_constant)["records"]
+        assert rec[1]["params"] == {"q": q, "p": 1.5}
+
+
 def test_make_data_sector_single_term(tmp_path, capsys):
     f = str(tmp_path / "s.kp3f")
     code, out = run_cli(["make-data", "sector", "--lam", "2", "--k", "1,0",

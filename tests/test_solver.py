@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from kplab.decomposition import (NormParams, SpaceTimeTrace, lqlp_norm, lqlp_nor
                                  pullback_states, v2_variation_norm)
 from kplab.errors import ConfigurationError, DivergenceError, PreconditionError
 from kplab.solver import (SimConfig, _box_surrogate, _duhamel_weights, _expand,
-                          _nonlinear_rhs, band_weight, bands_for_extent, evolve,
+                          _nonlinear_rhs, _rhs_work, band_weight, bands_for_extent, evolve,
                           mass_series, nonlinearity, nonlinearity_direct, phi1,
                           picard_iterate, slope_band_extent, slope_filtered_product,
                           spectral_product)
@@ -68,15 +69,46 @@ def test_nonlinearity_matches_direct_convolution_on_a_full_box(seed, nx, n1, n2)
 @given(st.integers(0, 2 ** 31 - 1), even_modes, even_modes, even_modes,
        st.integers(1, 4))
 def test_nonlinear_rhs_on_a_stack_matches_row_by_row(seed, nx, n1, n2, rows):
+    # the rows run through one work set that a larger datum on every box mode
+    # used first; each equals its fresh-work result bit for bit, and a result
+    # is a new array that later calls on the same work leave unchanged
     g = GridSpec(nx, n1, n2, 2 * np.pi, 2 * np.pi, 2 * np.pi)
     box = grid_geometry(g).box
     xi = grid_geometry(g).xi[box[0], 0, 0]
     rng = np.random.default_rng(seed)
     stack = np.stack([random_band_field(g, rng, 0.0, 4.0).coeff[box] for _ in range(rows)])
-    got = _nonlinear_rhs(g, stack, box, xi)
-    want = np.stack([_nonlinear_rhs(g, a, box, xi) for a in stack])
+    got = _nonlinear_rhs(g, stack, box, xi, _rhs_work(g, box, (rows,)))
+    work = _rhs_work(g, box)
+    shape = stack.shape[1:]
+    big = 1e3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    _nonlinear_rhs(g, big, box, xi, work)
+    each = [_nonlinear_rhs(g, a, box, xi, work) for a in stack]
+    kept = [e.copy() for e in each]
+    _nonlinear_rhs(g, big, box, xi, work)
+    want = np.stack(each)
     assert got.shape == stack.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    for a, e, k in zip(stack, each, kept):
+        assert e.tobytes() == k.tobytes()
+        assert e.tobytes() == _nonlinear_rhs(g, a, box, xi, _rhs_work(g, box)).tobytes()
+
+
+def test_nonlinear_rhs_allocates_little_beyond_its_result():
+    # with its work set a call allocates its result and small temporaries:
+    # 1.6 a.nbytes on this scatter box, where the unbuffered transforms took 15.7
+    g = GridSpec(192, 24, 24, 32 * np.pi, 8 * np.pi, 8 * np.pi)
+    box = grid_geometry(g).box
+    xi = grid_geometry(g).xi[box[0], 0, 0]
+    a = random_band_field(g, np.random.default_rng(0), 0.0, g.xi_max()).coeff[box]
+    work = _rhs_work(g, box)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _nonlinear_rhs(g, a, box, xi, work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * a.nbytes
 
 
 _G8 = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi, 2 * np.pi)
