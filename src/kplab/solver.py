@@ -46,17 +46,47 @@ def _expand(grid: GridSpec, a: np.ndarray, box: tuple) -> np.ndarray:
 
 
 def _rhs_work(grid: GridSpec, box: tuple, lead: tuple = ()) -> tuple:
-    """The buffers `_nonlinear_rhs` writes into, for box coefficients with
-    leading axes `lead`: built once per evolution, so that each call allocates
-    only its result.  Only the box rows of `rows` and the box planes of
-    `planes` are ever written, so their zero padding holds across calls."""
+    """The synthesis matrices and buffers of `_nonlinear_rhs`, for box
+    coefficients with leading axes `lead`: built once per evolution, so that
+    each call allocates only its result.
+
+    `syn1` (n1 x m1, complex) takes the box's eta1 rows to all n1 eta1
+    samples; `syn2` (2 m2 x n2, real) takes the interleaved real and
+    imaginary parts of the box's k2 columns to all n2 real eta2 samples.
+    Each is pocketfft's inverse transform of unit vectors, not exponentials
+    of angles: on a power-of-two length every quarter-turn entry is then
+    exactly 0, +-1 or +-2, where np.exp(1j * pi / 2) is 6e-17 off.  Only the
+    box planes of `planes` are ever written, so its zero padding holds across
+    calls.  `stage` holds the box planes on their way into the x transform
+    and out of it; it is the flat prefix of `half`, which is free both times."""
     nx, n1, n2 = grid.shape
     k, m2 = box[0].size, box[2].size
-    rows = np.zeros(lead + (k, n1, m2), dtype=np.complex128)
+    syn1 = np.fft.ifft(np.eye(n1)[:, box[1].ravel()], axis=0, norm="forward")
+    unit = np.eye(m2, n2 // 2 + 1)
+    syn2 = np.stack([np.fft.irfft(unit, n2, norm="forward"),
+                     np.fft.irfft(1j * unit, n2, norm="forward")], axis=1)
     planes = np.zeros(lead + (nx, n1, m2), dtype=np.complex128)
-    phys = np.empty(lead + (nx, n1, n2))
     half = np.empty(lead + (nx, n1, n2 // 2 + 1), dtype=np.complex128)
-    return rows, np.empty_like(rows), planes, np.empty_like(planes), phys, half
+    stage = half.reshape(-1)[:planes.size // nx * k].reshape(lead + (k, n1, m2))
+    return (syn1, syn2.reshape(2 * m2, n2), stage, planes, np.empty_like(planes),
+            np.empty(lead + (nx, n1, n2)), half)
+
+
+def _synthesize(a: np.ndarray, box: tuple, work: tuple) -> np.ndarray:
+    """The real samples of box coefficients a (any leading axes) on the whole
+    space grid, unscaled as norm="forward" leaves an inverse FFT: written
+    into the `phys` buffer of `work` and returned.  The eta1 transform is a
+    complex matrix product over the box planes, the x transform pocketfft on
+    the box's k2 columns, and the eta2 transform one real matrix product on
+    the float64 view of those columns, interleaved real and imaginary parts.
+    """
+    syn1, syn2, stage, planes, xt, phys, _ = work
+    np.matmul(syn1, a, out=stage)
+    planes[..., box[0].ravel(), :, :] = stage
+    np.fft.ifft(planes, axis=-3, norm="forward", out=xt)
+    np.matmul(xt.view(np.float64).reshape(-1, syn2.shape[0]), syn2,
+              out=phys.reshape(-1, syn2.shape[1]))
+    return phys
 
 
 def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple, xi: np.ndarray,
@@ -65,26 +95,22 @@ def _nonlinear_rhs(grid: GridSpec, a: np.ndarray, box: tuple, xi: np.ndarray,
     leading axes: the coefficient-space N(u).  `work` is `_rhs_work` of the
     same grid, box and leading axes; the result is a new array.
 
-    The transforms are pruned axis by axis: the eta1 transform runs on the
-    box's x-planes, the x transform on its k2 columns, and the real eta2
-    transform reads and keeps the box's k2 columns only.  norm="forward"
-    leaves the inverse transforms unscaled.
+    The inverse transforms are `_synthesize`: the two eta transforms, short
+    and mostly zero-padded, as matrix products.  The forward transforms stay
+    FFTs, pruned axis by axis (the real eta2 transform keeps the box's k2
+    columns, the x transform runs on them, the eta1 transform on the box's
+    x-planes): a mode outside the square's support then comes out exactly
+    zero, where a dense matrix product leaves rounding in it.
     """
-    n2 = grid.modes_y2
     ix, i1 = box[0].ravel(), box[1].ravel()
     m2 = box[2].size
-    rows, picked, planes, xt, phys, half = work
-    rows[..., i1, :] = a
-    np.fft.ifft(rows, axis=-2, norm="forward", out=picked)
-    planes[..., ix, :, :] = picked
-    np.fft.ifft(planes, axis=-3, norm="forward", out=xt)
-    np.fft.irfft(xt, n=n2, axis=-1, norm="forward", out=phys)
-    np.square(phys, out=phys)
+    _, _, stage, _, xt, phys, half = work
+    np.square(_synthesize(a, box, work), out=phys)
     np.fft.rfft(phys, axis=-1, norm="forward", out=half)
     np.fft.fft(half[..., :m2], axis=-3, norm="forward", out=xt)
-    np.take(xt, ix, axis=-3, out=picked, mode="clip")   # "raise" would buffer a copy
+    np.take(xt, ix, axis=-3, out=stage, mode="clip")   # "raise" would buffer a copy
     top = xt[..., :ix.size, :, :]   # xt is read: its first planes take the eta1 transform
-    np.fft.fft(picked, axis=-2, norm="forward", out=top)
+    np.fft.fft(stage, axis=-2, norm="forward", out=top)
     out = np.take(top, i1, axis=-2)
     return np.multiply(-1j * xi, out, out=out)
 

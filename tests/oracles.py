@@ -8,6 +8,8 @@ and function-space lemmas no production run needs.  Which test reads which:
   test_scattering and test_solver, and test_illposedness' lattice datum;
 * `validate_full_grid`: test_spectral_core's check of the occupied-plane
   `SpectralField.validate`;
+* `pocketfft_samples`: test_solver's reference for the right-hand side's
+  matrix synthesis;
 * `dyadic_range`, `dyadic_projection`: test_decomposition's shell and sector
   partitions, and test_spectral_core's grid checks;
 * the windowed modulation layer (Hann taper) and the trace norms
@@ -58,6 +60,21 @@ def validate_full_grid(u: SpectralField) -> None:
         defect = c - np.conjugate(c[geo.reverse])
         if np.max(np.abs(defect)) > 1e-12 * (scale or 1.0):
             raise ConfigurationError("Hermitian symmetry violated for real field")
+
+
+def pocketfft_samples(grid, a: np.ndarray, box: tuple) -> np.ndarray:
+    """The real samples of box coefficients a (any leading axes) by pocketfft
+    alone, unscaled: the eta1 rows zero-padded and inverse transformed, then
+    the x planes likewise, then the real eta2 transform of the box's k2
+    columns, the route `solver._synthesize`'s matrix products replace."""
+    nx, n1, n2 = grid.shape
+    lead, m2 = a.shape[:-3], box[2].size
+    rows = np.zeros(lead + (box[0].size, n1, m2), dtype=np.complex128)
+    rows[..., box[1].ravel(), :] = a
+    planes = np.zeros(lead + (nx, n1, m2), dtype=np.complex128)
+    planes[..., box[0].ravel(), :, :] = np.fft.ifft(rows, axis=-2, norm="forward")
+    xt = np.fft.ifft(planes, axis=-3, norm="forward")
+    return np.fft.irfft(xt, n=n2, axis=-1, norm="forward")
 
 
 def forward_transform(grid, samples) -> SpectralField:
